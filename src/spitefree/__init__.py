@@ -26,10 +26,8 @@ from .core import (
 from .mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
-    TieBreak,
     null_spec,
     recognize_threshold_form,
     tabulate,
@@ -60,6 +58,7 @@ from .multiitem import (
     SequentialSpec,
     bundle_of,
     bundle_size,
+    check_multi_esic,
     check_multi_ic,
     check_multi_ir,
     check_multi_sic,
@@ -106,6 +105,7 @@ from .verifier import (
     check_sic,
     check_winner_payment_constant,
     confirm_witness,
+    deviation_clause,
     enumerate_ir_ic_mechanisms,
 )
 

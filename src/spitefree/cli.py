@@ -23,17 +23,19 @@ import mpmath
 
 from . import __version__
 from .core import DomainMismatchError, Grid, MechanismTable, closure_for_thresholds
-from .mechanisms import ThresholdSpec
 from .money import is_infinite, parse_ext_money, parse_money, render_ext_money
 from .multiitem import (
     OwnBidPaymentVariationError,
+    check_multi_esic,
     check_multi_ic,
     check_multi_ir,
     check_multi_sic,
     classify_point,
     cluster_allocate,
     nonincreasing_marginal_vectors,
+    parse_bundle_amounts,
     region_partition,
+    render_bundle_key,
     sequential_allocate_general,
     sequential_allocate_hs,
 )
@@ -190,7 +192,7 @@ def cmd_verify(args) -> int:
         grid = Grid.from_text(args.grid) if args.grid else mechanism.grid
     elif args.grid:
         grid = Grid.from_text(args.grid)
-    elif isinstance(mechanism, ThresholdSpec):
+    elif loaded.kind == "threshold":
         grid = closure_for_thresholds(mechanism.thresholds)
     else:
         raise SpecFileError(f"kind {loaded.kind!r} needs an explicit --grid")
@@ -285,35 +287,13 @@ def cmd_revenue(args) -> int:
     return EXIT_OK
 
 
-def _parse_payments(text: str):
-    payments = {}
-    width = None
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise SpecFileError(f"expected bundle=price, got {part!r}")
-        mask_text, _, price_text = part.partition("=")
-        mask_text = mask_text.strip()
-        if width is None:
-            width = len(mask_text)
-        elif len(mask_text) != width:
-            raise SpecFileError("all bundle strings must have the same length")
-        if not mask_text or any(c not in "01" for c in mask_text):
-            raise SpecFileError(f"bundle must be a 0/1 string, got {mask_text!r}")
-        mask = sum(1 << k for k, c in enumerate(mask_text) if c == "1")
-        payments[mask] = parse_ext_money(price_text.strip())
-    if width is None:
-        raise SpecFileError("no payments given")
-    return payments, width
-
-
 def cmd_regions(args) -> int:
     started = time.perf_counter()
     if not args.payments:
         raise SpecFileError("regions needs --payments")
-    payments, item_count = _parse_payments(args.payments)
+    payments, item_count = parse_bundle_amounts(args.payments, parse_ext_money)
+    if item_count is None:
+        raise SpecFileError("no payments given")
     system = region_partition(payments, item_count)
     config = {
         "payments": args.payments,
@@ -325,7 +305,7 @@ def cmd_regions(args) -> int:
     bundles = []
     for mask, region in enumerate(system.regions):
         entry = {
-            "bundle": _bundle_key(mask, item_count),
+            "bundle": render_bundle_key(mask, item_count),
             "payment": _jsonable(system.payments[mask]),
         }
         if region is None:
@@ -364,16 +344,12 @@ def cmd_regions(args) -> int:
             lattice.append(
                 {
                     "point": [_jsonable(x) for x in point],
-                    "bundles": sorted(_bundle_key(m, item_count) for m in best),
+                    "bundles": sorted(render_bundle_key(m, item_count) for m in best),
                 }
             )
         results["lattice"] = lattice
     _emit(_report("regions", config, results, started), args)
     return EXIT_OK
-
-
-def _bundle_key(mask: int, item_count: int) -> str:
-    return "".join("1" if (mask >> k) & 1 else "0" for k in range(item_count))
 
 
 def _grid_points(axis, dims: int):
@@ -393,7 +369,13 @@ def cmd_multi(args) -> int:
             f"kind {loaded.kind!r} is single-item; use the 'verify' command"
         )
     spec = loaded.mechanism
-    props = _parse_props(args.props, ("ir", "ic", "sic"), ("ir", "ic", "sic"))
+    checks = {
+        "ir": check_multi_ir,
+        "ic": check_multi_ic,
+        "sic": check_multi_sic,
+        "esic": check_multi_esic,
+    }
+    props = _parse_props(args.props, checks, ("ir", "ic", "sic"))
     if loaded.candidates is not None:
         domains = loaded.candidates
         truths = tuple(domain[0] for domain in domains)
@@ -412,7 +394,6 @@ def cmd_multi(args) -> int:
         )
     else:
         raise SpecFileError("cluster verification needs candidate[...] lines in the spec")
-    checks = {"ir": check_multi_ir, "ic": check_multi_ic, "sic": check_multi_sic}
     reports = [checks[name](mechanism, domains, truths) for name in props]
     config = {
         "spec": args.spec,
@@ -480,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multi", help="check properties of a multi-item mechanism")
     p.add_argument("--spec", required=True)
-    p.add_argument("--props", default=None, help="comma list of: ir, ic, sic")
+    p.add_argument("--props", default=None, help="comma list of: ir, ic, sic, esic")
     p.add_argument("--max-marginal", type=int, default=3, dest="max_marginal",
                    help="bound for the built-in homogeneous bid domain")
     _add_common(p)

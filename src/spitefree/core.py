@@ -108,6 +108,25 @@ class Outcome:
         return self.winner - 1 if self.winner else None
 
 
+class RankedSpec:
+    """Base for specs that serve agents by a priority ranking.
+
+    ``ranking[i]`` is the priority position of agent ``i`` (1 = served
+    first).
+    """
+
+    @staticmethod
+    def check_ranking(ranking, n: int) -> tuple[int, ...]:
+        ranking = tuple(int(r) for r in ranking)
+        if sorted(ranking) != list(range(1, n + 1)):
+            raise ValueError(f"ranking {ranking} is not a permutation of 1..{n}")
+        return ranking
+
+    def priority_order(self) -> tuple[int, ...]:
+        """Agent indices sorted from highest priority to lowest."""
+        return tuple(sorted(range(len(self.ranking)), key=self.ranking.__getitem__))
+
+
 def utility(outcome: Outcome, agent: int, value: Fraction) -> Fraction:
     """Quasi-linear payoff of ``agent`` (0-based) with true value ``value``.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Grid, MechanismTable, Outcome, enumerate_profiles
+from .core import Grid, MechanismTable, Outcome, RankedSpec, enumerate_profiles
 from .money import ExtMoney, INFINITY, as_ext_money
 
 
@@ -28,14 +28,8 @@ class BoundaryRule(str, Enum):
     NO_ALLOCATION = "no_allocation"
 
 
-class TieBreak(str, Enum):
-    """Tie policy for the price benchmarks; profile independent."""
-
-    LOWEST_INDEX = "lowest_index"
-
-
 @dataclass(frozen=True)
-class ThresholdSpec:
+class ThresholdSpec(RankedSpec):
     """Priority ranking plus per-agent thresholds.
 
     ``ranking[i]`` is the priority position of agent ``i`` (1 = served
@@ -47,25 +41,19 @@ class ThresholdSpec:
     boundary_rule: BoundaryRule = BoundaryRule.HIGHEST_RANK_AT_THRESHOLD
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranking", tuple(int(r) for r in self.ranking))
         object.__setattr__(
             self, "thresholds", tuple(as_ext_money(t) for t in self.thresholds)
         )
         n = len(self.thresholds)
         if n == 0:
             raise ValueError("need at least one agent")
-        if sorted(self.ranking) != list(range(1, n + 1)):
-            raise ValueError(f"ranking {self.ranking} is not a permutation of 1..{n}")
+        object.__setattr__(self, "ranking", self.check_ranking(self.ranking, n))
         if not isinstance(self.boundary_rule, BoundaryRule):
             object.__setattr__(self, "boundary_rule", BoundaryRule(self.boundary_rule))
 
     @property
     def n(self) -> int:
         return len(self.thresholds)
-
-    def priority_order(self) -> tuple[int, ...]:
-        """Agent indices sorted from highest priority to lowest."""
-        return tuple(sorted(range(self.n), key=self.ranking.__getitem__))
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
         return threshold_outcome(self, bids)
@@ -92,31 +80,12 @@ def threshold_outcome(spec: ThresholdSpec, bids: tuple[Fraction, ...]) -> Outcom
     return Outcome(winner + 1, tuple(payments))
 
 
-@dataclass(frozen=True)
-class NullMechanism:
-    """Never allocates, never charges."""
-
-    n: int
-
-    def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
-        if len(bids) != self.n:
-            from .core import DomainMismatchError
-
-            raise DomainMismatchError(f"expected {self.n} bids, got {len(bids)}")
-        return null_outcome(self.n)
-
-
-def null_outcome(n: int) -> Outcome:
-    return Outcome(0, (Fraction(0),) * n)
-
-
 def null_spec(n: int) -> ThresholdSpec:
+    """The null mechanism: never allocates, never charges."""
     return ThresholdSpec(tuple(range(1, n + 1)), (INFINITY,) * n)
 
 
-def second_price_outcome(
-    bids: tuple[Fraction, ...], tie: TieBreak = TieBreak.LOWEST_INDEX
-) -> Outcome:
+def second_price_outcome(bids: tuple[Fraction, ...]) -> Outcome:
     _require_benchmark_profile(bids)
     winner = max(range(len(bids)), key=bids.__getitem__)  # first max: lowest index
     price = max(bids[j] for j in range(len(bids)) if j != winner)
@@ -125,9 +94,7 @@ def second_price_outcome(
     return Outcome(winner + 1, tuple(payments))
 
 
-def first_price_outcome(
-    bids: tuple[Fraction, ...], tie: TieBreak = TieBreak.LOWEST_INDEX
-) -> Outcome:
+def first_price_outcome(bids: tuple[Fraction, ...]) -> Outcome:
     _require_benchmark_profile(bids)
     winner = max(range(len(bids)), key=bids.__getitem__)
     payments = [Fraction(0)] * len(bids)
@@ -143,27 +110,25 @@ def _require_benchmark_profile(bids: tuple[Fraction, ...]) -> None:
 @dataclass(frozen=True)
 class SecondPriceMechanism:
     n: int
-    tie: TieBreak = TieBreak.LOWEST_INDEX
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("second price needs at least two agents")
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
-        return second_price_outcome(bids, self.tie)
+        return second_price_outcome(bids)
 
 
 @dataclass(frozen=True)
 class FirstPriceMechanism:
     n: int
-    tie: TieBreak = TieBreak.LOWEST_INDEX
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("first price needs at least two agents")
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
-        return first_price_outcome(bids, self.tie)
+        return first_price_outcome(bids)
 
 
 def tabulate(mechanism, grid: Grid, n: int | None = None) -> MechanismTable:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Money = Fraction
@@ -63,9 +64,13 @@ def parse_ext_money(text: str) -> ExtMoney:
 
 
 def render_money(value: Fraction) -> str:
+    # str(int) refuses integers longer than sys.get_int_max_str_digits()
+    # digits (the exact optimal prices reach ~20 000 at n = 16); Decimal
+    # converts any length without touching that process-wide limit.
+    numerator = str(Decimal(value.numerator))
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 def render_ext_money(value: ExtMoney) -> str:

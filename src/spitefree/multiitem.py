@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .core import RankedSpec
 from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite
-from .reports import Property, PropertyReport, Witness
+from .reports import Property, PropertyReport
+from .verifier import deviation_check, domain_strides, ir_check
 
 Bundle = int
 
@@ -81,6 +83,38 @@ def parse_bundle(text: str) -> Bundle:
         if c == "1":
             mask |= 1 << k
     return mask
+
+
+def render_bundle_key(bundle: Bundle, item_count: int) -> str:
+    """The 0/1 string of `parse_bundle`, one digit per item."""
+    return "".join("1" if (bundle >> k) & 1 else "0" for k in range(item_count))
+
+
+def parse_bundle_amounts(text: str, parse_amount, item_count: int | None = None):
+    """Read a list like "10=1, 01=3/2" into ({bundle: amount}, item count).
+
+    Every bundle string must have `item_count` digits or, when that is
+    None, as many as the first one; the count is None for an empty list.
+    `parse_amount` reads each amount.
+    """
+    amounts = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"expected bundle=amount, got {part!r}")
+        bundle_text, _, amount_text = part.partition("=")
+        bundle_text = bundle_text.strip()
+        bundle = parse_bundle(bundle_text)
+        if item_count is None:
+            item_count = len(bundle_text)
+        elif len(bundle_text) != item_count:
+            raise ValueError(
+                f"bundle string {bundle_text!r} must have one digit per item ({item_count})"
+            )
+        amounts[bundle] = parse_amount(amount_text.strip())
+    return amounts, item_count
 
 
 @dataclass(frozen=True)
@@ -202,15 +236,8 @@ def multi_utility_vector(outcome: MultiOutcome, valuations) -> tuple[Fraction, .
     )
 
 
-def _check_ranking(ranking) -> tuple[int, ...]:
-    ranking = tuple(int(r) for r in ranking)
-    if sorted(ranking) != list(range(1, len(ranking) + 1)):
-        raise ValueError("ranking must assign each agent a distinct position 1..n")
-    return ranking
-
-
 @dataclass(frozen=True)
-class SequentialSpec:
+class SequentialSpec(RankedSpec):
     """Priority order plus one per-item price per agent.
 
     `ranking[i]` is agent i's position (1 = picks first); `thresholds[i]`
@@ -221,7 +248,7 @@ class SequentialSpec:
     thresholds: tuple[Money, ...]
 
     def __post_init__(self) -> None:
-        ranking = _check_ranking(self.ranking)
+        ranking = self.check_ranking(self.ranking, len(self.ranking))
         thresholds = tuple(as_money(t) for t in self.thresholds)
         if len(thresholds) != len(ranking):
             raise ValueError("need one threshold per agent")
@@ -232,9 +259,6 @@ class SequentialSpec:
     def n(self) -> int:
         return len(self.ranking)
 
-    def priority_order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.n), key=lambda i: self.ranking[i]))
-
 
 class ClusterTieRule(str, Enum):
     """How a cluster buyer breaks ties among equally good bundles."""
@@ -244,7 +268,7 @@ class ClusterTieRule(str, Enum):
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(RankedSpec):
     """Priority order plus a full bundle price list per agent.
 
     `thresholds[i][mask]` is what agent i pays for the bundle with that
@@ -260,7 +284,7 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.item_count < 0:
             raise ValueError("item count must be nonnegative")
-        ranking = _check_ranking(self.ranking)
+        ranking = self.check_ranking(self.ranking, len(self.ranking))
         size = 1 << self.item_count
         rows = []
         for row in self.thresholds:
@@ -279,9 +303,6 @@ class ClusterSpec:
     @property
     def n(self) -> int:
         return len(self.ranking)
-
-    def priority_order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.n), key=lambda i: self.ranking[i]))
 
 
 def demand(valuation: HomogeneousSubmodularValuation, threshold: Money) -> int:
@@ -402,34 +423,43 @@ def cluster_allocate(spec: ClusterSpec, bids) -> MultiOutcome:
     return MultiOutcome(tuple(bundles), tuple(payments))
 
 
-def _domain_profiles(bid_domain, true_values):
+class _LazyOutcomes(dict):
+    """Outcomes over a product of bid domains, evaluated on first lookup.
+
+    Keyed by the flat index of `verifier.domain_strides`, so lookups hash
+    ints instead of tuples of valuations.
+    """
+
+    def __init__(self, mechanism, domains):
+        super().__init__()
+        self.mechanism = mechanism
+        self.domains = domains
+        self.strides = domain_strides(domains)
+
+    def __missing__(self, flat: int) -> MultiOutcome:
+        profile = []
+        rest = flat
+        for domain, stride in zip(self.domains, self.strides):
+            k, rest = divmod(rest, stride)
+            profile.append(domain[k])
+        out = self[flat] = self.mechanism(tuple(profile))
+        return out
+
+
+def _kernel_inputs(mechanism, bid_domain, true_values):
     domains = tuple(tuple(d) for d in bid_domain)
     if any(not d for d in domains):
         raise ValueError("every agent needs a nonempty bid domain")
-    if true_values is None:
-        truths = list(itertools.product(*domains))
-    else:
+    truth = None
+    if true_values is not None:
         profile = tuple(true_values)
         if len(profile) != len(domains):
             raise ValueError("need one true valuation per agent")
         for i, v in enumerate(profile):
             if v not in domains[i]:
                 raise ValueError(f"agent {i}'s true valuation is outside her domain")
-        truths = [profile]
-    return domains, truths
-
-
-class _Evaluator:
-    def __init__(self, mechanism):
-        self.mechanism = mechanism
-        self.cache = {}
-
-    def __call__(self, profile) -> MultiOutcome:
-        out = self.cache.get(profile)
-        if out is None:
-            out = self.mechanism(profile)
-            self.cache[profile] = out
-        return out
+        truth = tuple(domain.index(v) for domain, v in zip(domains, profile))
+    return domains, _LazyOutcomes(mechanism, domains), multi_utility, truth
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
@@ -439,72 +469,19 @@ def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
     With `true_values=None` every profile in the domain product plays the
     role of the truth in turn; otherwise only the given profile does.
     """
-    _, truths = _domain_profiles(bid_domain, true_values)
-    evaluate = _Evaluator(mechanism)
-    checked = 0
-    for profile in truths:
-        out = evaluate(profile)
-        for i, v in enumerate(profile):
-            checked += 1
-            if multi_utility(out, i, v) < 0:
-                witness = Witness(
-                    profile=profile,
-                    agent=i,
-                    utilities_before=multi_utility_vector(out, profile),
-                    outcome_before=out,
-                    note="truthful payoff is negative",
-                )
-                return PropertyReport(Property.IR, False, witness, checked)
-    return PropertyReport(Property.IR, True, None, checked)
+    return ir_check(*_kernel_inputs(mechanism, bid_domain, true_values))
 
 
 def check_multi_ic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return _multi_deviation_check(mechanism, bid_domain, true_values, Property.IC)
+    return deviation_check(Property.IC, *_kernel_inputs(mechanism, bid_domain, true_values))
 
 
 def check_multi_sic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return _multi_deviation_check(mechanism, bid_domain, true_values, Property.SIC)
+    return deviation_check(Property.SIC, *_kernel_inputs(mechanism, bid_domain, true_values))
 
 
-def _multi_deviation_check(mechanism, bid_domain, true_values, prop) -> PropertyReport:
-    domains, truths = _domain_profiles(bid_domain, true_values)
-    evaluate = _Evaluator(mechanism)
-    spiteful = prop is not Property.IC
-    checked = 0
-    for profile in truths:
-        out_v = evaluate(profile)
-        before = multi_utility_vector(out_v, profile)
-        for i, domain in enumerate(domains):
-            for dev in domain:
-                if dev == profile[i]:
-                    continue
-                checked += 1
-                deviated = profile[:i] + (dev,) + profile[i + 1 :]
-                out_b = evaluate(deviated)
-                after = multi_utility_vector(out_b, profile)
-                clause = None
-                if after[i] > before[i]:
-                    clause = "deviation strictly raises the deviator's payoff"
-                elif spiteful and after[i] == before[i]:
-                    others = [j for j in range(len(profile)) if j != i]
-                    harmed = any(after[j] < before[j] for j in others)
-                    helped = any(after[j] > before[j] for j in others)
-                    if harmed and not helped:
-                        clause = "payoff-neutral deviation harms some agent and helps none"
-                if clause is not None:
-                    witness = Witness(
-                        profile=profile,
-                        deviation_profile=deviated,
-                        agent=i,
-                        deviation=dev,
-                        utilities_before=before,
-                        utilities_after=after,
-                        outcome_before=out_v,
-                        outcome_after=out_b,
-                        note=clause,
-                    )
-                    return PropertyReport(prop, False, witness, checked)
-    return PropertyReport(prop, True, None, checked)
+def check_multi_esic(mechanism, bid_domain, true_values=None) -> PropertyReport:
+    return deviation_check(Property.ESIC, *_kernel_inputs(mechanism, bid_domain, true_values))
 
 
 class OwnBidPaymentVariationError(RuntimeError):

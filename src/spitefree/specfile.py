@@ -38,9 +38,9 @@ from .core import Grid, MechanismTable, Outcome
 from .mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
+    null_spec,
 )
 from .money import parse_ext_money, parse_money, render_ext_money, render_money
 from .multiitem import (
@@ -48,7 +48,8 @@ from .multiitem import (
     ClusterSpec,
     ClusterTieRule,
     SequentialSpec,
-    parse_bundle,
+    parse_bundle_amounts,
+    render_bundle_key,
 )
 
 SINGLE_ITEM_KINDS = ("threshold", "null", "second_price", "first_price", "table")
@@ -122,29 +123,10 @@ def _int_field(value: str, lineno: int) -> int:
 
 def _bundle_pairs(value: str, lineno: int, item_count: int):
     """Parse "10=1, 01=3/2" into {mask: amount}."""
-    pairs = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise _fail(lineno, f"expected bundle=amount, got {part!r}")
-        mask_text, _, amount_text = part.partition("=")
-        mask_text = mask_text.strip()
-        try:
-            mask = parse_bundle(mask_text)
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from None
-        if len(mask_text) != item_count:
-            raise _fail(
-                lineno,
-                f"bundle string {mask_text!r} must have one digit per item ({item_count})",
-            )
-        try:
-            pairs[mask] = parse_money(amount_text.strip())
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from None
-    return pairs
+    try:
+        return parse_bundle_amounts(value, parse_money, item_count)[0]
+    except ValueError as exc:
+        raise _fail(lineno, str(exc)) from None
 
 
 def _indexed_key(key: str):
@@ -401,7 +383,7 @@ def _build_cluster(fields, rows, indexed) -> LoadedSpec:
     ]
     for agent in range(n):
         pairs = ", ".join(
-            f"{_render_bundle_key(mask, item_count)}={render_money(price)}"
+            f"{render_bundle_key(mask, item_count)}={render_money(price)}"
             for mask, price in enumerate(spec.thresholds[agent])
             if mask
         )
@@ -417,10 +399,6 @@ def _build_cluster(fields, rows, indexed) -> LoadedSpec:
     )
 
 
-def _render_bundle_key(mask: int, item_count: int) -> str:
-    return "".join("1" if (mask >> k) & 1 else "0" for k in range(item_count))
-
-
 def _render_candidates(candidates, item_count):
     lines = []
     if candidates is None:
@@ -428,7 +406,7 @@ def _render_candidates(candidates, item_count):
     for agent, bids in enumerate(candidates, start=1):
         for bid in bids:
             pairs = ", ".join(
-                f"{_render_bundle_key(mask, item_count)}={render_money(value)}"
+                f"{render_bundle_key(mask, item_count)}={render_money(value)}"
                 for mask, value in enumerate(bid.values)
                 if mask and value != 0
             )
@@ -438,7 +416,7 @@ def _render_candidates(candidates, item_count):
 
 _BUILDERS = {
     "threshold": _build_threshold,
-    "null": _build_sized("null", NullMechanism),
+    "null": _build_sized("null", null_spec),
     "second_price": _build_sized("second_price", SecondPriceMechanism),
     "first_price": _build_sized("first_price", FirstPriceMechanism),
     "table": _build_table,

@@ -15,9 +15,9 @@ from spitefree.core import Grid, closure_for_thresholds
 from spitefree.mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
+    null_spec,
     recognize_threshold_form,
     tabulate,
 )
@@ -136,7 +136,7 @@ def test_criterion_03_only_the_null_mechanism_is_anonymous_or_efficient():
             anonymous.append(table)
         if check_efficient(spec, probe_grid).passed:
             efficient.append(table)
-    null_table = tabulate(NullMechanism(2), GRID012)
+    null_table = tabulate(null_spec(2), GRID012)
     ok = anonymous == [null_table] and efficient == [null_table]
     _verdict(
         3,

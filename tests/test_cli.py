@@ -8,6 +8,8 @@ surface the tool promises.
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction
 
 from spitefree.cli import (
     EXIT_BUDGET,
@@ -137,6 +139,35 @@ def test_thresholds_exact_values():
     assert results["expected_revenue"] == "7921/16384"
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_thresholds_render_exactly_up_to_the_exact_limit():
+    for n in (13, 16):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("thresholds", "--n", str(n))
+        assert code == EXIT_OK, err
+        assert sys.get_int_max_str_digits() == limit
+        results = json.loads(out)["results"]
+        assert results["exact"] is True
+        prices = [Fraction(1, 2)]
+        for _ in range(n - 1):
+            prices.append((1 + prices[-1] ** 2) / 2)
+        revenue = Fraction(0)
+        for t in prices:
+            revenue = (1 - t) * t + t * revenue
+        with unlimited_int_digits():
+            assert [Fraction(t) for t in results["values_last_to_first"]] == prices
+            assert Fraction(results["expected_revenue"]) == revenue
+
+
 def test_revenue_estimate_is_seeded():
     code, out, _ = run_cli("revenue", "--n", "1", "--samples", "1000000", "--seed", "3")
     assert code == EXIT_OK
@@ -168,6 +199,17 @@ def test_regions_rejects_malformed_payment_lists():
     code, _, err = run_cli("regions", "--payments", "10=4,oops")
     assert code == EXIT_INPUT_ERROR
     assert err
+    code, _, err = run_cli("regions", "--payments", "10=4,1=3")
+    assert code == EXIT_INPUT_ERROR
+    assert "one digit per item" in err
+
+
+def test_regions_accept_an_infinite_price():
+    code, out, _ = run_cli("regions", "--payments", "10=4,01=inf,11=6")
+    assert code == EXIT_OK
+    by_bundle = {r["bundle"]: r for r in json.loads(out)["results"]["regions"]}
+    assert by_bundle["01"]["payment"] == "inf"
+    assert by_bundle["01"]["attainable"] is False
 
 
 def test_multi_flags_the_spite_swap(tmp_path):
@@ -181,6 +223,17 @@ def test_multi_flags_the_spite_swap(tmp_path):
     assert witness["agent"] == 1  # rendered 1-based
     assert witness["utilities_before"] == ["0", "1/2"]
     assert witness["utilities_after"] == ["0", "0"]
+
+
+def test_multi_checks_esic_on_request_only(tmp_path):
+    spec = write(tmp_path, "cluster.spec", CLUSTER_SPITE_SPEC)
+    code, out, _ = run_cli("multi", "--spec", spec)
+    assert [r["property"] for r in json.loads(out)["results"]["reports"]] == ["IR", "IC", "SIC"]
+    code, out, _ = run_cli("multi", "--spec", spec, "--props", "esic")
+    assert code == EXIT_PROPERTY_FAIL
+    (report,) = json.loads(out)["results"]["reports"]
+    assert report["property"] == "ESIC" and report["passed"] is False
+    assert report["witness"]["utilities_after"] == ["0", "0"]
 
 
 def test_multi_sequential_uses_the_builtin_menu(tmp_path):

@@ -15,7 +15,7 @@ from spitefree.core import (
     utility,
     utility_vector,
 )
-from spitefree.mechanisms import NullMechanism, tabulate
+from spitefree.mechanisms import null_spec, tabulate
 from spitefree.money import INFINITY
 
 
@@ -145,7 +145,7 @@ def test_render_profile():
 
 
 def test_evaluate_checks_width():
-    null = NullMechanism(2)
+    null = null_spec(2)
     assert evaluate(null, (0, 1)).winner == 0
     with pytest.raises(DomainMismatchError):
         evaluate(null, (0, 1, 2))
@@ -153,7 +153,7 @@ def test_evaluate_checks_width():
 
 def test_table_round_trip_and_lookup():
     g = Grid.from_text("0,1")
-    table = tabulate(NullMechanism(2), g)
+    table = tabulate(null_spec(2), g)
     assert table.profiles == tuple(enumerate_profiles(g, 2))
     assert all(o.winner == 0 for o in table.outcomes)
     assert table.outcome((F(0), F(1))).winner == 0
@@ -163,7 +163,7 @@ def test_table_round_trip_and_lookup():
 
 def test_table_rejects_incomplete_rows():
     g = Grid.from_text("0,1")
-    good = tabulate(NullMechanism(2), g)
+    good = tabulate(null_spec(2), g)
     with pytest.raises(DomainMismatchError):
         MechanismTable(g, 2, good.rows[:-1])
     with pytest.raises(DomainMismatchError):

@@ -7,7 +7,6 @@ from spitefree.core import Grid, MechanismTable, Outcome, enumerate_profiles
 from spitefree.mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
     null_spec,
@@ -71,7 +70,8 @@ def test_winner_always_pays_own_threshold():
 
 def test_null_mechanism_and_null_spec_agree():
     grid = Grid.from_text("0,1,5")
-    assert tabulate(NullMechanism(2), grid) == tabulate(null_spec(2), grid)
+    outcomes = tabulate(null_spec(2), grid).outcomes
+    assert all(out == Outcome(0, (F(0), F(0))) for out in outcomes)  # never sells or charges
     assert null_spec(3).thresholds == (INFINITY, INFINITY, INFINITY)
 
 
@@ -195,6 +195,6 @@ def test_recognition_rejects_paying_losers():
 
 def test_null_table_recognized_as_all_infinite():
     grid = Grid.from_text("0,1,2")
-    spec = recognize_threshold_form(tabulate(NullMechanism(2), grid))
+    spec = recognize_threshold_form(tabulate(null_spec(2), grid))
     assert spec is not None
     assert spec.thresholds == (INFINITY, INFINITY)

@@ -17,6 +17,7 @@ from spitefree.multiitem import (
     bundle_items,
     bundle_of,
     bundle_size,
+    check_multi_esic,
     check_multi_ic,
     check_multi_ir,
     check_multi_sic,
@@ -38,6 +39,8 @@ from spitefree.multiitem import (
     sequential_ordering_counterexample,
     subsets_of,
 )
+from spitefree.reports import Property
+from spitefree.verifier import deviation_clause
 
 # --- bundle plumbing -------------------------------------------------------
 
@@ -330,6 +333,56 @@ def test_cluster_sale_admits_a_pure_spite_swap():
     assert w.agent == 0
     assert tuple(w.utilities_before) == (F(0), F(1, 2))
     assert tuple(w.utilities_after) == (F(0), F(0))
+
+
+def test_cluster_spite_swap_fails_esic_with_a_replayable_witness():
+    spec, truths, domains = cluster_spite_counterexample()
+    mech = lambda bids: cluster_allocate(spec, bids)
+    report = check_multi_esic(mech, domains, truths)
+    assert not report.passed
+    w = report.witness
+    before = multi_utility_vector(mech(w.profile), w.profile)
+    after = multi_utility_vector(mech(w.deviation_profile), w.profile)
+    assert (before, after) == (w.utilities_before, w.utilities_after)
+    assert deviation_clause(Property.ESIC, w.agent, before, after) == w.note
+
+
+def _esic_by_definition(mech, domain):
+    """Two-agent ESIC read straight off the definition, by brute force."""
+    outcomes = {bids: mech(bids) for bids in itertools.product(domain, repeat=2)}
+    for truth, out in outcomes.items():
+        before = multi_utility_vector(out, truth)
+        for i in (0, 1):
+            for bid in domain:
+                report = (bid, truth[1]) if i == 0 else (truth[0], bid)
+                after = multi_utility_vector(outcomes[report], truth)
+                if after[i] > before[i]:
+                    return False
+                if after[i] == before[i] and after[1 - i] < before[1 - i]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("thresholds", [(1, 1), (2, 1), (3, 2), (1, 3)])
+def test_interchangeable_sale_passes_esic_on_the_builtin_domain(thresholds):
+    domain = tuple(nonincreasing_marginal_vectors(3, 3))
+    spec = SequentialSpec((1, 2), tuple(F(t) for t in thresholds))
+    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    assert _esic_by_definition(mech, domain)
+    report = check_multi_esic(mech, (domain, domain))
+    assert report.passed
+    assert report.checked_count == 400 * 2 * 19
+
+
+def test_a_repeated_candidate_is_not_a_deviation():
+    spec, truths, ((truth_1, misreport_1), truth_2) = cluster_spite_counterexample()
+    mech = lambda bids: cluster_allocate(spec, bids)
+    domains = ((truth_1, truth_1, misreport_1), truth_2)
+    report = check_multi_sic(mech, domains, truths)
+    assert not report.passed
+    assert report.checked_count == 1
+    assert report.witness.deviation == misreport_1
+    assert check_multi_ic(mech, domains).checked_count == 4
 
 
 def test_multi_checks_validate_their_inputs():

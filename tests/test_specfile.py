@@ -6,9 +6,9 @@ from spitefree.core import Grid, MechanismTable
 from spitefree.mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
+    null_spec,
     tabulate,
 )
 from spitefree.money import INFINITY
@@ -38,7 +38,7 @@ def test_boundary_rule_defaults_to_allocating():
 
 
 def test_simple_kinds():
-    assert parse_spec_text("kind: null\nn: 3\n").mechanism == NullMechanism(3)
+    assert parse_spec_text("kind: null\nn: 3\n").mechanism == null_spec(3)
     assert parse_spec_text("kind: second_price\nn: 2\n").mechanism == SecondPriceMechanism(2)
     assert parse_spec_text("kind: first_price\nn: 2\n").mechanism == FirstPriceMechanism(2)
 
@@ -115,7 +115,7 @@ def test_canonical_source_reparses_identically():
 def test_load_spec_reads_files(tmp_path):
     path = tmp_path / "mech.spec"
     path.write_text("kind: null\nn: 2\n")
-    assert load_spec(str(path)).mechanism == NullMechanism(2)
+    assert load_spec(str(path)).mechanism == null_spec(2)
 
 
 def test_unknown_kind():
@@ -165,3 +165,7 @@ def test_infinite_thresholds_are_single_item_only():
     assert loaded.mechanism.thresholds == (INFINITY,)
     with pytest.raises(SpecFileError):
         parse_spec_text("kind: sequential\nitems: 2\nranking: 1\nthresholds: inf\n")
+    with pytest.raises(SpecFileError, match="line 4"):
+        parse_spec_text(
+            "kind: cluster\nitems: 2\nranking: 1\nthresholds[1]: 10=1, 01=inf, 11=2\n"
+        )

@@ -4,13 +4,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spitefree.core import DomainMismatchError, Grid, closure_for_thresholds, enumerate_profiles
+from spitefree.core import (
+    DomainMismatchError,
+    Grid,
+    closure_for_thresholds,
+    enumerate_profiles,
+    utility,
+)
 from spitefree.mechanisms import (
     BoundaryRule,
     FirstPriceMechanism,
-    NullMechanism,
     SecondPriceMechanism,
     ThresholdSpec,
+    null_spec,
     tabulate,
 )
 from spitefree.money import INFINITY
@@ -88,13 +94,13 @@ def test_confirm_witness_rejects_tampering():
 
 
 def test_confirm_witness_refuses_passing_reports():
-    passing = check_ir(NullMechanism(2), GRID012)
+    passing = check_ir(null_spec(2), GRID012)
     assert passing.passed
-    assert not confirm_witness(NullMechanism(2), passing)
+    assert not confirm_witness(null_spec(2), passing)
 
 
 def test_checks_reject_foreign_grids_for_tables():
-    table = tabulate(NullMechanism(2), Grid.from_text("0,1"))
+    table = tabulate(null_spec(2), Grid.from_text("0,1"))
     with pytest.raises(DomainMismatchError):
         check_ir(table, GRID012)
 
@@ -103,7 +109,7 @@ def test_checks_reject_foreign_grids_for_tables():
 
 
 def test_null_is_anonymous():
-    assert check_anonymous(NullMechanism(2), GRID012).passed
+    assert check_anonymous(null_spec(2), GRID012).passed
 
 
 def test_asymmetric_thresholds_break_anonymity():
@@ -129,7 +135,7 @@ def test_second_price_anonymity_hinges_on_ties():
 
 def test_efficiency_verdicts():
     assert check_efficient(SecondPriceMechanism(2), GRID012).passed
-    assert check_efficient(NullMechanism(2), GRID012).passed  # vacuous: never allocates
+    assert check_efficient(null_spec(2), GRID012).passed  # vacuous: never allocates
     spec = ThresholdSpec((1, 2), (F(1), F(3)))
     report = check_efficient(spec, Grid.from_text("0,1,2,3"))
     assert not report.passed
@@ -164,6 +170,47 @@ def test_second_price_winner_price_varies():
     report = check_winner_payment_constant(SecondPriceMechanism(2), GRID012)
     assert not report.passed
     assert report.witness is not None
+
+
+def _holds_by_definition(prop, mechanism, grid):
+    """IC, SIC or ESIC read straight off the definitions, by brute force."""
+    n = mechanism.n
+    for truth in enumerate_profiles(grid, n):
+        before = [utility(mechanism.outcome(truth), j, truth[j]) for j in range(n)]
+        for i in range(n):
+            for bid in grid.levels:
+                report = truth[:i] + (bid,) + truth[i + 1 :]
+                after = [utility(mechanism.outcome(report), j, truth[j]) for j in range(n)]
+                if after[i] > before[i]:
+                    return False
+                if prop is Property.IC or after[i] != before[i]:
+                    continue
+                others = [j for j in range(n) if j != i]
+                harmed = any(after[j] < before[j] for j in others)
+                helped = any(after[j] > before[j] for j in others)
+                if harmed and (prop is Property.ESIC or not helped):
+                    return False
+    return True
+
+
+def test_deviation_kernel_matches_the_definitions():
+    mechanisms = list(enumerate_ir_ic_mechanisms(GRID012, 2))
+    assert len(mechanisms) == 594
+    mechanisms += [FirstPriceMechanism(n) for n in (2, 3)]
+    mechanisms += [SecondPriceMechanism(n) for n in (2, 3)]
+    failures = 0
+    for mechanism in mechanisms:
+        for prop, check in (
+            (Property.IC, check_ic),
+            (Property.SIC, check_sic),
+            (Property.ESIC, check_esic),
+        ):
+            report = check(mechanism, GRID012)
+            assert report.passed == _holds_by_definition(prop, mechanism, GRID012)
+            if not report.passed:
+                failures += 1
+                assert confirm_witness(mechanism, report)
+    assert failures == 2 * (594 - 70) + 10
 
 
 # --- enumeration -----------------------------------------------------------
