@@ -155,6 +155,11 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
     winners at profiles where somebody strictly exceeds.  The match tolerates
     the boundary-rule freedom: at profiles where nobody strictly exceeds, any
     exactly-tied agent (or nobody) may win at her threshold price.
+
+    A table in which some agent wins at two different prices, or a loser
+    pays, is never threshold form: the first stage returns None for it
+    before any other test.  `verifier.characterization_experiment` relies
+    on this to skip such tables without building them.
     """
     n = table.n
     wins: dict[int, list[tuple[tuple[Fraction, ...], Outcome]]] = {i: [] for i in range(n)}

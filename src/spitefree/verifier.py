@@ -510,6 +510,81 @@ class EnumerationSummary:
     efficient_sic_count: int
 
 
+class _KeyOutcomes(dict):
+    """``[key]``: the `Outcome` that a profile key stands for, built on first lookup.
+
+    A key is 0 when the item stays unsold, otherwise ``code + (n + 1) * k``:
+    the agent with winner code ``code`` wins and pays the grid's ``k``-th
+    level.  Every table of one enumeration shares these outcomes.
+    """
+
+    def __init__(self, grid: Grid, n: int) -> None:
+        super().__init__()
+        self.grid = grid
+        self.n = n
+        self.profiles = tuple(enumerate_profiles(grid, n))
+
+    def __missing__(self, key: int) -> Outcome:
+        code, k = key % (self.n + 1), key // (self.n + 1)
+        payments = [Fraction(0)] * self.n
+        if code:
+            payments[code - 1] = self.grid.levels[k]
+        out = self[key] = Outcome(code, tuple(payments))
+        return out
+
+    def table(self, keys) -> MechanismTable:
+        """The table whose profiles, in order, have these keys."""
+        rows = tuple(zip(self.profiles, map(self.__getitem__, keys)))
+        return MechanismTable(self.grid, self.n, rows)
+
+
+def _walk_winner_codes(grid: Grid, n: int, max_tables: int):
+    """Yield the profile keys (see `_KeyOutcomes`) of every IR + IC table, in encoding order.
+
+    The walk assigns a winner code to each profile in flat order, keeping
+    each agent's winning region upward closed in her own bid.  A winner
+    inherits the price of the profile one level below her own bid when she
+    wins there too, and otherwise pays her own bid: the induced price.
+    Raises `BudgetExceededError` instead of yielding table ``max_tables + 1``.
+    """
+    width = len(grid)
+    total = width**n
+    base = n + 1
+    strides = domain_strides((grid.levels,) * n)
+    digit_list = list(itertools.product(range(width), repeat=n))
+    keys = [0] * total
+    yielded = 0
+
+    def walk(flat: int):
+        nonlocal yielded
+        if flat == total:
+            if yielded >= max_tables:
+                raise BudgetExceededError(
+                    f"more than {max_tables} IR+IC tables on grid {grid.render()}"
+                )
+            yielded += 1
+            yield tuple(keys)
+            return
+        digits = digit_list[flat]
+        forced = None  # the agent who also wins one level below her own bid
+        for i in range(n):
+            if digits[i] and keys[flat - strides[i]] % base == i + 1:
+                if forced is not None:
+                    return
+                forced = i
+        if forced is not None:
+            keys[flat] = keys[flat - strides[forced]]
+            yield from walk(flat + 1)
+        else:
+            keys[flat] = 0
+            yield from walk(flat + 1)
+            for i in range(n):
+                keys[flat] = i + 1 + base * digits[i]
+                yield from walk(flat + 1)
+
+    return walk(0)
+
+
 def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     """Yield every IR + IC mechanism table on the grid, in encoding order.
 
@@ -521,69 +596,28 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     the IR + IC search space.  Raises `BudgetExceededError` after
     ``max_tables`` yields.
     """
+    outcome_of = _KeyOutcomes(grid, n)
+    for keys in _walk_winner_codes(grid, n, max_tables):
+        yield outcome_of.table(keys)
+
+
+def _sic_lines(grid: Grid, n: int):
+    """(agent, first flat index, stride, domains) of every line of ``grid^n``.
+
+    A line lets one agent's bid run over the grid while the others' bids
+    stay fixed; its domains give the others their fixed level alone.
+    """
     levels = grid.levels
-    width = len(levels)
-    total = width**n
-    profiles = list(enumerate_profiles(grid, n))
-    strides = [width ** (n - 1 - k) for k in range(n)]
-    digit_list = list(itertools.product(range(width), repeat=n))
-    pred = []
-    for flat, digits in enumerate(digit_list):
-        row = []
-        for i in range(n):
-            row.append(flat - strides[i] if digits[i] > 0 else -1)
-        pred.append(row)
-
-    codes = [0] * total
-    zero = Fraction(0)
-    outcome_cache: dict[tuple[int, Fraction], Outcome] = {}
-    yielded = 0
-
-    def build_table() -> MechanismTable:
-        rows = []
-        for flat in range(total):
-            code = codes[flat]
-            if code == 0:
-                out = outcome_cache.setdefault((0, zero), Outcome(0, (zero,) * n))
-            else:
-                i = code - 1
-                low = flat
-                while pred[low][i] >= 0 and codes[pred[low][i]] == code:
-                    low = pred[low][i]
-                price = levels[digit_list[low][i]]
-                out = outcome_cache.get((code, price))
-                if out is None:
-                    payments = [zero] * n
-                    payments[i] = price
-                    out = Outcome(code, tuple(payments))
-                    outcome_cache[(code, price)] = out
-            rows.append((profiles[flat], out))
-        return MechanismTable(grid, n, tuple(rows))
-
-    def walk(flat: int):
-        nonlocal yielded
-        if flat == total:
-            if yielded >= max_tables:
-                raise BudgetExceededError(
-                    f"more than {max_tables} IR+IC tables on grid {grid.render()}"
-                )
-            yielded += 1
-            yield build_table()
-            return
-        forced = set()
-        for i in range(n):
-            p = pred[flat][i]
-            if p >= 0 and codes[p] == i + 1:
-                forced.add(i + 1)
-        if len(forced) > 1:
-            return
-        options = sorted(forced) if forced else range(n + 1)
-        for code in options:
-            codes[flat] = code
-            yield from walk(flat + 1)
-        codes[flat] = 0
-
-    yield from walk(0)
+    strides = domain_strides((levels,) * n)
+    lines = []
+    for i in range(n):
+        for digits in itertools.product(range(len(levels)), repeat=n - 1):
+            others = digits[:i] + (0,) + digits[i:]
+            domains = tuple(
+                levels if j == i else (levels[k],) for j, k in enumerate(others)
+            )
+            lines.append((i, sum(k * s for k, s in zip(others, strides)), strides[i], domains))
+    return lines
 
 
 def characterization_experiment(
@@ -597,15 +631,48 @@ def characterization_experiment(
     spite-proof tables it also counts how many are anonymous and how many
     are efficient, judging the recognized threshold form on its closure
     grid so that the witness bids above the recognized thresholds exist.
+
+    The sweep reads the walk's winner codes and builds a `MechanismTable`
+    only for recognition.  A deviation changes one agent's bid, so a table
+    is SIC exactly when each of its lines (see `_sic_lines`) is; each line
+    is judged by `deviation_check` once per sweep and its verdict reused
+    for every table that shares it.  A table in which some agent wins at
+    two prices is not threshold form (see `recognize_threshold_form`), so
+    it is built only when it passes SIC, to report the mismatch.
     """
+    outcome_of = _KeyOutcomes(grid, n)
+    base = n + 1
+    width = len(grid)
+    lines = _sic_lines(grid, n)
+    line_verdicts: dict[tuple, bool] = {}
+
+    def passes_sic(keys) -> bool:
+        for i, start, stride, domains in lines:
+            line = keys[start : start + width * stride : stride]
+            memo_key = (i, start, line)
+            verdict = line_verdicts.get(memo_key)
+            if verdict is None:
+                outcomes = [outcome_of[key] for key in line]
+                verdict = deviation_check(Property.SIC, domains, outcomes, _own_utility).passed
+                line_verdicts[memo_key] = verdict
+            if not verdict:
+                return False
+        return True
+
     ir_ic = 0
     sic_count = 0
     threshold_count = 0
     anonymous_count = 0
     efficient_count = 0
-    for table in enumerate_ir_ic_mechanisms(grid, n, max_tables=max_tables):
+    for keys in _walk_winner_codes(grid, n, max_tables):
         ir_ic += 1
-        sic = check_sic(table, grid).passed
+        sic = passes_sic(keys)
+        sold = set(keys)
+        sold.discard(0)
+        one_price_each = len(sold) == len({key % base for key in sold})
+        if not (sic or one_price_each):
+            continue
+        table = outcome_of.table(keys)
         spec = recognize_threshold_form(table)
         if sic != (spec is not None):
             raise CharacterizationMismatchError(table, sic, spec)

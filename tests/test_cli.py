@@ -127,6 +127,24 @@ def test_enumerate_budget_exhaustion():
     code, _, err = run_cli("enumerate", "--grid", "0,1,2", "--n", "2", "--budget", "10")
     assert code == EXIT_BUDGET
     assert "more than 10" in err
+    # one short of the 30 tables on {0,1} at the default n=2
+    code, _, err = run_cli("enumerate", "--grid", "0,1", "--budget", "29")
+    assert code == EXIT_BUDGET
+    assert "more than 29" in err
+
+
+def test_enumerate_reports_a_mismatch_as_a_violation():
+    code, out, _ = run_cli("enumerate", "--grid", "0,1", "--n", "3")
+    assert code == EXIT_PROPERTY_FAIL
+    results = json.loads(out)["results"]
+    assert results["all_passed"] is False
+    assert "violation" in results
+
+
+def test_enumerate_rejects_zero_agents():
+    code, _, err = run_cli("enumerate", "--grid", "0,1,2", "--n", "0")
+    assert code == EXIT_INPUT_ERROR
+    assert "at least one agent" in err
 
 
 def test_thresholds_exact_values():

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spitefree import verifier
 from spitefree.core import (
     DomainMismatchError,
     Grid,
+    MechanismTable,
+    Outcome,
     closure_for_thresholds,
     enumerate_profiles,
     utility,
@@ -17,12 +21,14 @@ from spitefree.mechanisms import (
     SecondPriceMechanism,
     ThresholdSpec,
     null_spec,
+    recognize_threshold_form,
     tabulate,
 )
 from spitefree.money import INFINITY
 from spitefree.reports import Property
 from spitefree.verifier import (
     BudgetExceededError,
+    CharacterizationMismatchError,
     characterization_experiment,
     check_anonymous,
     check_efficient,
@@ -239,6 +245,123 @@ def test_enumeration_streams_unique_tables():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_ir_ic_mechanisms(Grid.from_text("0,1"), 2, max_tables=10))
+
+
+def _ir_ic_tables_by_brute_force(grid, n):
+    """Every winner-code vector with induced payments that passes IR and IC.
+
+    The winner pays the lowest bid on her own line (the others' bids
+    fixed) at which she still wins; vectors are taken in lexicographic
+    order, first profile slowest.
+    """
+    profiles = list(enumerate_profiles(grid, n))
+    index = {profile: k for k, profile in enumerate(profiles)}
+    kept = []
+    for codes in itertools.product(range(n + 1), repeat=len(profiles)):
+        rows = {}
+        for profile, code in zip(profiles, codes):
+            payments = [F(0)] * n
+            if code:
+                i = code - 1
+                payments[i] = min(
+                    bid
+                    for bid in grid.levels
+                    if codes[index[profile[:i] + (bid,) + profile[i + 1 :]]] == code
+                )
+            rows[profile] = Outcome(code, tuple(payments))
+        table = MechanismTable.from_outcomes(grid, n, rows)
+        if check_ir(table, grid).passed and check_ic(table, grid).passed:
+            kept.append(table)
+    return kept
+
+
+@pytest.mark.parametrize("text, count", [("0,1", 30), ("0,1,2", 594)])
+def test_enumeration_matches_the_brute_force_slow_path(text, count):
+    grid = Grid.from_text(text)
+    tables = list(enumerate_ir_ic_mechanisms(grid, 2))
+    assert len(tables) == count
+    assert tables == _ir_ic_tables_by_brute_force(grid, 2)
+
+
+def _wins_at_two_prices(table):
+    prices = {}
+    for out in table.outcomes:
+        if out.winner:
+            prices.setdefault(out.winner, set()).add(out.payments[out.winner - 1])
+    return any(len(p) > 1 for p in prices.values())
+
+
+@pytest.mark.parametrize("text", ["0,1", "0,1,2"])
+def test_sweep_counts_match_the_public_checks(text, monkeypatch):
+    grid = Grid.from_text(text)
+    ir_ic = sic_count = threshold_count = anonymous = efficient = 0
+    one_price = []
+    for table in enumerate_ir_ic_mechanisms(grid, 2):
+        ir_ic += 1
+        sic = check_sic(table, grid).passed
+        spec = recognize_threshold_form(table)
+        if _wins_at_two_prices(table):
+            assert spec is None
+            assert not sic
+        else:
+            one_price.append(table)
+        threshold_count += spec is not None
+        if sic:
+            sic_count += 1
+            closure = closure_for_thresholds(spec.thresholds, base=grid.levels)
+            anonymous += check_anonymous(spec, closure).passed
+            efficient += check_efficient(spec, closure).passed
+    recognized = []
+
+    def recording(table):
+        recognized.append(table)
+        return recognize_threshold_form(table)
+
+    monkeypatch.setattr(verifier, "recognize_threshold_form", recording)
+    summary = characterization_experiment(grid, 2)
+    assert summary.total_candidates == 3 ** len(grid) ** 2
+    assert (
+        summary.ir_ic_count,
+        summary.sic_count,
+        summary.threshold_form_count,
+        summary.anonymous_sic_count,
+        summary.efficient_sic_count,
+    ) == (ir_ic, sic_count, threshold_count, anonymous, efficient)
+    # every two-price table fails SIC, so the sweep recognizes exactly the rest
+    assert 0 < len(recognized) < ir_ic
+    assert recognized == one_price
+
+
+@pytest.mark.parametrize("text", ["0,1,2,3", "0,1/3,7/6,5/2"])
+def test_characterization_counts_on_four_levels(text):
+    # counts measured with the table-by-table sweep of the first release
+    summary = characterization_experiment(Grid.from_text(text), 2)
+    assert summary.total_candidates == 3**16
+    assert summary.ir_ic_count == 19246
+    assert summary.sic_count == 246
+    assert summary.threshold_form_count == 246
+    assert summary.anonymous_sic_count == 1
+    assert summary.efficient_sic_count == 1
+
+
+def test_three_agents_on_two_levels_stop_at_a_known_mismatch():
+    # Pinned as found, not as intended: at (1, 1, 1) nobody wins although
+    # agent 1 exceeds her induced price of 0, and the grid {0,1} has no
+    # level above 1 to tell this table from a threshold mechanism.
+    grid = Grid.from_text("0,1")
+    with pytest.raises(CharacterizationMismatchError) as caught:
+        characterization_experiment(grid, 3)
+    assert caught.value.sic is True
+    assert caught.value.spec is None
+    expected = next(itertools.islice(enumerate_ir_ic_mechanisms(grid, 3), 2367, None))
+    assert caught.value.table == expected
+
+
+def test_sweep_budget_counts_tables():
+    grid = Grid.from_text("0,1")
+    with pytest.raises(BudgetExceededError, match="more than 29 IR[+]IC tables"):
+        characterization_experiment(grid, 2, max_tables=29)
+    assert characterization_experiment(grid, 2, max_tables=30).ir_ic_count == 30
 
 
 def test_characterization_summary_on_the_two_level_grid():
