@@ -223,6 +223,8 @@ def cmd_enumerate(args) -> int:
     started = time.perf_counter()
     if not args.grid:
         raise SpecFileError("enumerate needs --grid")
+    if args.budget < 1:
+        raise SpecFileError(f"--budget must be a positive number of tables, got {args.budget}")
     grid = Grid.from_text(args.grid)
     config = {
         "grid": grid.render(),

@@ -127,19 +127,24 @@ class RankedSpec:
         return tuple(sorted(range(len(self.ranking)), key=self.ranking.__getitem__))
 
 
-def utility(outcome: Outcome, agent: int, value: Fraction) -> Fraction:
+def payoff(outcome, agent: int, value):
     """Quasi-linear payoff of ``agent`` (0-based) with true value ``value``.
 
     Winners get value minus payment, everyone else pays what the outcome says
-    they pay (zero for any individually rational mechanism).  The result is a
-    signed Fraction.
+    they pay (zero for any individually rational mechanism).  ``outcome`` is
+    anything with a ``winner`` code and a ``payments`` vector: an `Outcome`
+    with `Fraction` amounts, or the verifier's integer-scaled outcomes.  The
+    agent index is not checked; `utility` is the checked public form.
     """
+    payment = outcome.payments[agent]
+    return value - payment if outcome.winner == agent + 1 else -payment
+
+
+def utility(outcome: Outcome, agent: int, value: Fraction) -> Fraction:
+    """`payoff` of ``agent``, a signed Fraction, after checking the agent index."""
     if not 0 <= agent < outcome.n:
         raise ValueError(f"agent index {agent} out of range")
-    payment = outcome.payments[agent]
-    if outcome.winner == agent + 1:
-        return value - payment
-    return -payment
+    return payoff(outcome, agent, value)
 
 
 def utility_vector(outcome: Outcome, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

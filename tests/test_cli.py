@@ -133,6 +133,17 @@ def test_enumerate_budget_exhaustion():
     assert "more than 29" in err
 
 
+def test_enumerate_rejects_a_non_positive_budget():
+    for budget in ("-1", "0"):
+        code, out, err = run_cli("enumerate", "--grid", "0,1", "--budget", budget)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert f"--budget must be a positive number of tables, got {budget}" in err
+    code, _, err = run_cli("enumerate", "--grid", "0,1", "--budget", "1")
+    assert code == EXIT_BUDGET
+    assert "more than 1 IR+IC tables" in err
+
+
 def test_enumerate_reports_a_mismatch_as_a_violation():
     code, out, _ = run_cli("enumerate", "--grid", "0,1", "--n", "3")
     assert code == EXIT_PROPERTY_FAIL

@@ -178,25 +178,38 @@ def test_second_price_winner_price_varies():
     assert report.witness is not None
 
 
-def _holds_by_definition(prop, mechanism, grid):
-    """IC, SIC or ESIC read straight off the definitions, by brute force."""
+def _first_violation(prop, mechanism, grid):
+    """(truth, agent, bid) of the first violation of ``prop``, or None, by brute force.
+
+    IR, IC, SIC or ESIC read straight off the definitions; truthful
+    profiles, then agents, then bids are taken in grid order (IR has no
+    bid: it is None).
+    """
     n = mechanism.n
     for truth in enumerate_profiles(grid, n):
         before = [utility(mechanism.outcome(truth), j, truth[j]) for j in range(n)]
         for i in range(n):
+            if prop is Property.IR:
+                if before[i] < 0:
+                    return truth, i, None
+                continue
             for bid in grid.levels:
                 report = truth[:i] + (bid,) + truth[i + 1 :]
                 after = [utility(mechanism.outcome(report), j, truth[j]) for j in range(n)]
                 if after[i] > before[i]:
-                    return False
+                    return truth, i, bid
                 if prop is Property.IC or after[i] != before[i]:
                     continue
                 others = [j for j in range(n) if j != i]
                 harmed = any(after[j] < before[j] for j in others)
                 helped = any(after[j] > before[j] for j in others)
                 if harmed and (prop is Property.ESIC or not helped):
-                    return False
-    return True
+                    return truth, i, bid
+    return None
+
+
+def _holds_by_definition(prop, mechanism, grid):
+    return _first_violation(prop, mechanism, grid) is None
 
 
 def test_deviation_kernel_matches_the_definitions():
@@ -217,6 +230,127 @@ def test_deviation_kernel_matches_the_definitions():
                 failures += 1
                 assert confirm_witness(mechanism, report)
     assert failures == 2 * (594 - 70) + 10
+
+
+# --- exactness of the integer lattice ---------------------------------------
+
+_SINGLE_ITEM_CHECKS = (
+    (Property.IR, check_ir),
+    (Property.IC, check_ic),
+    (Property.SIC, check_sic),
+    (Property.ESIC, check_esic),
+)
+
+
+def _assert_checks_match_the_definitions(mechanism, grid):
+    """Verdicts and first witnesses of the four checks against brute force.
+
+    Each failure must be the first violation by definition, replay through
+    `confirm_witness`, and carry its amounts as Fractions equal to the
+    payoffs `utility` gives on the witness's own profiles.  Returns the
+    number of failing checks.
+    """
+    failures = 0
+    for prop, check in _SINGLE_ITEM_CHECKS:
+        report = check(mechanism, grid)
+        first = _first_violation(prop, mechanism, grid)
+        assert report.passed == (first is None), (prop, report)
+        if first is None:
+            continue
+        failures += 1
+        w = report.witness
+        assert (w.profile, w.agent, w.deviation) == first
+        assert confirm_witness(mechanism, report)
+        n = mechanism.n
+        assert all(type(v) is F for v in w.profile)
+        assert w.outcome_before == mechanism.outcome(w.profile)
+        before = tuple(utility(w.outcome_before, j, w.profile[j]) for j in range(n))
+        assert w.utilities_before == before
+        assert all(type(u) is F for u in w.utilities_before)
+        if prop is Property.IR:
+            continue
+        assert type(w.deviation) is F
+        i = w.agent
+        assert w.deviation_profile == w.profile[:i] + (w.deviation,) + w.profile[i + 1 :]
+        assert w.outcome_after == mechanism.outcome(w.deviation_profile)
+        after = tuple(utility(w.outcome_after, j, w.profile[j]) for j in range(n))
+        assert w.utilities_after == after
+        assert all(type(u) is F for u in w.utilities_after)
+    return failures
+
+
+def _table_of(grid, n, rule):
+    """The table of ``rule(profile) -> (winner code, payments)`` on ``grid^n``."""
+    return MechanismTable.from_outcomes(
+        grid, n, {p: Outcome(*rule(p)) for p in enumerate_profiles(grid, n)}
+    )
+
+
+def _priority_posted_price(price, loser_fee=F(0)):
+    """The first agent bidding at least 1/3 buys at ``price``; everyone else pays the fee."""
+
+    def rule(profile):
+        for i, bid in enumerate(profile):
+            if bid >= F(1, 3):
+                return i + 1, tuple(price if j == i else loser_fee for j in range(len(profile)))
+        return 0, (loser_fee,) * len(profile)
+
+    return rule
+
+
+def _second_price_plus(markup):
+    """The highest bid wins (lowest index on ties).
+
+    The winner pays the second-highest bid plus ``markup``, capped at her own bid.
+    """
+
+    def rule(profile):
+        top = max(profile)
+        i = profile.index(top)
+        second = max(profile[:i] + profile[i + 1 :])
+        payments = [F(0)] * len(profile)
+        payments[i] = min(top, second + markup)
+        return i + 1, tuple(payments)
+
+    return rule
+
+
+def test_lattice_with_payments_off_the_grid_denominators():
+    grid = Grid.from_text("0,1/3,7/6,5/2")
+    tables = [
+        _table_of(grid, 2, _priority_posted_price(F(1, 7))),
+        _table_of(grid, 2, _priority_posted_price(F(2, 7), loser_fee=F(1, 7))),
+        _table_of(grid, 2, _second_price_plus(F(1, 7))),
+        _table_of(grid, 3, _second_price_plus(F(3, 14))),
+    ]
+    # the grid's denominators are 3, 6 and 2; every payment brings in a 7
+    assert verifier._tabulation(tables[0], grid).denominator == 42
+    failures = [_assert_checks_match_the_definitions(t, grid) for t in tables]
+    # the posted price passes, the loser's fee breaks IR alone, and the
+    # markup breaks IC, SIC and ESIC
+    assert failures == [0, 1, 3, 3]
+
+
+def test_lattice_on_forty_digit_denominators():
+    p, q = 10**39 + 3, 10**39 + 9
+    grid = Grid([0, F(1, q), F(1, p), F(1, p) + F(1, q), F(2, p), 1])
+    assert all(len(str(level.denominator)) >= 40 for level in grid.levels[1:-1])
+    mechanisms = [
+        FirstPriceMechanism(2),
+        SecondPriceMechanism(2),
+        SecondPriceMechanism(3),
+        ThresholdSpec((2, 1), (F(1, p), F(1, q))),
+        _table_of(grid, 2, _second_price_plus(F(1, 10**40 + 1))),
+    ]
+    failures = [_assert_checks_match_the_definitions(m, grid) for m in mechanisms]
+    assert failures == [3, 2, 2, 0, 3]
+
+
+@pytest.mark.parametrize("mechanism", [FirstPriceMechanism(3), SecondPriceMechanism(3)])
+def test_lattice_witnesses_at_three_agents_on_a_non_integer_grid(mechanism):
+    grid = Grid.from_text("0,1/3,7/6,5/2")
+    failures = _assert_checks_match_the_definitions(mechanism, grid)
+    assert failures == (3 if isinstance(mechanism, FirstPriceMechanism) else 2)
 
 
 # --- enumeration -----------------------------------------------------------
