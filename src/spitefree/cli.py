@@ -324,8 +324,8 @@ def cmd_regions(args) -> int:
             ]
         bundles.append(entry)
     results = {"item_count": item_count, "regions": bundles}
-    if args.box:
-        if not args.step:
+    if args.box or args.step:
+        if not (args.box and args.step):
             raise SpecFileError("a lattice needs both --box and --step")
         low_text, _, high_text = args.box.partition(",")
         try:

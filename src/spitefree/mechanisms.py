@@ -8,10 +8,17 @@ below and at least one is exactly at its threshold, the boundary rule decides
 between allocating to the highest-priority tied agent and not allocating.
 The null mechanism (never allocate, never charge) is the all-infinite special
 case.
+
+The rule reads only each bid's sign against its own threshold (below, at or
+above), so it is stated once, in `_threshold_winner`, on those signs.
+`threshold_outcome` applies it to one profile; `tabulate_outcomes` compares
+each threshold with each grid level once and applies it to every profile of
+``grid^n``, with one shared `Outcome` per winner code.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -65,19 +72,31 @@ def threshold_outcome(spec: ThresholdSpec, bids: tuple[Fraction, ...]) -> Outcom
         from .core import DomainMismatchError
 
         raise DomainMismatchError(f"expected {n} bids, got {len(bids)}")
-    meets = [i for i in range(n) if bids[i] >= spec.thresholds[i]]
-    zero = Fraction(0)
-    if not meets:
-        return Outcome(0, (zero,) * n)
-    exceeds = any(bids[i] > spec.thresholds[i] for i in meets)
-    if not exceeds and spec.boundary_rule is BoundaryRule.NO_ALLOCATION:
-        return Outcome(0, (zero,) * n)
-    winner = min(meets, key=spec.ranking.__getitem__)
-    price = spec.thresholds[winner]
-    assert isinstance(price, Fraction)  # a finite bid cannot meet INFINITY
-    payments = [zero] * n
-    payments[winner] = price
-    return Outcome(winner + 1, tuple(payments))
+    signs = tuple(map(_sign, bids, spec.thresholds))
+    return _threshold_result(spec, _threshold_winner(spec, signs))
+
+
+def _sign(bid: Fraction, threshold: ExtMoney) -> int:
+    """-1, 0 or 1 as ``bid`` is below, at or above ``threshold``."""
+    return (bid > threshold) - (bid < threshold)
+
+
+def _threshold_winner(spec: ThresholdSpec, signs: tuple[int, ...]) -> int:
+    """The winner code of ``spec`` at a profile whose bids have these signs (see `_sign`)."""
+    meets = [i for i, s in enumerate(signs) if s >= 0]
+    if not meets or (1 not in signs and spec.boundary_rule is BoundaryRule.NO_ALLOCATION):
+        return 0
+    return min(meets, key=spec.ranking.__getitem__) + 1
+
+
+def _threshold_result(spec: ThresholdSpec, winner: int) -> Outcome:
+    """The outcome in which ``winner`` (a code, 0 = unsold) pays her threshold."""
+    payments = [Fraction(0)] * spec.n
+    if winner:
+        price = spec.thresholds[winner - 1]
+        assert isinstance(price, Fraction)  # a finite bid cannot meet INFINITY
+        payments[winner - 1] = price
+    return Outcome(winner, tuple(payments))
 
 
 def null_spec(n: int) -> ThresholdSpec:
@@ -131,6 +150,38 @@ class FirstPriceMechanism:
         return first_price_outcome(bids)
 
 
+def tabulate_outcomes(mechanism, grid: Grid) -> tuple[Outcome, ...]:
+    """The mechanism's outcomes on every profile of ``grid^n``, in flat order.
+
+    Equal outcomes are one shared object.  A `ThresholdSpec` is read off
+    its sign columns: each threshold is compared with each grid level once,
+    and each distinct tuple of signs, and each winner, is resolved once.
+    Any other mechanism is evaluated profile by profile.
+    """
+    if isinstance(mechanism, ThresholdSpec):
+        columns = [[_sign(level, t) for level in grid.levels] for t in mechanism.thresholds]
+        by_signs: dict[tuple[int, ...], Outcome] = {}
+        by_winner: dict[int, Outcome] = {}
+        outcomes = []
+        for signs in itertools.product(*columns):
+            out = by_signs.get(signs)
+            if out is None:
+                winner = _threshold_winner(mechanism, signs)
+                out = by_winner.get(winner)
+                if out is None:
+                    out = by_winner[winner] = _threshold_result(mechanism, winner)
+                by_signs[signs] = out
+            outcomes.append(out)
+        return tuple(outcomes)
+    interned: dict[Outcome, Outcome] = {}
+    return tuple(
+        [
+            interned.setdefault(out, out)
+            for out in map(mechanism.outcome, enumerate_profiles(grid, mechanism.n))
+        ]
+    )
+
+
 def tabulate(mechanism, grid: Grid, n: int | None = None) -> MechanismTable:
     """Evaluate a mechanism on every grid profile and freeze the results."""
     agents = mechanism.n if n is None else n
@@ -138,12 +189,7 @@ def tabulate(mechanism, grid: Grid, n: int | None = None) -> MechanismTable:
         from .core import DomainMismatchError
 
         raise DomainMismatchError(f"mechanism has {mechanism.n} agents, asked for {agents}")
-    interned: dict[Outcome, Outcome] = {}
-    rows = []
-    for profile in enumerate_profiles(grid, agents):
-        outcome = mechanism.outcome(profile)
-        outcome = interned.setdefault(outcome, outcome)
-        rows.append((profile, outcome))
+    rows = zip(enumerate_profiles(grid, agents), tabulate_outcomes(mechanism, grid))
     return MechanismTable(grid, agents, tuple(rows))
 
 
@@ -203,7 +249,7 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
 
     for rule in (BoundaryRule.HIGHEST_RANK_AT_THRESHOLD, BoundaryRule.NO_ALLOCATION):
         spec = ThresholdSpec(tuple(ranking), tuple(thresholds), rule)
-        if tabulate(spec, table.grid) == table:
+        if tabulate_outcomes(spec, table.grid) == table.outcomes:
             return spec
     spec = ThresholdSpec(tuple(ranking), tuple(thresholds))
     if _matches_with_boundary_freedom(spec, table):

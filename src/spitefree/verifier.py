@@ -39,7 +39,7 @@ from .core import (
     utility,
     utility_vector,
 )
-from .mechanisms import recognize_threshold_form
+from .mechanisms import recognize_threshold_form, tabulate_outcomes
 from .reports import Property, PropertyReport, Witness
 
 
@@ -150,12 +150,7 @@ class _Lattice:
 # sweep checks one recognized spec twice; a few entries serve both.
 @lru_cache(maxsize=4)
 def _cached_tabulation(mechanism, grid: Grid) -> _Lattice:
-    interned: dict[Outcome, Outcome] = {}
-    outcomes = []
-    for profile in enumerate_profiles(grid, mechanism.n):
-        out = mechanism.outcome(profile)
-        outcomes.append(interned.setdefault(out, out))
-    return _Lattice.build(grid.levels, tuple(outcomes))
+    return _Lattice.build(grid.levels, tabulate_outcomes(mechanism, grid))
 
 
 def _tabulation(mechanism, grid: Grid) -> _Lattice:

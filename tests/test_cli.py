@@ -233,6 +233,15 @@ def test_regions_rejects_malformed_payment_lists():
     assert "one digit per item" in err
 
 
+def test_regions_lattice_needs_both_box_and_step():
+    payments = ("regions", "--payments", "10=1,01=1,11=2")
+    for flags in (("--step", "1/2"), ("--box", "0,2")):
+        code, out, err = run_cli(*payments, *flags)
+        assert code == EXIT_INPUT_ERROR
+        assert "a lattice needs both --box and --step" in err
+        assert out == ""
+
+
 def test_regions_accept_an_infinite_price():
     code, out, _ = run_cli("regions", "--payments", "10=4,01=inf,11=6")
     assert code == EXIT_OK

@@ -15,6 +15,7 @@ from spitefree.mechanisms import (
     threshold_outcome,
 )
 from spitefree.money import INFINITY
+from spitefree.verifier import _cached_tabulation
 
 
 def spec12(rule=BoundaryRule.HIGHEST_RANK_AT_THRESHOLD):
@@ -95,12 +96,56 @@ def test_benchmarks_need_two_agents():
         FirstPriceMechanism(1)
 
 
+def _threshold_rule_by_definition(spec, bids):
+    """(winner code, payments) by the threshold rule of the module docstring.
+
+    Written on `Fraction` bids, independently of the module's sign rule:
+    the item is sold when some bid strictly exceeds its threshold, or when
+    some bid exactly meets its threshold and the boundary rule allocates;
+    the buyer is the first agent in priority order whose bid meets her
+    threshold.
+    """
+    n = len(bids)
+    payments = [F(0)] * n
+    exceeds = any(b > t for b, t in zip(bids, spec.thresholds))
+    meets = any(b >= t for b, t in zip(bids, spec.thresholds))
+    allocates_ties = spec.boundary_rule is BoundaryRule.HIGHEST_RANK_AT_THRESHOLD
+    if not (exceeds or (meets and allocates_ties)):
+        return 0, tuple(payments)
+    for agent in sorted(range(n), key=lambda i: spec.ranking[i]):
+        if bids[agent] >= spec.thresholds[agent]:
+            payments[agent] = spec.thresholds[agent]
+            return agent + 1, tuple(payments)
+    raise AssertionError("a sale without a buyer")
+
+
 def test_tabulate_matches_pointwise_evaluation():
-    grid = Grid.from_text("0,1,2")
-    spec = spec12()
-    table = tabulate(spec, grid)
-    for profile, outcome in table.rows:
-        assert outcome == threshold_outcome(spec, profile)
+    """Every threshold spec over a small pool tabulates to the rule by definition,
+    with at most n + 1 distinct outcome objects."""
+    pool = (F(0), F(1, 2), F(1), F(5, 3), INFINITY)
+    for grid in (Grid.from_text("0,1,2"), Grid.from_text("0,1/3,1,2")):
+        for n in (1, 2, 3):
+            for thresholds in itertools.product(pool, repeat=n):
+                for ranking in itertools.permutations(range(1, n + 1)):
+                    for rule in BoundaryRule:
+                        spec = ThresholdSpec(ranking, thresholds, rule)
+                        table = tabulate(spec, grid)
+                        for profile, out in table.rows:
+                            expected = _threshold_rule_by_definition(spec, profile)
+                            assert (out.winner, out.payments) == expected, (spec, profile)
+                        assert len({id(out) for out in table.outcomes}) <= n + 1
+
+
+def test_verifier_tabulates_through_tabulate():
+    grid = Grid.from_text("0,1/3,1,2")
+    mechanisms = [
+        ThresholdSpec((2, 1, 3), (F(1, 3), F(1), INFINITY)),
+        ThresholdSpec((1, 2), (F(1), F(1)), BoundaryRule.NO_ALLOCATION),
+        FirstPriceMechanism(3),
+        SecondPriceMechanism(2),
+    ]
+    for mechanism in mechanisms:
+        assert _cached_tabulation(mechanism, grid).originals == tabulate(mechanism, grid).outcomes
 
 
 # --- threshold-form recognition --------------------------------------------
