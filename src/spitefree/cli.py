@@ -4,9 +4,11 @@ Commands: verify, enumerate, thresholds, revenue, regions, multi.  Every
 run emits one report (JSON or indented text) carrying the tool version,
 an echo of the effective configuration (including the normalized
 mechanism description, so reports replay without the input file), the
-results, and the wall time.  Exit codes are a stable contract: 0 all
-requested properties hold, 1 a property failed or an assertion tripped,
-2 bad input, 3 an enumeration budget was exceeded.
+results, and the wall time.  Only `revenue` draws random numbers, so
+only it takes ``--seed``; the others refuse it.  Exit codes are a stable
+contract: 0 all requested properties hold, 1 a property failed or an
+assertion tripped, 2 bad input (an empty ``--props`` list among it), 3
+an enumeration budget was exceeded.
 """
 
 from __future__ import annotations
@@ -172,6 +174,8 @@ def _parse_props(text: str | None, allowed, default):
         names = list(default)
     else:
         names = [part.strip().lower() for part in text.split(",") if part.strip()]
+    if not names:
+        raise SpecFileError(f"--props names no property (expected some of: {', '.join(allowed)})")
     for name in names:
         if name not in allowed:
             raise SpecFileError(
@@ -208,7 +212,6 @@ def cmd_verify(args) -> int:
         "mechanism": loaded.source.split("\n"),
         "grid": grid.render(),
         "props": ",".join(props),
-        "seed": args.seed,
         "format": args.format,
     }
     results = {
@@ -230,7 +233,6 @@ def cmd_enumerate(args) -> int:
         "grid": grid.render(),
         "n": args.n,
         "budget": args.budget,
-        "seed": args.seed,
         "format": args.format,
     }
     try:
@@ -255,7 +257,7 @@ def cmd_thresholds(args) -> int:
     started = time.perf_counter()
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
-    config = {"n": args.n, "seed": args.seed, "format": args.format}
+    config = {"n": args.n, "format": args.format}
     results = {
         "exact": seq.exact,
         "values_last_to_first": [_jsonable(t) for t in seq.values],
@@ -301,7 +303,6 @@ def cmd_regions(args) -> int:
         "payments": args.payments,
         "box": args.box,
         "step": args.step,
-        "seed": args.seed,
         "format": args.format,
     }
     bundles = []
@@ -402,7 +403,6 @@ def cmd_multi(args) -> int:
         "mechanism": loaded.source.split("\n"),
         "props": ",".join(props),
         "max_marginal": args.max_marginal,
-        "seed": args.seed,
         "format": args.format,
     }
     results = {
@@ -416,7 +416,6 @@ def cmd_multi(args) -> int:
 
 
 def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (recorded in the report)")
     parser.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -451,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("revenue", help="exact and simulated expected revenue")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the simulation (recorded in the report)")
     _add_common(p)
     p.set_defaults(func=cmd_revenue)
 

@@ -11,6 +11,11 @@ Conventions used throughout the package:
   threshold, a level strictly between consecutive critical values, and a
   level strictly above the largest one, so the classic witness bids
   ("exactly at the threshold", "just above") are representable.
+* A tabulation is a tuple of outcomes in flat order: ``outcomes[flat]``
+  belongs to the profile whose grid level indices, read as a number in
+  base ``len(grid)`` with the last agent fastest, give ``flat``.  That is
+  the order of `enumerate_profiles`, and a `MechanismTable` is a grid, an
+  agent count and such a tuple.
 """
 
 from __future__ import annotations
@@ -184,31 +189,30 @@ def evaluate(mechanism: Mechanism, bids: Iterable[int | Fraction]) -> Outcome:
 
 @dataclass(frozen=True)
 class MechanismTable:
-    """Total tabulation of a mechanism over ``grid^n``.
+    """Total tabulation of a mechanism over ``grid^n``, outcomes in flat order.
 
-    Rows are stored in the canonical profile order of `enumerate_profiles`,
-    which makes equality and hashing structural.
+    ``outcomes[flat]`` is the outcome at the profile with that flat index
+    (see the module docstring); `profiles`, `rows` and `outcome` are
+    derived from the grid.  Construction checks only the number of
+    outcomes and the width of each; `from_outcomes` also checks that a
+    profile-keyed mapping covers the grid.  Equality and hashing are
+    structural.
     """
 
     grid: Grid
     n: int
-    rows: tuple[tuple[tuple[Fraction, ...], Outcome], ...]
+    outcomes: tuple[Outcome, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rows", tuple((tuple(profile), outcome) for profile, outcome in self.rows)
-        )
-        expected = tuple(enumerate_profiles(self.grid, self.n))
-        profiles = tuple(profile for profile, _ in self.rows)
-        if profiles != expected:
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        if len(self.outcomes) != len(self.grid) ** self.n:
             raise DomainMismatchError(
-                "table rows must cover the grid exactly once in profile order"
+                f"a table on {len(self.grid)} levels and {self.n} agents needs "
+                f"{len(self.grid) ** self.n} outcomes, got {len(self.outcomes)}"
             )
-        for _, outcome in self.rows:
+        for outcome in self.outcomes:
             if outcome.n != self.n:
                 raise DomainMismatchError("outcome width does not match agent count")
-        object.__setattr__(self, "_by_profile", dict(self.rows))
-        object.__setattr__(self, "_outcomes", tuple(out for _, out in self.rows))
 
     @classmethod
     def from_outcomes(
@@ -217,28 +221,33 @@ class MechanismTable:
         n: int,
         outcome_for: Mapping[tuple[Fraction, ...], Outcome],
     ) -> "MechanismTable":
-        rows = []
+        """The table of a profile-keyed mapping that covers ``grid^n`` exactly."""
+        outcomes = []
         for profile in enumerate_profiles(grid, n):
             if profile not in outcome_for:
                 raise DomainMismatchError(f"table is missing profile {profile}")
-            rows.append((profile, outcome_for[profile]))
-        if len(outcome_for) != len(rows):
+            outcomes.append(outcome_for[profile])
+        if len(outcome_for) != len(outcomes):
             raise DomainMismatchError("table has rows outside the grid")
-        return cls(grid, n, tuple(rows))
+        return cls(grid, n, tuple(outcomes))
 
     @property
     def profiles(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(profile for profile, _ in self.rows)
+        return tuple(enumerate_profiles(self.grid, self.n))
 
     @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return self._outcomes  # type: ignore[attr-defined]
+    def rows(self) -> tuple[tuple[tuple[Fraction, ...], Outcome], ...]:
+        """(profile, outcome) pairs in flat order."""
+        return tuple(zip(enumerate_profiles(self.grid, self.n), self.outcomes))
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
-        try:
-            return self._by_profile[bids]  # type: ignore[attr-defined]
-        except KeyError:
-            raise DomainMismatchError(f"profile {bids} is not on the table's grid") from None
+        levels = self.grid.levels
+        if len(bids) != self.n or any(b not in levels for b in bids):
+            raise DomainMismatchError(f"profile {bids} is not on the table's grid")
+        flat = 0
+        for b in bids:
+            flat = flat * len(levels) + levels.index(b)
+        return self.outcomes[flat]
 
 
 def render_profile(profile: tuple[Fraction, ...]) -> str:

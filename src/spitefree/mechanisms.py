@@ -182,15 +182,9 @@ def tabulate_outcomes(mechanism, grid: Grid) -> tuple[Outcome, ...]:
     )
 
 
-def tabulate(mechanism, grid: Grid, n: int | None = None) -> MechanismTable:
+def tabulate(mechanism, grid: Grid) -> MechanismTable:
     """Evaluate a mechanism on every grid profile and freeze the results."""
-    agents = mechanism.n if n is None else n
-    if agents != mechanism.n:
-        from .core import DomainMismatchError
-
-        raise DomainMismatchError(f"mechanism has {mechanism.n} agents, asked for {agents}")
-    rows = zip(enumerate_profiles(grid, agents), tabulate_outcomes(mechanism, grid))
-    return MechanismTable(grid, agents, tuple(rows))
+    return MechanismTable(grid, mechanism.n, tabulate_outcomes(mechanism, grid))
 
 
 def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
@@ -208,8 +202,9 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
     on this to skip such tables without building them.
     """
     n = table.n
+    rows = table.rows
     wins: dict[int, list[tuple[tuple[Fraction, ...], Outcome]]] = {i: [] for i in range(n)}
-    for profile, outcome in table.rows:
+    for profile, outcome in rows:
         w = outcome.winner_index()
         for j, payment in enumerate(outcome.payments):
             if j != w and payment != 0:
@@ -231,7 +226,7 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
         thresholds.append(price)
 
     beats: dict[int, set[int]] = defaultdict(set)
-    for profile, outcome in table.rows:
+    for profile, outcome in rows:
         meets = [j for j in range(n) if profile[j] >= thresholds[j]]
         if not any(profile[j] > thresholds[j] for j in meets):
             continue

@@ -9,13 +9,18 @@ The IC, SIC and ESIC clauses are stated once, in `deviation_clause`;
 `deviation_check` walks any product of per-agent domains with it, so the
 single-item checks, the multi-item checks and witness replay share them.
 
-The single-item IR, IC, SIC and ESIC checks compare Python ints: a
-mechanism is tabulated once per grid into a `_Lattice`, where the grid
-levels and payments are multiplied by their least common denominator.
-Ints compare exactly as the fractions do, so verdicts, checked counts
-and first witnesses are unchanged; a failing witness is divided back
-into `Fraction` amounts with the mechanism's own outcomes.  `Fraction`
-appears only in parsing, witnesses and rendering.
+Every single-item check compares Python ints: a mechanism is tabulated
+once per grid into a `_Lattice`, where the grid levels and payments are
+multiplied by their least common denominator.  IR, IC, SIC, ESIC,
+anonymity, efficiency and the payment-structure checks all read its
+outcomes by flat index (see `domain_strides`), profile by profile or
+line by line (see `_agent_lines`).  Ints compare exactly as the
+fractions do, so verdicts, checked counts and first witnesses are those
+of the fractions; a failing witness is divided back into `Fraction`
+amounts with the mechanism's own outcomes by `_Lattice.unscale`.  No
+check compares two `Fraction`s: they appear only in parsing, in the
+mechanism's own outcomes, in witnesses and their replay, and in
+rendering.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .core import (
     MechanismTable,
     Outcome,
     closure_for_thresholds,
-    enumerate_profiles,
     payoff,
     utility,
     utility_vector,
@@ -120,8 +124,11 @@ class _Lattice:
         outcomes = tuple([scaled[id(out)] for out in originals])
         return cls(d, _scaled(levels, d), outcomes, originals)
 
-    def unscale(self, w: Witness) -> Witness:
-        """The witness in the grid's amounts, with the original outcomes."""
+    def unscale(self, report: PropertyReport) -> PropertyReport:
+        """The report with its witness, if any, in the grid's amounts and original outcomes."""
+        if report.passed:
+            return report
+        w = report.witness
         d = self.denominator
         index = {level: k for k, level in enumerate(self.levels)}
         strides = domain_strides((self.levels,) * len(w.profile))
@@ -134,7 +141,7 @@ class _Lattice:
                 return None
             return self.originals[sum(index[v] * s for v, s in zip(profile, strides))]
 
-        return dataclasses.replace(
+        witness = dataclasses.replace(
             w,
             profile=amounts(w.profile),
             deviation_profile=amounts(w.deviation_profile),
@@ -144,9 +151,10 @@ class _Lattice:
             outcome_before=original(w.profile),
             outcome_after=original(w.deviation_profile),
         )
+        return dataclasses.replace(report, witness=witness)
 
 
-# One verify checks one (mechanism, grid) pair up to six times, and the
+# One verify checks one (mechanism, grid) pair up to eight times, and the
 # sweep checks one recognized spec twice; a few entries serve both.
 @lru_cache(maxsize=4)
 def _cached_tabulation(mechanism, grid: Grid) -> _Lattice:
@@ -304,29 +312,26 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> P
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
-    """``check(domains, outcomes, payoff)`` on the mechanism's lattice, witness in amounts."""
+    """``check(domains, outcomes)`` on the mechanism's lattice, witness in amounts."""
     lattice = _tabulation(mechanism, grid)
-    report = check((lattice.levels,) * mechanism.n, lattice.outcomes, payoff)
-    if report.passed:
-        return report
-    return dataclasses.replace(report, witness=lattice.unscale(report.witness))
+    return lattice.unscale(check((lattice.levels,) * mechanism.n, lattice.outcomes))
 
 
 def check_ir(mechanism, grid: Grid) -> PropertyReport:
     """Truthful bidding never yields a negative payoff."""
-    return _on_lattice(ir_check, mechanism, grid)
+    return _on_lattice(partial(ir_check, utility=payoff), mechanism, grid)
 
 
 def check_ic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.IC), mechanism, grid)
+    return _on_lattice(partial(deviation_check, Property.IC, utility=payoff), mechanism, grid)
 
 
 def check_sic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.SIC), mechanism, grid)
+    return _on_lattice(partial(deviation_check, Property.SIC, utility=payoff), mechanism, grid)
 
 
 def check_esic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.ESIC), mechanism, grid)
+    return _on_lattice(partial(deviation_check, Property.ESIC, utility=payoff), mechanism, grid)
 
 
 def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
@@ -335,45 +340,50 @@ def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
     ``profiles`` restricts the evaluation points (e.g. to tie-free profiles,
     to separate essential asymmetry from tie-break asymmetry).
     """
-    n = mechanism.n
-    outcomes = _tabulation(mechanism, grid).originals
-    levels = grid.levels
-    width = len(levels)
-    strides = [width ** (n - 1 - k) for k in range(n)]
-    index_of = {level: k for k, level in enumerate(levels)}
+    truths = None
+    if profiles is not None:
+        levels = grid.levels
+        truths = []
+        for p in profiles:
+            if len(p) != mechanism.n or any(b not in levels for b in p):
+                raise DomainMismatchError(f"profile {tuple(p)} is not on the grid")
+            truths.append(tuple(levels.index(b) for b in p))
+    return _on_lattice(partial(_anonymity_check, truths=truths), mechanism, grid)
 
-    def flat_of(profile: tuple[Fraction, ...]) -> int:
-        return sum(index_of[b] * strides[k] for k, b in enumerate(profile))
 
-    if profiles is None:
-        points = list(enumerate_profiles(grid, n))
+def _anonymity_check(domains, outcomes, truths=None) -> PropertyReport:
+    """`check_anonymous` on a lattice; ``truths`` lists per-agent domain indices."""
+    n = len(domains)
+    strides = domain_strides(domains)
+    identity = tuple(range(n))
+    # bid i moves to agent perm[i], so it steps the flat index by strides[perm[i]]
+    perms = [
+        (perm, [strides[k] for k in perm])
+        for perm in itertools.permutations(identity)
+        if perm != identity
+    ]
+    if truths is None:
+        points = _truthful_points(domains, strides, None)
     else:
-        points = [tuple(p) for p in profiles]
-        for p in points:
-            if any(b not in index_of for b in p):
-                raise DomainMismatchError(f"profile {p} is not on the grid")
-    perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
+        points = (point for t in truths for point in _truthful_points(domains, strides, t))
     checked = 0
-    for profile in points:
-        out = outcomes[flat_of(profile)]
-        for perm in perms:
+    for flat, digits, values in points:
+        out = outcomes[flat]
+        for perm, moved in perms:
             checked += 1
-            permuted = [None] * n
-            for i in range(n):
-                permuted[perm[i]] = profile[i]
-            permuted = tuple(permuted)
-            out_p = outcomes[flat_of(permuted)]
+            out_p = outcomes[sum(k * s for k, s in zip(digits, moved))]
             expected_winner = perm[out.winner - 1] + 1 if out.winner else 0
             ok = out_p.winner == expected_winner and all(
                 out_p.payments[perm[i]] == out.payments[i] for i in range(n)
             )
             if not ok:
+                permuted = [None] * n
+                for i in range(n):
+                    permuted[perm[i]] = values[i]
                 witness = Witness(
-                    profile=profile,
-                    deviation_profile=permuted,
+                    profile=values,
+                    deviation_profile=tuple(permuted),
                     permutation=perm,
-                    outcome_before=out,
-                    outcome_after=out_p,
                     note="outcome does not commute with the relabeling",
                 )
                 return PropertyReport(Property.ANON, False, witness, checked)
@@ -382,22 +392,16 @@ def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
 
 def check_efficient(mechanism, grid: Grid) -> PropertyReport:
     """Whenever the item is allocated, the winner is a highest bidder."""
-    outcomes = _tabulation(mechanism, grid).originals
+    return _on_lattice(_efficiency_check, mechanism, grid)
+
+
+def _efficiency_check(domains, outcomes) -> PropertyReport:
     checked = 0
-    for flat, profile in enumerate(enumerate_profiles(grid, mechanism.n)):
+    for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
         checked += 1
-        out = outcomes[flat]
-        w = out.winner_index()
-        if w is None:
-            continue
-        top = max(profile)
-        if profile[w] < top:
-            witness = Witness(
-                profile=profile,
-                agent=w,
-                outcome_before=out,
-                note="winner is outbid by another agent",
-            )
+        w = outcomes[flat].winner - 1
+        if w >= 0 and values[w] < max(values):
+            witness = Witness(profile=values, agent=w, note="winner is outbid by another agent")
             return PropertyReport(Property.EFF, False, witness, checked)
     return PropertyReport(Property.EFF, True, None, checked)
 
@@ -409,117 +413,84 @@ def check_payment_structure(mechanism, grid: Grid) -> tuple[PropertyReport, Prop
     depend on her own bid while her win/lose status is unchanged.  Part 3:
     raising the winner's own bid keeps her winning.
     """
-    n = mechanism.n
-    levels = grid.levels
-    width = len(levels)
-    outcomes = _tabulation(mechanism, grid).originals
-    strides = [width ** (n - 1 - k) for k in range(n)]
+    lattice = _tabulation(mechanism, grid)
+    reports = _payment_checks((lattice.levels,) * mechanism.n, lattice.outcomes)
+    return tuple(map(lattice.unscale, reports))
 
+
+def _payment_checks(domains, outcomes) -> tuple[PropertyReport, PropertyReport, PropertyReport]:
+    n = len(domains)
+    levels = domains[0]
     part1_witness = None
     checked1 = 0
-    for flat, profile in enumerate(enumerate_profiles(grid, n)):
+    for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
         out = outcomes[flat]
         for i in range(n):
             checked1 += 1
             if out.winner != i + 1 and out.payments[i] != 0 and part1_witness is None:
-                part1_witness = Witness(
-                    profile=profile,
-                    agent=i,
-                    outcome_before=out,
-                    note="losing agent is charged",
-                )
+                part1_witness = Witness(profile=values, agent=i, note="losing agent is charged")
     part1 = PropertyReport(Property.LOSER_PAYS_NOTHING, part1_witness is None, part1_witness, checked1)
 
     part2_witness = None
     part3_witness = None
     checked2 = 0
     checked3 = 0
-    all_digits = list(itertools.product(range(width), repeat=n))
-    for i in range(n):
-        stride = strides[i]
-        seen = set()
-        for digits in all_digits:
-            if digits[i] != 0:
-                continue
-            base_flat = sum(d * strides[k] for k, d in enumerate(digits))
-            if base_flat in seen:
-                continue
-            seen.add(base_flat)
-            column = []
-            for d in range(width):
-                flat = base_flat + d * stride
-                out = outcomes[flat]
-                wins = out.winner == i + 1
-                column.append((d, wins, out))
-            for (d1, w1, o1), (d2, w2, o2) in itertools.combinations(column, 2):
-                checked2 += 1
-                if w1 == w2 and o1.payments[i] != o2.payments[i] and part2_witness is None:
-                    p1 = _profile_at(levels, digits, i, d1)
-                    p2 = _profile_at(levels, digits, i, d2)
-                    part2_witness = Witness(
-                        profile=p1,
-                        deviation_profile=p2,
-                        agent=i,
-                        deviation=levels[d2],
-                        outcome_before=o1,
-                        outcome_after=o2,
-                        note="payment changed with own bid at fixed win/lose status",
+    for i, start, stride, line in _agent_lines(levels, n):
+        column = outcomes[start : start + len(levels) * stride : stride]
+        for d1, d2 in itertools.combinations(range(len(levels)), 2):
+            o1, o2 = column[d1], column[d2]
+            w1, w2 = o1.winner == i + 1, o2.winner == i + 1
+            checked2 += 1
+            if w1 == w2 and o1.payments[i] != o2.payments[i] and part2_witness is None:
+                part2_witness = _line_witness(
+                    line, i, d1, d2, "payment changed with own bid at fixed win/lose status"
+                )
+            if w1:
+                checked3 += 1
+                if not w2 and part3_witness is None:
+                    part3_witness = _line_witness(
+                        line, i, d1, d2, "raising the winning bid lost the item"
                     )
-            for d1, w1, o1 in column:
-                if not w1:
-                    continue
-                for d2 in range(d1 + 1, width):
-                    checked3 += 1
-                    out_hi = column[d2][2]
-                    if out_hi.winner != i + 1 and part3_witness is None:
-                        p1 = _profile_at(levels, digits, i, d1)
-                        p2 = _profile_at(levels, digits, i, d2)
-                        part3_witness = Witness(
-                            profile=p1,
-                            deviation_profile=p2,
-                            agent=i,
-                            deviation=levels[d2],
-                            outcome_before=o1,
-                            outcome_after=out_hi,
-                            note="raising the winning bid lost the item",
-                        )
     part2 = PropertyReport(Property.PAYMENT_OWN_BID_INVARIANT, part2_witness is None, part2_witness, checked2)
     part3 = PropertyReport(Property.WIN_PRESERVED_BY_RAISE, part3_witness is None, part3_witness, checked3)
     return part1, part2, part3
 
 
-def _profile_at(levels, digits, agent, level_index):
-    values = list(levels[d] for d in digits)
-    values[agent] = levels[level_index]
-    return tuple(values)
+def _line_witness(line, agent: int, low: int, high: int, note: str) -> Witness:
+    """``agent`` moves her bid on a line (see `_agent_lines`) from level ``low`` to ``high``."""
+    levels = line[agent]
+
+    def at(k):
+        return tuple(levels[k] if j == agent else dom[0] for j, dom in enumerate(line))
+
+    return Witness(
+        profile=at(low), deviation_profile=at(high), agent=agent, deviation=levels[high], note=note
+    )
 
 
 def check_winner_payment_constant(mechanism, grid: Grid) -> PropertyReport:
     """Each agent pays one fixed price across all profiles where she wins."""
-    n = mechanism.n
-    outcomes = _tabulation(mechanism, grid).originals
-    first_win: list[tuple[tuple[Fraction, ...], Outcome] | None] = [None] * n
+    return _on_lattice(_winner_price_check, mechanism, grid)
+
+
+def _winner_price_check(domains, outcomes) -> PropertyReport:
+    first_win: dict[int, tuple] = {}
     checked = 0
-    for flat, profile in enumerate(enumerate_profiles(grid, n)):
+    for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
         out = outcomes[flat]
-        w = out.winner_index()
-        if w is None:
+        w = out.winner - 1
+        if w < 0:
             continue
         checked += 1
-        if first_win[w] is None:
-            first_win[w] = (profile, out)
-        else:
-            ref_profile, ref_out = first_win[w]
-            if out.payments[w] != ref_out.payments[w]:
-                witness = Witness(
-                    profile=ref_profile,
-                    deviation_profile=profile,
-                    agent=w,
-                    outcome_before=ref_out,
-                    outcome_after=out,
-                    note="winning price differs between two winning profiles",
-                )
-                return PropertyReport(Property.WINNER_PRICE_CONSTANT, False, witness, checked)
+        ref_values, ref_out = first_win.setdefault(w, (values, out))
+        if out.payments[w] != ref_out.payments[w]:
+            witness = Witness(
+                profile=ref_values,
+                deviation_profile=values,
+                agent=w,
+                note="winning price differs between two winning profiles",
+            )
+            return PropertyReport(Property.WINNER_PRICE_CONSTANT, False, witness, checked)
     return PropertyReport(Property.WINNER_PRICE_CONSTANT, True, None, checked)
 
 
@@ -619,16 +590,14 @@ class _KeyOutcomes(dict):
         super().__init__()
         self.grid = grid
         self.n = n
-        self.profiles = tuple(enumerate_profiles(grid, n))
 
     def __missing__(self, key: int) -> Outcome:
         out = self[key] = Outcome(*_decode_key(key, self.grid.levels, self.n))
         return out
 
     def table(self, keys) -> MechanismTable:
-        """The table whose profiles, in order, have these keys."""
-        rows = tuple(zip(self.profiles, map(self.__getitem__, keys)))
-        return MechanismTable(self.grid, self.n, rows)
+        """The table whose profiles, in flat order, have these keys."""
+        return MechanismTable(self.grid, self.n, tuple(map(self.__getitem__, keys)))
 
 
 def _walk_winner_codes(grid: Grid, n: int, max_tables: int):
@@ -694,11 +663,14 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
         yield outcome_of.table(keys)
 
 
-def _sic_lines(levels, n: int):
+def _agent_lines(levels, n: int):
     """(agent, first flat index, stride, domains) of every line of ``levels^n``.
 
     A line lets one agent's bid run over the levels while the others' bids
     stay fixed; its domains give the others their fixed level alone.
+    Lines come agent by agent, the others' levels in flat order.  The
+    sweep judges SIC on them, and the payment-structure checks read each
+    agent's payments along them.
     """
     strides = domain_strides((levels,) * n)
     lines = []
@@ -726,7 +698,7 @@ def characterization_experiment(
 
     The sweep reads the walk's winner codes and builds a `MechanismTable`
     only for recognition.  A deviation changes one agent's bid, so a table
-    is SIC exactly when each of its lines (see `_sic_lines`) is; each line
+    is SIC exactly when each of its lines (see `_agent_lines`) is; each line
     is judged by `deviation_check` once per sweep, on the grid's integer
     lattice, and its verdict reused for every table that shares it.  A
     table in which some agent wins at two prices is not threshold form (see
@@ -737,7 +709,7 @@ def characterization_experiment(
     base = n + 1
     width = len(grid)
     levels = _scaled(grid.levels, _lcm_of_denominators(grid.levels))
-    lines = _sic_lines(levels, n)
+    lines = _agent_lines(levels, n)
     scaled_of = [_ScaledOutcome(*_decode_key(key, levels, n)) for key in range(base * width)]
     line_verdicts: dict[tuple, bool] = {}
 

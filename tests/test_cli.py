@@ -11,6 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from spitefree.cli import (
     EXIT_BUDGET,
     EXIT_INPUT_ERROR,
@@ -207,6 +209,27 @@ def test_revenue_estimate_is_seeded():
     assert results["abs_error"] < 0.005
 
 
+def test_only_revenue_takes_a_seed(tmp_path):
+    spec = write(tmp_path, "t.spec", THRESHOLD_SPEC)
+    cluster = write(tmp_path, "cluster.spec", CLUSTER_SPITE_SPEC)
+    # no other command draws a random number, so none accepts a seed
+    for argv in (
+        ("verify", "--spec", spec),
+        ("enumerate", "--grid", "0,1"),
+        ("thresholds", "--n", "2"),
+        ("regions", "--payments", "10=1,01=1,11=2"),
+        ("multi", "--spec", cluster),
+    ):
+        with pytest.raises(SystemExit) as caught:
+            run_cli(*argv, "--seed", "1")
+        assert caught.value.code == EXIT_INPUT_ERROR
+        code, out, _ = run_cli(*argv)
+        assert "seed" not in json.loads(out)["config"]
+    code, out, _ = run_cli("revenue", "--n", "1", "--samples", "1000", "--seed", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["seed"] == 3
+
+
 def test_regions_with_lattice_classification():
     code, out, _ = run_cli(
         "regions", "--payments", "10=4,01=3,11=6", "--box", "0,8", "--step", "2"
@@ -299,3 +322,11 @@ def test_unknown_property_name(tmp_path):
     code, _, err = run_cli("verify", "--spec", spec, "--props", "ir,bogus")
     assert code == EXIT_INPUT_ERROR
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("command, spec_text", [("verify", THRESHOLD_SPEC), ("multi", CLUSTER_SPITE_SPEC)])
+def test_empty_property_list(tmp_path, command, spec_text):
+    spec = write(tmp_path, "mechanism.spec", spec_text)
+    code, out, err = run_cli(command, "--spec", spec, "--props", ",")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert "--props names no property" in err

@@ -164,10 +164,11 @@ def test_table_round_trip_and_lookup():
 def test_table_rejects_incomplete_rows():
     g = Grid.from_text("0,1")
     good = tabulate(null_spec(2), g)
+    assert MechanismTable(g, 2, good.outcomes) == good
     with pytest.raises(DomainMismatchError):
-        MechanismTable(g, 2, good.rows[:-1])
+        MechanismTable(g, 2, good.outcomes[:-1])
     with pytest.raises(DomainMismatchError):
-        MechanismTable(g, 2, tuple(reversed(good.rows)))
+        MechanismTable(g, 2, good.outcomes + good.outcomes[:1])
 
 
 def test_table_from_outcomes_requires_full_cover():

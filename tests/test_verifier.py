@@ -179,12 +179,16 @@ def test_second_price_winner_price_varies():
 
 
 def _first_violation(prop, mechanism, grid):
-    """(truth, agent, bid) of the first violation of ``prop``, or None, by brute force.
+    """The first violation of ``prop`` by brute force, or None.
 
-    IR, IC, SIC or ESIC read straight off the definitions; truthful
-    profiles, then agents, then bids are taken in grid order (IR has no
-    bid: it is None).
+    IR, IC, SIC and ESIC give (truth, agent, bid), read straight off the
+    definitions; truthful profiles, then agents, then bids are taken in
+    grid order (IR has no bid: it is None).  The structural properties
+    give (profile, agent, deviation profile, permutation), see
+    `_STRUCTURAL_BY_DEFINITION`.
     """
+    if prop in _STRUCTURAL_BY_DEFINITION:
+        return _STRUCTURAL_BY_DEFINITION[prop](mechanism, grid)
     n = mechanism.n
     for truth in enumerate_profiles(grid, n):
         before = [utility(mechanism.outcome(truth), j, truth[j]) for j in range(n)]
@@ -206,6 +210,103 @@ def _first_violation(prop, mechanism, grid):
                 if harmed and (prop is Property.ESIC or not helped):
                     return truth, i, bid
     return None
+
+
+def _first_non_anonymous(mechanism, grid, profiles=None):
+    """Relabeling the bids must relabel the winner and the payments alike."""
+    n = mechanism.n
+    identity = tuple(range(n))
+    for profile in enumerate_profiles(grid, n) if profiles is None else profiles:
+        out = mechanism.outcome(profile)
+        for perm in itertools.permutations(identity):
+            if perm == identity:
+                continue
+            permuted = [None] * n
+            for i in range(n):
+                permuted[perm[i]] = profile[i]
+            permuted = tuple(permuted)
+            out_p = mechanism.outcome(permuted)
+            # agent i's bid now belongs to agent perm[i], who must take i's part
+            for i in range(n):
+                won, won_p = out.winner == i + 1, out_p.winner == perm[i] + 1
+                if won != won_p or out_p.payments[perm[i]] != out.payments[i]:
+                    return profile, None, permuted, perm
+    return None
+
+
+def _first_inefficient(mechanism, grid):
+    """A winner must bid at least as much as every other agent."""
+    for profile in enumerate_profiles(grid, mechanism.n):
+        out = mechanism.outcome(profile)
+        for i, bid in enumerate(profile):
+            if out.winner == i + 1 and any(other > bid for other in profile):
+                return profile, i, None, None
+    return None
+
+
+def _first_charged_loser(mechanism, grid):
+    """An agent who does not win must pay nothing."""
+    for profile in enumerate_profiles(grid, mechanism.n):
+        out = mechanism.outcome(profile)
+        for i in range(mechanism.n):
+            if out.winner != i + 1 and out.payments[i] != 0:
+                return profile, i, None, None
+    return None
+
+
+def _own_bid_pairs(mechanism, grid):
+    """(agent, lower profile, its outcome, higher profile, its outcome) for each own-bid pair.
+
+    Agents are taken in order, then the others' bids in grid order, then
+    the pairs of the agent's own bids, lower bid slowest.
+    """
+    n = mechanism.n
+    for i in range(n):
+        for others in itertools.product(grid.levels, repeat=n - 1):
+            line = [others[:i] + (bid,) + others[i:] for bid in grid.levels]
+            for low, high in itertools.combinations(line, 2):
+                yield i, low, mechanism.outcome(low), high, mechanism.outcome(high)
+
+
+def _first_own_bid_payment_change(mechanism, grid):
+    """While an agent's win/lose status holds, her own bid must not move her payment."""
+    for i, low, out_low, high, out_high in _own_bid_pairs(mechanism, grid):
+        same_status = (out_low.winner == i + 1) == (out_high.winner == i + 1)
+        if same_status and out_low.payments[i] != out_high.payments[i]:
+            return low, i, high, None
+    return None
+
+
+def _first_win_lost_by_raise(mechanism, grid):
+    """A winner who raises her own bid must keep winning."""
+    for i, low, out_low, high, out_high in _own_bid_pairs(mechanism, grid):
+        if out_low.winner == i + 1 and out_high.winner != i + 1:
+            return low, i, high, None
+    return None
+
+
+def _first_winner_price_change(mechanism, grid):
+    """Each agent pays the price of her first winning profile wherever she wins."""
+    first_win = {}
+    for profile in enumerate_profiles(grid, mechanism.n):
+        out = mechanism.outcome(profile)
+        if not out.winner:
+            continue
+        i = out.winner - 1
+        reference, ref_out = first_win.setdefault(i, (profile, out))
+        if out.payments[i] != ref_out.payments[i]:
+            return reference, i, profile, None
+    return None
+
+
+_STRUCTURAL_BY_DEFINITION = {
+    Property.ANON: _first_non_anonymous,
+    Property.EFF: _first_inefficient,
+    Property.LOSER_PAYS_NOTHING: _first_charged_loser,
+    Property.PAYMENT_OWN_BID_INVARIANT: _first_own_bid_payment_change,
+    Property.WIN_PRESERVED_BY_RAISE: _first_win_lost_by_raise,
+    Property.WINNER_PRICE_CONSTANT: _first_winner_price_change,
+}
 
 
 def _holds_by_definition(prop, mechanism, grid):
@@ -351,6 +452,118 @@ def test_lattice_witnesses_at_three_agents_on_a_non_integer_grid(mechanism):
     grid = Grid.from_text("0,1/3,7/6,5/2")
     failures = _assert_checks_match_the_definitions(mechanism, grid)
     assert failures == (3 if isinstance(mechanism, FirstPriceMechanism) else 2)
+
+
+_STRUCTURAL_CHECKS = (
+    (Property.ANON, check_anonymous),
+    (Property.EFF, check_efficient),
+    (Property.LOSER_PAYS_NOTHING, lambda m, g: check_payment_structure(m, g)[0]),
+    (Property.PAYMENT_OWN_BID_INVARIANT, lambda m, g: check_payment_structure(m, g)[1]),
+    (Property.WIN_PRESERVED_BY_RAISE, lambda m, g: check_payment_structure(m, g)[2]),
+    (Property.WINNER_PRICE_CONSTANT, check_winner_payment_constant),
+)
+
+
+def _assert_structural_checks_match_the_definitions(mechanism, grid):
+    """Verdicts and first witnesses of ANON, EFF and the payment checks against brute force.
+
+    Each failure must be the first violation by definition, replay through
+    `confirm_witness`, and carry `Fraction` bids and the mechanism's own
+    outcomes at the witness's profiles.  Returns the failing properties.
+    """
+    failing = set()
+    for prop, check in _STRUCTURAL_CHECKS:
+        report = check(mechanism, grid)
+        assert report.property is prop
+        first = _first_violation(prop, mechanism, grid)
+        assert report.passed == (first is None), (prop, report)
+        if first is None:
+            continue
+        failing.add(prop)
+        w = report.witness
+        assert (w.profile, w.agent, w.deviation_profile, w.permutation) == first
+        assert confirm_witness(mechanism, report)
+        assert all(type(v) is F for v in w.profile)
+        assert w.outcome_before == mechanism.outcome(w.profile)
+        if w.deviation_profile is not None:
+            assert all(type(v) is F for v in w.deviation_profile)
+            assert w.outcome_after == mechanism.outcome(w.deviation_profile)
+        if prop in (Property.PAYMENT_OWN_BID_INVARIANT, Property.WIN_PRESERVED_BY_RAISE):
+            assert type(w.deviation) is F
+            assert w.deviation == w.deviation_profile[w.agent]
+    return failing
+
+
+def test_structural_checks_match_the_definitions():
+    mechanisms = list(enumerate_ir_ic_mechanisms(GRID012, 2))
+    assert len(mechanisms) == 594
+    mechanisms += [FirstPriceMechanism(n) for n in (2, 3)]
+    mechanisms += [SecondPriceMechanism(n) for n in (2, 3)]
+    failing = set()
+    for mechanism in mechanisms:
+        failing |= _assert_structural_checks_match_the_definitions(mechanism, GRID012)
+    # IR + IC tables and the price rules never charge a loser or lose by raising
+    assert failing == {
+        Property.ANON,
+        Property.EFF,
+        Property.PAYMENT_OWN_BID_INVARIANT,
+        Property.WINNER_PRICE_CONSTANT,
+    }
+
+
+def _lowest_bid_wins(price):
+    """The lowest bid wins (lowest index on ties) at ``price``."""
+
+    def rule(profile):
+        i = profile.index(min(profile))
+        return i + 1, tuple(price if j == i else F(0) for j in range(len(profile)))
+
+    return rule
+
+
+def test_structural_checks_on_the_lattice_examples():
+    grid = Grid.from_text("0,1/3,7/6,5/2")
+    tables = [
+        _table_of(grid, 2, _priority_posted_price(F(1, 7))),
+        _table_of(grid, 2, _priority_posted_price(F(2, 7), loser_fee=F(1, 7))),
+        _table_of(grid, 2, _second_price_plus(F(1, 7))),
+        _table_of(grid, 3, _second_price_plus(F(3, 14))),
+        _table_of(grid, 2, _lowest_bid_wins(F(1, 7))),
+    ]
+    failing = set()
+    for table in tables:
+        failing |= _assert_structural_checks_match_the_definitions(table, grid)
+    p, q = 10**39 + 3, 10**39 + 9
+    grid = Grid([0, F(1, q), F(1, p), F(1, p) + F(1, q), F(2, p), 1])
+    mechanisms = [
+        FirstPriceMechanism(2),
+        SecondPriceMechanism(2),
+        SecondPriceMechanism(3),
+        ThresholdSpec((2, 1), (F(1, p), F(1, q))),
+        _table_of(grid, 2, _second_price_plus(F(1, 10**40 + 1))),
+        _table_of(grid, 2, _lowest_bid_wins(F(1, 10**40 + 1))),
+    ]
+    for mechanism in mechanisms:
+        failing |= _assert_structural_checks_match_the_definitions(mechanism, grid)
+    assert failing == {prop for prop, _ in _STRUCTURAL_CHECKS}
+
+
+def test_anonymity_on_given_profiles():
+    spec = ThresholdSpec((1, 2), (F(1), F(2)))
+    grid = closure_for_thresholds(spec.thresholds)
+    # tie-free profiles, highest first
+    profiles = [p for p in enumerate_profiles(grid, 2) if p[0] != p[1]][::-1]
+    report = check_anonymous(spec, grid, profiles=profiles)
+    assert not report.passed
+    w = report.witness
+    assert (w.profile, w.agent, w.deviation_profile, w.permutation) == _first_non_anonymous(
+        spec, grid, profiles
+    )
+    assert report.checked_count == profiles.index(w.profile) + 1
+    assert w.profile == (F(5, 2), F(2))
+    assert confirm_witness(spec, report)
+    with pytest.raises(DomainMismatchError):
+        check_anonymous(spec, grid, profiles=[(F(0), F(3))])
 
 
 # --- enumeration -----------------------------------------------------------
