@@ -8,7 +8,9 @@ results, and the wall time.  Only `revenue` draws random numbers, so
 only it takes ``--seed``; the others refuse it.  Exit codes are a stable
 contract: 0 all requested properties hold, 1 a property failed or an
 assertion tripped, 2 bad input (an empty ``--props`` list among it), 3
-an enumeration budget was exceeded.
+an enumeration budget was exceeded or, for `regions` and `multi`, the
+input's size, estimated before any work, is over a fixed cap
+(`MAX_LATTICE_POINTS`, `MAX_PROFILES`).
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -32,8 +36,9 @@ from .multiitem import (
     check_multi_ic,
     check_multi_ir,
     check_multi_sic,
-    classify_point,
+    classify_lattice,
     cluster_allocate,
+    marginal_vector_count,
     nonincreasing_marginal_vectors,
     parse_bundle_amounts,
     region_partition,
@@ -66,6 +71,13 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+
+# Size caps, checked against an estimate before any work (exit 3 above).
+# A `regions` lattice has one report entry per point; a `multi` deviation
+# check reads every profile of the domain product with each of every
+# agent's other reports.
+MAX_LATTICE_POINTS = 100_000
+MAX_PROFILES = 10_000
 
 _SIMPLE_CHECKS = {
     "ir": check_ir,
@@ -336,32 +348,37 @@ def cmd_regions(args) -> int:
         step = parse_money(args.step)
         if step == 0 or high < low:
             raise SpecFileError("--box must be 'low,high' with low <= high; --step > 0")
-        axis = []
-        x = low
-        while x <= high:
-            axis.append(x)
-            x += step
-        lattice = []
-        for point in _grid_points(axis, item_count):
-            best = classify_point(system, point)
-            lattice.append(
-                {
-                    "point": [_jsonable(x) for x in point],
-                    "bundles": sorted(render_bundle_key(m, item_count) for m in best),
-                }
+        width = (high - low) // step + 1
+        points = width**item_count
+        if points > MAX_LATTICE_POINTS:
+            raise BudgetExceededError(
+                f"the lattice has ({_count_text(width)} values per axis)^{item_count} = "
+                f"{_count_text(points)} points, over the cap of {MAX_LATTICE_POINTS}"
             )
+        axis = [low + k * step for k in range(width)]
+        rendered = {x: _jsonable(x) for x in axis}
+        lattice = [
+            {
+                "point": [rendered[x] for x in point],
+                "bundles": sorted(render_bundle_key(m, item_count) for m in best),
+            }
+            for point, best in classify_lattice(system, axis)
+        ]
         results["lattice"] = lattice
     _emit(_report("regions", config, results, started), args)
     return EXIT_OK
 
 
-def _grid_points(axis, dims: int):
-    if dims == 0:
-        yield ()
-        return
-    for rest in _grid_points(axis, dims - 1):
-        for x in axis:
-            yield rest + (x,)
+def _count_text(count: int) -> str:
+    # str() refuses ints of more than 4 300 digits; Decimal renders any size
+    return str(count) if count < 10**12 else f"{Decimal(count):.3e}"
+
+
+def _check_profile_count(count: int, description: str) -> None:
+    if count > MAX_PROFILES:
+        raise BudgetExceededError(
+            f"{description}, so {_count_text(count)} profiles, over the cap of {MAX_PROFILES}"
+        )
 
 
 def cmd_multi(args) -> int:
@@ -381,6 +398,10 @@ def cmd_multi(args) -> int:
     props = _parse_props(args.props, checks, ("ir", "ic", "sic"))
     if loaded.candidates is not None:
         domains = loaded.candidates
+        _check_profile_count(
+            math.prod(len(d) for d in domains),
+            "the candidate domains have " + " x ".join(str(len(d)) for d in domains) + " valuations",
+        )
         truths = tuple(domain[0] for domain in domains)
         if loaded.kind == "sequential":
             mechanism = lambda bids: sequential_allocate_general(spec, bids)
@@ -388,6 +409,12 @@ def cmd_multi(args) -> int:
             mechanism = lambda bids: cluster_allocate(spec, bids)
         domain_note = "candidates from spec file; first candidate per agent is the truth"
     elif loaded.kind == "sequential":
+        per_agent = marginal_vector_count(loaded.item_count, args.max_marginal)
+        _check_profile_count(
+            per_agent**spec.n,
+            f"the built-in domain has C({args.max_marginal} + {loaded.item_count}, "
+            f"{loaded.item_count}) = {_count_text(per_agent)} valuations per agent",
+        )
         pool = tuple(nonincreasing_marginal_vectors(loaded.item_count, args.max_marginal))
         domains = tuple(pool for _ in range(spec.n))
         truths = None

@@ -9,19 +9,41 @@ priority order take the whole remaining sub-bundle that maximizes reported
 value minus her bundle price.  The checkers quantify over caller-supplied
 finite bid domains; the geometry helpers carve value space into the
 regions where each bundle is the buyer's best response.
+
+No verdict and no classification compares two `Fraction`s.  The checks
+run `verifier`'s IR and deviation kernel on a `_BundleLattice`: each
+distinct valuation becomes an int, and bundle values and payments are
+multiplied by one common denominator, so utilities are ints.  All the
+checks of one (mechanism, domains) pair share that lattice, which calls
+the allocator at most once per profile.  A failing witness is divided
+back into `Fraction` utilities with the allocator's own outcomes and
+the domain's own valuations.  Best-bundle classification likewise
+scales the item values and prices to ints and takes the argmax of
+value minus price (`_best_buys`), which is exactly the set of bundles
+whose region inequalities all hold weakly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .core import RankedSpec
 from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite
 from .reports import Property, PropertyReport
-from .verifier import deviation_check, domain_strides, ir_check
+from .verifier import (
+    _lcm_of_denominators,
+    _scaled,
+    deviation_check,
+    domain_strides,
+    ir_check,
+)
 
 Bundle = int
 
@@ -423,30 +445,167 @@ def cluster_allocate(spec: ClusterSpec, bids) -> MultiOutcome:
     return MultiOutcome(tuple(bundles), tuple(payments))
 
 
-class _LazyOutcomes(dict):
-    """Outcomes over a product of bid domains, evaluated on first lookup.
+class _Memo(dict):
+    """A dict that fills a missing entry with ``compute(key)`` and keeps it."""
 
-    Keyed by the flat index of `verifier.domain_strides`, so lookups hash
-    ints instead of tuples of valuations.
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+class _Refine(Exception):
+    """An amount is no int on the lattice; on one of ``denominator`` it is."""
+
+    def __init__(self, denominator: int) -> None:
+        super().__init__(denominator)
+        self.denominator = denominator
+
+
+def _times(amounts, denominator: int) -> tuple[int, ...]:
+    """The amounts times ``denominator``; `_Refine` if one is then no int."""
+    if any(denominator % a.denominator for a in amounts):
+        raise _Refine(math.lcm(denominator, *(a.denominator for a in amounts)))
+    return _scaled(amounts, denominator)
+
+
+class _ScaledMultiOutcome(NamedTuple):
+    """A `MultiOutcome` with every payment multiplied by a lattice's denominator."""
+
+    bundles: tuple[Bundle, ...]
+    payments: tuple[int, ...]
+
+
+class _BundleLattice:
+    """A mechanism's outcomes over a product of bid domains, as ints.
+
+    ``kinds[i]`` is agent i's domain with each valuation replaced by an
+    int, one per distinct valuation, so two reports are the same value
+    exactly when their kinds are equal.  ``outcomes[flat]`` is the
+    outcome at the profile with that flat index (see `domain_strides`)
+    and ``utility(outcome, i, kind)`` is agent i's payoff: the kind's
+    value for her bundle minus her payment.  Every amount is multiplied
+    by ``denominator`` D, so these are ints that compare exactly as the
+    amounts do.
+
+    Everything is computed on first lookup, because a given truth reads
+    only its own deviations and a valuation of K items has 2^K bundles.
+    The allocator runs at most once per profile (``evaluations``), equal
+    outcomes share one `MultiOutcome` and one scaled outcome, and each
+    valuation is asked only for the bundles it is dealt.  When a
+    lookup meets an amount that is no int at D, D grows to the least
+    multiple at which it is one and the check starts over on the finer
+    lattice, reusing every evaluation; D only grows, so later checks
+    start on it.
     """
 
-    def __init__(self, mechanism, domains):
-        super().__init__()
+    def __init__(self, mechanism, domains) -> None:
         self.mechanism = mechanism
         self.domains = domains
         self.strides = domain_strides(domains)
+        kind_of: dict = {}
+        self.kinds = tuple(
+            tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains
+        )
+        self.valuations = tuple(kind_of)
+        # agent i's first position holding each kind; witnesses name that one
+        self.first = [{} for _ in domains]
+        for first, kinds in zip(self.first, self.kinds):
+            for position, kind in enumerate(kinds):
+                first.setdefault(kind, position)
+        # equal outcomes are kept as one object, the first the allocator returned
+        self.distinct: dict[MultiOutcome, MultiOutcome] = {}
+        self.evaluations = _Memo(self._allocate)
+        self._refine(1)
 
-    def __missing__(self, flat: int) -> MultiOutcome:
-        profile = []
-        rest = flat
-        for domain, stride in zip(self.domains, self.strides):
-            k, rest = divmod(rest, stride)
-            profile.append(domain[k])
-        out = self[flat] = self.mechanism(tuple(profile))
-        return out
+    def _allocate(self, flat: int) -> MultiOutcome:
+        out = self.mechanism(
+            tuple(domain[flat // s % len(domain)] for domain, s in zip(self.domains, self.strides))
+        )
+        return self.distinct.setdefault(out, out)
+
+    def _refine(self, denominator: int) -> None:
+        self.denominator = denominator
+        evaluations = self.evaluations
+
+        scaled_of = {}  # id of a distinct outcome -> its scaled outcome
+
+        def scaled_outcome(flat):
+            out = evaluations[flat]
+            if id(out) not in scaled_of:
+                scaled_of[id(out)] = _ScaledMultiOutcome(out.bundles, _times(out.payments, denominator))
+            return scaled_of[id(out)]
+
+        def scaled_values(valuation):
+            return _Memo(lambda bundle: _times((valuation.of_bundle(bundle),), denominator)[0])
+
+        values = [scaled_values(v) for v in self.valuations]
+
+        def utility(out, i, kind):
+            return values[kind][out.bundles[i]] - out.payments[i]
+
+        self.outcomes = _Memo(scaled_outcome)
+        self.utility = utility
+
+    def check(self, kernel, truth) -> PropertyReport:
+        """``kernel(kinds, outcomes, utility, truth)``, witness in amounts."""
+        while True:
+            try:
+                report = kernel(self.kinds, self.outcomes, self.utility, truth)
+            except _Refine as finer:
+                self._refine(finer.denominator)
+            else:
+                return self._unscale(report)
+
+    def _unscale(self, report: PropertyReport) -> PropertyReport:
+        """The report with its witness, if any, in valuations, amounts and original outcomes."""
+        if report.passed:
+            return report
+        w = report.witness
+        d = self.denominator
+
+        def positions(kinds):
+            return [first[kind] for first, kind in zip(self.first, kinds)]
+
+        def valuations(kinds):
+            if kinds is None:
+                return None
+            return tuple(domain[k] for domain, k in zip(self.domains, positions(kinds)))
+
+        def original(kinds):
+            if kinds is None:
+                return None
+            return self.evaluations[sum(k * s for k, s in zip(positions(kinds), self.strides))]
+
+        def amounts(values):
+            return None if values is None else tuple(Fraction(v, d) for v in values)
+
+        deviation = None
+        if w.deviation is not None:
+            deviation = self.domains[w.agent][self.first[w.agent][w.deviation]]
+        witness = dataclasses.replace(
+            w,
+            profile=valuations(w.profile),
+            deviation_profile=valuations(w.deviation_profile),
+            deviation=deviation,
+            utilities_before=amounts(w.utilities_before),
+            utilities_after=amounts(w.utilities_after),
+            outcome_before=original(w.profile),
+            outcome_after=original(w.deviation_profile),
+        )
+        return dataclasses.replace(report, witness=witness)
 
 
-def _kernel_inputs(mechanism, bid_domain, true_values):
+# One `multi` run checks one (mechanism, domains) pair up to four times.
+@lru_cache(maxsize=4)
+def _cached_lattice(mechanism, domains) -> _BundleLattice:
+    return _BundleLattice(mechanism, domains)
+
+
+def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
     domains = tuple(tuple(d) for d in bid_domain)
     if any(not d for d in domains):
         raise ValueError("every agent needs a nonempty bid domain")
@@ -459,29 +618,31 @@ def _kernel_inputs(mechanism, bid_domain, true_values):
             if v not in domains[i]:
                 raise ValueError(f"agent {i}'s true valuation is outside her domain")
         truth = tuple(domain.index(v) for domain, v in zip(domains, profile))
-    return domains, _LazyOutcomes(mechanism, domains), multi_utility, truth
+    return _cached_lattice(mechanism, domains).check(kernel, truth)
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
     """Truthful reporting never buys a loss, over the given domain.
 
-    `mechanism` is any callable from a bid profile to a `MultiOutcome`.
-    With `true_values=None` every profile in the domain product plays the
-    role of the truth in turn; otherwise only the given profile does.
+    `mechanism` is any hashable callable from a bid profile to a
+    `MultiOutcome`.  With `true_values=None` every profile in the domain
+    product plays the role of the truth in turn; otherwise only the
+    given profile does.  The checks of one (mechanism, domains) pair
+    share one `_BundleLattice`, so each profile is allocated once.
     """
-    return ir_check(*_kernel_inputs(mechanism, bid_domain, true_values))
+    return _multi_check(ir_check, mechanism, bid_domain, true_values)
 
 
 def check_multi_ic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return deviation_check(Property.IC, *_kernel_inputs(mechanism, bid_domain, true_values))
+    return _multi_check(partial(deviation_check, Property.IC), mechanism, bid_domain, true_values)
 
 
 def check_multi_sic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return deviation_check(Property.SIC, *_kernel_inputs(mechanism, bid_domain, true_values))
+    return _multi_check(partial(deviation_check, Property.SIC), mechanism, bid_domain, true_values)
 
 
 def check_multi_esic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return deviation_check(Property.ESIC, *_kernel_inputs(mechanism, bid_domain, true_values))
+    return _multi_check(partial(deviation_check, Property.ESIC), mechanism, bid_domain, true_values)
 
 
 class OwnBidPaymentVariationError(RuntimeError):
@@ -637,23 +798,67 @@ def region_partition(payments, item_count: int) -> RegionSystem:
     return RegionSystem(item_count, tuple(dense), tuple(regions))
 
 
+def _on_lattice(system: RegionSystem, amounts):
+    """The amounts and the attainable bundles on one integer lattice.
+
+    Returns the amounts as ints and (mask, items, price) of each bundle
+    with a finite price, both multiplied by the least common denominator
+    of the amounts and those prices.
+    """
+    finite = [(mask, p) for mask, p in enumerate(system.payments) if not is_infinite(p)]
+    d = _lcm_of_denominators([*amounts, *(p for _, p in finite)])
+    prices = _scaled([p for _, p in finite], d)
+    attainable = [(mask, bundle_items(mask), price) for (mask, _), price in zip(finite, prices)]
+    return _scaled(amounts, d), attainable
+
+
+def _best_buys(attainable, point) -> frozenset[Bundle]:
+    """The bundles T of largest gain sum(point[k] for k in T) - price(T).
+
+    ``attainable`` and ``point`` come from `_on_lattice`.  T has the
+    largest gain exactly when every inequality of its region holds
+    weakly at the point: each one says T gains at least as much as one
+    other attainable bundle.
+    """
+    gains = [(mask, sum(point[k] for k in items) - price) for mask, items, price in attainable]
+    top = max(gain for _, gain in gains)
+    return frozenset(mask for mask, gain in gains if gain == top)
+
+
 def classify_point(system: RegionSystem, point) -> frozenset[Bundle]:
     """All bundles tied for best buy at the given item values.
 
     A point interior to some bundle's region yields that single bundle;
     on shared boundaries every bundle whose inequalities all hold weakly
-    is included.
+    is included.  The point and the prices are compared as ints on the
+    lattice of their least common denominator.
     """
     values = tuple(as_money(x) for x in point)
     if len(values) != system.item_count:
         raise ValueError(f"point must have {system.item_count} coordinates")
-    best = set()
-    for mask, region in enumerate(system.regions):
-        if region is None:
-            continue
-        if all(ineq.holds_weakly(values) for ineq in region):
-            best.add(mask)
-    return frozenset(best)
+    scaled, attainable = _on_lattice(system, values)
+    return _best_buys(attainable, scaled)
+
+
+def classify_lattice(system: RegionSystem, axis):
+    """`classify_point` at every point of ``axis`` to the K-th power.
+
+    Yields (point, bundles), the last coordinate fastest, as
+    `itertools.product` orders them.  The axis and the prices are put
+    on one integer lattice once.
+    """
+    axis = tuple(as_money(x) for x in axis)
+    scaled_axis, attainable = _on_lattice(system, axis)
+    for digits in itertools.product(range(len(axis)), repeat=system.item_count):
+        point = [scaled_axis[k] for k in digits]
+        yield tuple(axis[k] for k in digits), _best_buys(attainable, point)
+
+
+def marginal_vector_count(item_count: int, max_value: int) -> int:
+    """How many vectors `nonincreasing_marginal_vectors` yields, without making them."""
+    if item_count < 0 or max_value < 0:
+        raise ValueError("item count and max value must be nonnegative")
+    return math.comb(max_value + item_count, item_count)
 
 
 def nonincreasing_marginal_vectors(item_count: int, max_value: int):
@@ -663,8 +868,7 @@ def nonincreasing_marginal_vectors(item_count: int, max_value: int):
     in 0..max_value, as valuations; the standard exhaustive domain for
     the sequential checkers.
     """
-    if item_count < 0 or max_value < 0:
-        raise ValueError("item count and max value must be nonnegative")
+    marginal_vector_count(item_count, max_value)  # checks the arguments
     for combo in itertools.combinations_with_replacement(
         range(max_value, -1, -1), item_count
     ):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from spitefree import cli
 from spitefree.cli import (
     EXIT_BUDGET,
     EXIT_INPUT_ERROR,
@@ -20,6 +21,7 @@ from spitefree.cli import (
     EXIT_PROPERTY_FAIL,
     main,
 )
+from spitefree.multiitem import sequential_allocate_hs
 
 THRESHOLD_SPEC = "kind: threshold\nranking: 1,2\nthresholds: 1,2\n"
 SECOND_PRICE_SPEC = "kind: second_price\nn: 2\n"
@@ -245,6 +247,64 @@ def test_regions_with_lattice_classification():
     assert len(results["lattice"]) == 25
     corner = [p for p in results["lattice"] if p["point"] == ["8", "8"]]
     assert corner[0]["bundles"] == ["11"]
+
+
+def test_regions_readme_example_is_within_the_cap():
+    code, out, _ = run_cli("regions", "--payments", "10=4,01=3,11=6", "--box", "0,8", "--step", "1/2")
+    assert code == EXIT_OK
+    lattice = json.loads(out)["results"]["lattice"]
+    assert len(lattice) == 17**2
+    assert lattice[1] == {"point": ["0", "1/2"], "bundles": ["00"]}
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("an oversized run started work")
+
+
+def test_an_oversized_regions_lattice_exits_3_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli, "classify_lattice", _never)
+    code, out, err = run_cli(
+        "regions", "--payments", "10=1,01=1,11=2", "--box", "0,1000", "--step", "1/1000"
+    )
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "(1000001 values per axis)^2 = 1.000e+12 points" in err
+    assert str(cli.MAX_LATTICE_POINTS) in err
+
+
+def test_an_oversized_builtin_domain_exits_3_before_any_work(tmp_path, monkeypatch):
+    for name in ("nonincreasing_marginal_vectors", "check_multi_ir", "check_multi_ic", "check_multi_sic"):
+        monkeypatch.setattr(cli, name, _never)
+    spec = write(tmp_path, "seq.spec", "kind: sequential\nitems: 3\nranking: 1,2\nthresholds: 2,1\n")
+    code, out, err = run_cli("multi", "--spec", spec, "--max-marginal", "60")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "C(60 + 3, 3) = 39711 valuations per agent, so 1576963521 profiles" in err
+    assert str(cli.MAX_PROFILES) in err
+
+
+def test_oversized_candidate_domains_exit_3_before_any_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "check_multi_ir", _never)
+    lines = ["kind: cluster", "items: 1", "ranking: 1,2,3"]
+    for agent in (1, 2, 3):
+        lines.append(f"thresholds[{agent}]: 1=1")
+        lines += [f"candidate[{agent}]: 1={k}" for k in range(1, 23)]
+    spec = write(tmp_path, "big.spec", "\n".join(lines) + "\n")
+    code, out, err = run_cli("multi", "--spec", spec, "--props", "ir")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "22 x 22 x 22 valuations, so 10648 profiles" in err
+
+
+def test_a_multi_run_allocates_each_profile_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(spec, bids):
+        calls.append(bids)
+        return sequential_allocate_hs(spec, bids)
+
+    monkeypatch.setattr(cli, "sequential_allocate_hs", counting)
+    spec = write(tmp_path, "seq.spec", "kind: sequential\nitems: 2\nranking: 1,2\nthresholds: 2,1\n")
+    code, _, _ = run_cli("multi", "--spec", spec, "--max-marginal", "2", "--props", "ir,ic,sic,esic")
+    assert code == EXIT_OK
+    assert len(calls) == len(set(calls)) == 6**2
 
 
 def test_regions_rejects_malformed_payment_lists():
