@@ -13,9 +13,9 @@ regions where each bundle is the buyer's best response.
 No verdict and no classification compares two `Fraction`s.  The checks
 run `verifier`'s IR and deviation kernel on a `_BundleLattice`: each
 distinct valuation becomes an int, and bundle values and payments are
-multiplied by one common denominator, so utilities are ints.  All the
-checks of one (mechanism, domains) pair share that lattice, which calls
-the allocator at most once per profile.  A failing witness is divided
+multiplied by one common denominator, so utilities are ints.  Checks
+of one (mechanism, domains, truth) share that lattice, which calls the
+allocator once per profile they read.  A failing witness is divided
 back into `Fraction` utilities with the allocator's own outcomes and
 the domain's own valuations.  Best-bundle classification likewise
 scales the item values and prices to ints and takes the argmax of
@@ -39,6 +39,7 @@ from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite
 from .reports import Property, PropertyReport
 from .verifier import (
     _lcm_of_denominators,
+    _rivals,
     _scaled,
     deviation_check,
     domain_strides,
@@ -445,33 +446,6 @@ def cluster_allocate(spec: ClusterSpec, bids) -> MultiOutcome:
     return MultiOutcome(tuple(bundles), tuple(payments))
 
 
-class _Memo(dict):
-    """A dict that fills a missing entry with ``compute(key)`` and keeps it."""
-
-    def __init__(self, compute) -> None:
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
-class _Refine(Exception):
-    """An amount is no int on the lattice; on one of ``denominator`` it is."""
-
-    def __init__(self, denominator: int) -> None:
-        super().__init__(denominator)
-        self.denominator = denominator
-
-
-def _times(amounts, denominator: int) -> tuple[int, ...]:
-    """The amounts times ``denominator``; `_Refine` if one is then no int."""
-    if any(denominator % a.denominator for a in amounts):
-        raise _Refine(math.lcm(denominator, *(a.denominator for a in amounts)))
-    return _scaled(amounts, denominator)
-
-
 class _ScaledMultiOutcome(NamedTuple):
     """A `MultiOutcome` with every payment multiplied by a lattice's denominator."""
 
@@ -480,112 +454,106 @@ class _ScaledMultiOutcome(NamedTuple):
 
 
 class _BundleLattice:
-    """A mechanism's outcomes over a product of bid domains, as ints.
+    """A mechanism's outcomes at the profiles a check reads, as ints.
 
     ``kinds[i]`` is agent i's domain with each valuation replaced by an
     int, one per distinct valuation, so two reports are the same value
-    exactly when their kinds are equal.  ``outcomes[flat]`` is the
-    outcome at the profile with that flat index (see `domain_strides`)
-    and ``utility(outcome, i, kind)`` is agent i's payoff: the kind's
-    value for her bundle minus her payment.  Every amount is multiplied
-    by ``denominator`` D, so these are ints that compare exactly as the
-    amounts do.
+    exactly when their kinds are equal.  With ``truth=None`` every
+    profile of the domain product is allocated.  A given truth (per-agent
+    domain indices) allocates that profile and, with ``deviations``, each
+    profile where one agent reports a value other than her truth.
+    ``outcomes[flat]`` is the outcome at the profile with that flat index
+    (see `domain_strides`) and ``utility(outcome, i, kind)`` is agent i's
+    payoff: the kind's value for her bundle minus her payment.
 
-    Everything is computed on first lookup, because a given truth reads
-    only its own deviations and a valuation of K items has 2^K bundles.
-    The allocator runs at most once per profile (``evaluations``), equal
-    outcomes share one `MultiOutcome` and one scaled outcome, and each
-    valuation is asked only for the bundles it is dealt.  When a
-    lookup meets an amount that is no int at D, D grows to the least
-    multiple at which it is one and the check starts over on the finer
-    lattice, reusing every evaluation; D only grows, so later checks
-    start on it.
+    The denominator D is the least common denominator of every payment
+    and of the value of each kind an agent may truly hold at each bundle
+    she is dealt; those amounts times D are ints that compare exactly
+    as the amounts do.  Equal outcomes share one `MultiOutcome`, the
+    first the allocator returned, and one scaled outcome.
     """
 
-    def __init__(self, mechanism, domains) -> None:
-        self.mechanism = mechanism
-        self.domains = domains
-        self.strides = domain_strides(domains)
+    def __init__(self, mechanism, domains, truth, deviations: bool) -> None:
         kind_of: dict = {}
         self.kinds = tuple(
             tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains
         )
-        self.valuations = tuple(kind_of)
-        # agent i's first position holding each kind; witnesses name that one
-        self.first = [{} for _ in domains]
-        for first, kinds in zip(self.first, self.kinds):
-            for position, kind in enumerate(kinds):
-                first.setdefault(kind, position)
-        # equal outcomes are kept as one object, the first the allocator returned
-        self.distinct: dict[MultiOutcome, MultiOutcome] = {}
-        self.evaluations = _Memo(self._allocate)
-        self._refine(1)
+        self.strides = strides = domain_strides(domains)
+        if truth is None:
+            profiles = enumerate(itertools.product(*domains))
+            held = [set(kinds) for kinds in self.kinds]
+        else:
+            flat = sum(k * s for k, s in zip(truth, strides))
+            flats = [flat]
+            if deviations:
+                for rivals, k, s in zip(_rivals(self.kinds), truth, strides):
+                    flats += [flat + (d - k) * s for d in rivals[k]]
+            profiles = [
+                (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
+                for f in flats
+            ]
+            held = [{kinds[k]} for kinds, k in zip(self.kinds, truth)]
+        distinct: dict[MultiOutcome, MultiOutcome] = {}
+        self.originals = {}
+        for f, profile in profiles:
+            out = mechanism(profile)
+            self.originals[f] = distinct.setdefault(out, out)
 
-    def _allocate(self, flat: int) -> MultiOutcome:
-        out = self.mechanism(
-            tuple(domain[flat // s % len(domain)] for domain, s in zip(self.domains, self.strides))
+        valuations = tuple(kind_of)
+        amounts = {}  # (kind, bundle) -> value, for each kind an agent may hold
+        for i, kinds in enumerate(held):
+            dealt = {out.bundles[i] for out in distinct}
+            for kind in kinds:
+                for bundle in dealt:
+                    amounts[kind, bundle] = valuations[kind].of_bundle(bundle)
+        d = self.denominator = _lcm_of_denominators(
+            [*amounts.values(), *(p for out in distinct for p in out.payments)]
         )
-        return self.distinct.setdefault(out, out)
-
-    def _refine(self, denominator: int) -> None:
-        self.denominator = denominator
-        evaluations = self.evaluations
-
-        scaled_of = {}  # id of a distinct outcome -> its scaled outcome
-
-        def scaled_outcome(flat):
-            out = evaluations[flat]
-            if id(out) not in scaled_of:
-                scaled_of[id(out)] = _ScaledMultiOutcome(out.bundles, _times(out.payments, denominator))
-            return scaled_of[id(out)]
-
-        def scaled_values(valuation):
-            return _Memo(lambda bundle: _times((valuation.of_bundle(bundle),), denominator)[0])
-
-        values = [scaled_values(v) for v in self.valuations]
+        values = [{} for _ in valuations]
+        for (kind, bundle), amount in amounts.items():
+            values[kind][bundle] = amount.numerator * (d // amount.denominator)
+        scaled = {
+            id(out): _ScaledMultiOutcome(out.bundles, _scaled(out.payments, d)) for out in distinct
+        }
+        self.outcomes = {f: scaled[id(out)] for f, out in self.originals.items()}
 
         def utility(out, i, kind):
             return values[kind][out.bundles[i]] - out.payments[i]
 
-        self.outcomes = _Memo(scaled_outcome)
         self.utility = utility
 
-    def check(self, kernel, truth) -> PropertyReport:
-        """``kernel(kinds, outcomes, utility, truth)``, witness in amounts."""
-        while True:
-            try:
-                report = kernel(self.kinds, self.outcomes, self.utility, truth)
-            except _Refine as finer:
-                self._refine(finer.denominator)
-            else:
-                return self._unscale(report)
-
-    def _unscale(self, report: PropertyReport) -> PropertyReport:
-        """The report with its witness, if any, in valuations, amounts and original outcomes."""
+    def check(self, kernel, truth, domains) -> PropertyReport:
+        """``kernel(kinds, outcomes, utility, truth)``, its witness named in ``domains``."""
+        report = kernel(self.kinds, self.outcomes, self.utility, truth)
         if report.passed:
             return report
         w = report.witness
         d = self.denominator
+        # a kind is named by agent i's first report of it
+        first = [{} for _ in domains]
+        for positions, kinds in zip(first, self.kinds):
+            for position, kind in enumerate(kinds):
+                positions.setdefault(kind, position)
 
         def positions(kinds):
-            return [first[kind] for first, kind in zip(self.first, kinds)]
+            return [f[kind] for f, kind in zip(first, kinds)]
 
         def valuations(kinds):
             if kinds is None:
                 return None
-            return tuple(domain[k] for domain, k in zip(self.domains, positions(kinds)))
+            return tuple(domain[k] for domain, k in zip(domains, positions(kinds)))
 
         def original(kinds):
             if kinds is None:
                 return None
-            return self.evaluations[sum(k * s for k, s in zip(positions(kinds), self.strides))]
+            return self.originals[sum(k * s for k, s in zip(positions(kinds), self.strides))]
 
         def amounts(values):
             return None if values is None else tuple(Fraction(v, d) for v in values)
 
         deviation = None
         if w.deviation is not None:
-            deviation = self.domains[w.agent][self.first[w.agent][w.deviation]]
+            deviation = domains[w.agent][first[w.agent][w.deviation]]
         witness = dataclasses.replace(
             w,
             profile=valuations(w.profile),
@@ -599,10 +567,11 @@ class _BundleLattice:
         return dataclasses.replace(report, witness=witness)
 
 
-# One `multi` run checks one (mechanism, domains) pair up to four times.
+# One `multi` run checks one (mechanism, domains) pair up to four times:
+# with a given truth, IR reads one lattice and the deviation checks another.
 @lru_cache(maxsize=4)
-def _cached_lattice(mechanism, domains) -> _BundleLattice:
-    return _BundleLattice(mechanism, domains)
+def _cached_lattice(mechanism, domains, truth, deviations: bool) -> _BundleLattice:
+    return _BundleLattice(mechanism, domains, truth, deviations)
 
 
 def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
@@ -618,17 +587,28 @@ def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
             if v not in domains[i]:
                 raise ValueError(f"agent {i}'s true valuation is outside her domain")
         truth = tuple(domain.index(v) for domain, v in zip(domains, profile))
-    return _cached_lattice(mechanism, domains).check(kernel, truth)
+    deviations = truth is None or kernel is not ir_check
+    try:
+        hash(mechanism)
+    except TypeError:  # an unhashable mechanism is tabulated afresh
+        lattice = _BundleLattice(mechanism, domains, truth, deviations)
+    else:
+        lattice = _cached_lattice(mechanism, domains, truth, deviations)
+    return lattice.check(kernel, truth, domains)
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
     """Truthful reporting never buys a loss, over the given domain.
 
-    `mechanism` is any hashable callable from a bid profile to a
-    `MultiOutcome`.  With `true_values=None` every profile in the domain
-    product plays the role of the truth in turn; otherwise only the
-    given profile does.  The checks of one (mechanism, domains) pair
-    share one `_BundleLattice`, so each profile is allocated once.
+    `mechanism` is a callable from a bid profile to a `MultiOutcome`.
+    With `true_values=None` every profile in the domain product plays
+    the role of the truth in turn; otherwise only the given profile
+    does.
+
+    The checks share tabulations: calls with one hashable mechanism,
+    equal domains and equal truths allocate each profile once, so the
+    mechanism must be pure.  A witness names the valuations of the
+    call's own domains and the outcomes of the first such call.
     """
     return _multi_check(ir_check, mechanism, bid_domain, true_values)
 
@@ -854,10 +834,14 @@ def classify_lattice(system: RegionSystem, axis):
         yield tuple(axis[k] for k in digits), _best_buys(attainable, point)
 
 
-def marginal_vector_count(item_count: int, max_value: int) -> int:
-    """How many vectors `nonincreasing_marginal_vectors` yields, without making them."""
+def _check_menu_arguments(item_count: int, max_value: int) -> None:
     if item_count < 0 or max_value < 0:
         raise ValueError("item count and max value must be nonnegative")
+
+
+def marginal_vector_count(item_count: int, max_value: int) -> int:
+    """How many vectors `nonincreasing_marginal_vectors` yields, without making them."""
+    _check_menu_arguments(item_count, max_value)
     return math.comb(max_value + item_count, item_count)
 
 
@@ -868,7 +852,7 @@ def nonincreasing_marginal_vectors(item_count: int, max_value: int):
     in 0..max_value, as valuations; the standard exhaustive domain for
     the sequential checkers.
     """
-    marginal_vector_count(item_count, max_value)  # checks the arguments
+    _check_menu_arguments(item_count, max_value)
     for combo in itertools.combinations_with_replacement(
         range(max_value, -1, -1), item_count
     ):

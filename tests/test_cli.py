@@ -277,20 +277,28 @@ def test_an_oversized_builtin_domain_exits_3_before_any_work(tmp_path, monkeypat
     spec = write(tmp_path, "seq.spec", "kind: sequential\nitems: 3\nranking: 1,2\nthresholds: 2,1\n")
     code, out, err = run_cli("multi", "--spec", spec, "--max-marginal", "60")
     assert (code, out) == (EXIT_BUDGET, "")
-    assert "C(60 + 3, 3) = 39711 valuations per agent, so 1576963521 profiles" in err
-    assert str(cli.MAX_PROFILES) in err
+    reads = 1576963521 * 2 * (1 + 2 * 39710)
+    assert f"C(60 + 3, 3) = 39711 valuations per agent, so 1576963521 profiles and {reads:.3e} payoff reads" in err
+    assert str(cli.MAX_PAYOFF_READS) in err
 
 
-def test_oversized_candidate_domains_exit_3_before_any_work(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "check_multi_ir", _never)
+def test_the_builtin_cap_admits_three_agents_at_max_marginal_4(tmp_path):
+    # 3 agents, 3 items, max-marginal 4: 35^3 profiles, 13 248 375 payoff reads
+    spec = write(tmp_path, "seq.spec", "kind: sequential\nitems: 3\nranking: 1,2,3\nthresholds: 2,1,3\n")
+    code, _, err = run_cli("multi", "--spec", spec, "--max-marginal", "4", "--props", "ir")
+    assert code in (EXIT_OK, EXIT_PROPERTY_FAIL), err
+
+
+def test_large_candidate_domains_run_to_a_verdict(tmp_path):
+    # a given truth reads 1 + 3 * 21 of the 22^3 profiles
     lines = ["kind: cluster", "items: 1", "ranking: 1,2,3"]
     for agent in (1, 2, 3):
         lines.append(f"thresholds[{agent}]: 1=1")
         lines += [f"candidate[{agent}]: 1={k}" for k in range(1, 23)]
     spec = write(tmp_path, "big.spec", "\n".join(lines) + "\n")
-    code, out, err = run_cli("multi", "--spec", spec, "--props", "ir")
-    assert (code, out) == (EXIT_BUDGET, "")
-    assert "22 x 22 x 22 valuations, so 10648 profiles" in err
+    code, out, err = run_cli("multi", "--spec", spec, "--props", "ir,ic,sic")
+    assert code in (EXIT_OK, EXIT_PROPERTY_FAIL), err
+    assert json.loads(out)["results"]["domain_sizes"] == [22, 22, 22]
 
 
 def test_a_multi_run_allocates_each_profile_once(tmp_path, monkeypatch):

@@ -266,9 +266,9 @@ def test_a_given_truth_allocates_only_what_the_checks_read(example, allocate):
     mech = _Counting(allocate, spec)
     for check in (check_multi_ir, check_multi_ic, check_multi_sic):
         check(mech, domains, truths)
-    # the truth and its one deviation; one lattice per check would
-    # allocate 1 + 2 + 2 times
-    assert mech.calls == 2
+    # IR reads the truth alone, IC and SIC share the truth and its one
+    # deviation; one lattice per check would allocate 1 + 2 + 2 times
+    assert mech.calls == 1 + 2
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -282,6 +282,36 @@ def test_a_shared_lattice_never_allocates_more_than_one_per_check(seed):
         check(alone, domains, truth)
         separate += alone.calls
     assert shared.calls <= separate
+
+
+class _Unhashable(_Counting):
+    __eq__ = object.__eq__
+    __hash__ = None
+
+
+def test_an_unhashable_mechanism_is_tabulated_on_every_call():
+    spec, truths, domains = cluster_spite_counterexample()
+    mech = _Unhashable(cluster_allocate, spec)
+    assert not check_multi_sic(mech, domains, truths).passed
+    assert not check_multi_sic(mech, domains, truths).passed
+    assert mech.calls == 2 * 2
+
+
+def test_a_witness_names_the_valuations_of_its_own_call():
+    spec, truths, domains = cluster_spite_counterexample()
+    mech = _Counting(cluster_allocate, spec)
+    first = check_multi_sic(mech, domains, truths).witness
+    copies = tuple(tuple(BundleValuation(v.item_count, v.values) for v in d) for d in domains)
+    second = check_multi_sic(mech, copies, truths).witness
+    assert mech.calls == 2  # the equal domains share one tabulation
+    assert second == first
+    assert all(a is b for a, b in zip(second.profile, (d[0] for d in copies), strict=True))
+    assert any(second.deviation is v for v in copies[second.agent])
+    assert all(a is b for a, b in zip(second.deviation_profile,
+                                      (d[0] if j != second.agent else second.deviation
+                                       for j, d in enumerate(copies)), strict=True))
+    # the outcomes are the allocator's, from the call that tabulated them
+    assert second.outcome_before is first.outcome_before
 
 
 # --- best-bundle regions ---------------------------------------------------
