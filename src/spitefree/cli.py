@@ -8,9 +8,10 @@ results, and the wall time.  Only `revenue` draws random numbers, so
 only it takes ``--seed``; the others refuse it.  Exit codes are a stable
 contract: 0 all requested properties hold, 1 a property failed or an
 assertion tripped, 2 bad input (an empty ``--props`` list among it), 3
-an enumeration budget was exceeded or, for `regions` and `multi`, the
-input's size, estimated before any work, is over a fixed cap
-(`MAX_LATTICE_POINTS`, `MAX_PAYOFF_READS`).
+an enumeration budget was exceeded or the input's size, estimated before
+any work, is over a fixed cap: for `enumerate` a grid of more than 512
+profiles (see `verifier.characterization_experiment`), for `regions` and
+`multi` `MAX_LATTICE_POINTS` and `MAX_PAYOFF_READS`.
 """
 
 from __future__ import annotations

@@ -11,21 +11,21 @@ finite bid domains; the geometry helpers carve value space into the
 regions where each bundle is the buyer's best response.
 
 No verdict and no classification compares two `Fraction`s.  The checks
-run `verifier`'s IR and deviation kernel on a `_BundleLattice`: each
-distinct valuation becomes an int, and bundle values and payments are
-multiplied by one common denominator, so utilities are ints.  Checks
-of one (mechanism, domains, truth) share that lattice, which calls the
-allocator once per profile they read.  A failing witness is divided
-back into `Fraction` utilities with the allocator's own outcomes and
-the domain's own valuations.  Best-bundle classification likewise
-scales the item values and prices to ints and takes the argmax of
-value minus price (`_best_buys`), which is exactly the set of bundles
-whose region inequalities all hold weakly.
+run `verifier`'s IR and deviation kernel on its `_Lattice`, built here
+from bundle domains (`_bundle_lattice`): each distinct valuation becomes
+an int, and bundle values and payments are multiplied by one common
+denominator, so utilities are ints.  Checks of one (mechanism, domains,
+truth) share that lattice, which calls the allocator once per profile
+they read, and `_Lattice.named` maps a failing witness back to the
+domain's own valuations, `Fraction` utilities and the allocator's own
+outcomes.  Best-bundle classification likewise scales the item values
+and prices to ints and takes the argmax of value minus price
+(`_best_buys`), which is exactly the set of bundles whose region
+inequalities all hold weakly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ from .core import RankedSpec
 from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite
 from .reports import Property, PropertyReport
 from .verifier import (
+    _Lattice,
     _lcm_of_denominators,
     _rivals,
     _scaled,
@@ -453,125 +454,68 @@ class _ScaledMultiOutcome(NamedTuple):
     payments: tuple[int, ...]
 
 
-class _BundleLattice:
-    """A mechanism's outcomes at the profiles a check reads, as ints.
+def _bundle_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
+    """A mechanism's outcomes at the profiles a check reads, on one lattice.
 
-    ``kinds[i]`` is agent i's domain with each valuation replaced by an
-    int, one per distinct valuation, so two reports are the same value
-    exactly when their kinds are equal.  With ``truth=None`` every
-    profile of the domain product is allocated.  A given truth (per-agent
+    Each distinct valuation becomes an int.  With ``truth=None`` every
+    profile of the domain product is allocated; a given truth (per-agent
     domain indices) allocates that profile and, with ``deviations``, each
-    profile where one agent reports a value other than her truth.
-    ``outcomes[flat]`` is the outcome at the profile with that flat index
-    (see `domain_strides`) and ``utility(outcome, i, kind)`` is agent i's
-    payoff: the kind's value for her bundle minus her payment.
-
-    The denominator D is the least common denominator of every payment
-    and of the value of each kind an agent may truly hold at each bundle
-    she is dealt; those amounts times D are ints that compare exactly
-    as the amounts do.  Equal outcomes share one `MultiOutcome`, the
-    first the allocator returned, and one scaled outcome.
+    profile where one agent reports another value.  D is the least common
+    denominator of every payment and of the value of each valuation an
+    agent may truly hold at each bundle she is dealt.  Equal outcomes
+    share one `MultiOutcome`, the first the allocator returned, and one
+    scaled outcome.
     """
+    kind_of: dict = {}
+    kinds = tuple(tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains)
+    if truth is None:
+        profiles = enumerate(itertools.product(*domains))
+        held = [set(ints) for ints in kinds]
+    else:
+        strides = domain_strides(domains)
+        flat = sum(k * s for k, s in zip(truth, strides))
+        flats = [flat]
+        if deviations:
+            for rivals, k, s in zip(_rivals(kinds), truth, strides):
+                flats += [flat + (d - k) * s for d in rivals[k]]
+        profiles = [
+            (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
+            for f in flats
+        ]
+        held = [{ints[k]} for ints, k in zip(kinds, truth)]
+    distinct: dict[MultiOutcome, MultiOutcome] = {}
+    originals = {}
+    for f, profile in profiles:
+        out = mechanism(profile)
+        originals[f] = distinct.setdefault(out, out)
 
-    def __init__(self, mechanism, domains, truth, deviations: bool) -> None:
-        kind_of: dict = {}
-        self.kinds = tuple(
-            tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains
-        )
-        self.strides = strides = domain_strides(domains)
-        if truth is None:
-            profiles = enumerate(itertools.product(*domains))
-            held = [set(kinds) for kinds in self.kinds]
-        else:
-            flat = sum(k * s for k, s in zip(truth, strides))
-            flats = [flat]
-            if deviations:
-                for rivals, k, s in zip(_rivals(self.kinds), truth, strides):
-                    flats += [flat + (d - k) * s for d in rivals[k]]
-            profiles = [
-                (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
-                for f in flats
-            ]
-            held = [{kinds[k]} for kinds, k in zip(self.kinds, truth)]
-        distinct: dict[MultiOutcome, MultiOutcome] = {}
-        self.originals = {}
-        for f, profile in profiles:
-            out = mechanism(profile)
-            self.originals[f] = distinct.setdefault(out, out)
+    valuations = tuple(kind_of)
+    amounts = {}  # (kind, bundle) -> value, for each kind an agent may hold
+    for i, ints in enumerate(held):
+        dealt = {out.bundles[i] for out in distinct}
+        for kind in ints:
+            for bundle in dealt:
+                amounts[kind, bundle] = valuations[kind].of_bundle(bundle)
+    d = _lcm_of_denominators([*amounts.values(), *(p for out in distinct for p in out.payments)])
+    values = [{} for _ in valuations]
+    for (kind, bundle), amount in amounts.items():
+        values[kind][bundle] = amount.numerator * (d // amount.denominator)
+    scaled = {
+        id(out): _ScaledMultiOutcome(out.bundles, _scaled(out.payments, d)) for out in distinct
+    }
+    outcomes = {f: scaled[id(out)] for f, out in originals.items()}
 
-        valuations = tuple(kind_of)
-        amounts = {}  # (kind, bundle) -> value, for each kind an agent may hold
-        for i, kinds in enumerate(held):
-            dealt = {out.bundles[i] for out in distinct}
-            for kind in kinds:
-                for bundle in dealt:
-                    amounts[kind, bundle] = valuations[kind].of_bundle(bundle)
-        d = self.denominator = _lcm_of_denominators(
-            [*amounts.values(), *(p for out in distinct for p in out.payments)]
-        )
-        values = [{} for _ in valuations]
-        for (kind, bundle), amount in amounts.items():
-            values[kind][bundle] = amount.numerator * (d // amount.denominator)
-        scaled = {
-            id(out): _ScaledMultiOutcome(out.bundles, _scaled(out.payments, d)) for out in distinct
-        }
-        self.outcomes = {f: scaled[id(out)] for f, out in self.originals.items()}
+    def utility(out, i, kind):
+        return values[kind][out.bundles[i]] - out.payments[i]
 
-        def utility(out, i, kind):
-            return values[kind][out.bundles[i]] - out.payments[i]
-
-        self.utility = utility
-
-    def check(self, kernel, truth, domains) -> PropertyReport:
-        """``kernel(kinds, outcomes, utility, truth)``, its witness named in ``domains``."""
-        report = kernel(self.kinds, self.outcomes, self.utility, truth)
-        if report.passed:
-            return report
-        w = report.witness
-        d = self.denominator
-        # a kind is named by agent i's first report of it
-        first = [{} for _ in domains]
-        for positions, kinds in zip(first, self.kinds):
-            for position, kind in enumerate(kinds):
-                positions.setdefault(kind, position)
-
-        def positions(kinds):
-            return [f[kind] for f, kind in zip(first, kinds)]
-
-        def valuations(kinds):
-            if kinds is None:
-                return None
-            return tuple(domain[k] for domain, k in zip(domains, positions(kinds)))
-
-        def original(kinds):
-            if kinds is None:
-                return None
-            return self.originals[sum(k * s for k, s in zip(positions(kinds), self.strides))]
-
-        def amounts(values):
-            return None if values is None else tuple(Fraction(v, d) for v in values)
-
-        deviation = None
-        if w.deviation is not None:
-            deviation = domains[w.agent][first[w.agent][w.deviation]]
-        witness = dataclasses.replace(
-            w,
-            profile=valuations(w.profile),
-            deviation_profile=valuations(w.deviation_profile),
-            deviation=deviation,
-            utilities_before=amounts(w.utilities_before),
-            utilities_after=amounts(w.utilities_after),
-            outcome_before=original(w.profile),
-            outcome_after=original(w.deviation_profile),
-        )
-        return dataclasses.replace(report, witness=witness)
+    return _Lattice(d, kinds, outcomes, originals, utility)
 
 
 # One `multi` run checks one (mechanism, domains) pair up to four times:
 # with a given truth, IR reads one lattice and the deviation checks another.
 @lru_cache(maxsize=4)
-def _cached_lattice(mechanism, domains, truth, deviations: bool) -> _BundleLattice:
-    return _BundleLattice(mechanism, domains, truth, deviations)
+def _cached_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
+    return _bundle_lattice(mechanism, domains, truth, deviations)
 
 
 def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
@@ -591,10 +535,10 @@ def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
     try:
         hash(mechanism)
     except TypeError:  # an unhashable mechanism is tabulated afresh
-        lattice = _BundleLattice(mechanism, domains, truth, deviations)
+        lattice = _bundle_lattice(mechanism, domains, truth, deviations)
     else:
         lattice = _cached_lattice(mechanism, domains, truth, deviations)
-    return lattice.check(kernel, truth, domains)
+    return lattice.named(kernel(lattice.domains, lattice.outcomes, lattice.utility, truth), domains)
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:

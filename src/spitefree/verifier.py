@@ -9,16 +9,16 @@ The IC, SIC and ESIC clauses are stated once, in `deviation_clause`;
 `deviation_check` walks any product of per-agent domains with it, so the
 single-item checks, the multi-item checks and witness replay share them.
 
-Every single-item check compares Python ints: a mechanism is tabulated
-once per grid into a `_Lattice`, where the grid levels and payments are
-multiplied by their least common denominator.  IR, IC, SIC, ESIC,
-anonymity, efficiency and the payment-structure checks all read its
-outcomes by flat index (see `domain_strides`), profile by profile or
-line by line (see `_agent_lines`).  Ints compare exactly as the
-fractions do, so verdicts, checked counts and first witnesses are those
-of the fractions; a failing witness is divided back into `Fraction`
-amounts with the mechanism's own outcomes by `_Lattice.unscale`.  No
-check compares two `Fraction`s: they appear only in parsing, in the
+Every check compares Python ints on a `_Lattice`: each agent's domain
+as ints and the outcomes with every amount times a common denominator
+D, tabulated once per grid (`_grid_lattice`) or from bundle domains
+(see `multiitem`).  The checks read the outcomes by flat index (see
+`domain_strides`), profile by profile or line by line (see
+`_agent_lines`).  Ints compare exactly as the fractions do, so
+verdicts, checked counts and first witnesses are those of the
+fractions; `_Lattice.named` maps a failing witness back to the caller's
+domains, `Fraction` payoffs and the mechanism's own outcomes.  No check
+compares two `Fraction`s: they appear only in parsing, in the
 mechanism's own outcomes, in witnesses and their replay, and in
 rendering.
 """
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     DomainMismatchError,
@@ -92,60 +92,66 @@ def _lcm_of_denominators(amounts) -> int:
 
 @dataclass(frozen=True)
 class _Lattice:
-    """A tabulation on the integer lattice of its common denominator.
+    """A mechanism's outcomes on the integer lattice of a common denominator D.
 
-    ``denominator`` is the least common denominator D of the grid levels
-    and of every payment; ``levels`` and the payments of ``outcomes`` are
-    those amounts times D, so they are ints that compare exactly as the
-    amounts do.  ``outcomes[flat]`` holds one shared `_ScaledOutcome` per
-    distinct `Outcome`, and ``originals[flat]`` the `Outcome` itself.
+    ``domains[i]`` is what the kernels read as agent i's domain: one int
+    per entry, and two entries are the same value exactly when their ints
+    are equal.  ``outcomes[flat]`` is the outcome at the profile with that
+    flat index (see `domain_strides`), its payments times D, and
+    ``originals[flat]`` the mechanism's own outcome there.
+    ``utility(outcome, i, value)`` is agent i's payoff times D.  A grid
+    lattice (`_grid_lattice`) holds each level times D, every profile in a
+    tuple, and uses `payoff`; a bundle lattice (see `multiitem`) holds one
+    int per distinct valuation and, in a dict, the profiles its check reads.
     """
 
     denominator: int
-    levels: tuple[int, ...]
-    outcomes: tuple[_ScaledOutcome, ...]
-    originals: tuple[Outcome, ...]
+    domains: tuple[tuple[int, ...], ...]
+    outcomes: tuple | dict
+    originals: tuple | dict
+    utility: Callable = payoff
 
-    @classmethod
-    def build(cls, levels, originals: tuple[Outcome, ...]) -> "_Lattice":
-        """The lattice of ``levels`` and ``originals``, in flat order.
+    def named(self, report: PropertyReport, domains) -> PropertyReport:
+        """The report with its witness, if any, named in ``domains``.
 
-        Each outcome object is scaled once; equal outcomes that are one
-        object (interned, or shared by a table) share one scaled outcome.
+        Agent i's int is named by her first entry of ``domains[i]`` at the
+        position of that int, payoffs are divided by D and outcomes are
+        the mechanism's own.
         """
-        distinct = {id(out): out for out in originals}
-        d = _lcm_of_denominators(
-            [*levels, *(p for out in distinct.values() for p in out.payments)]
-        )
-        scaled = {
-            key: _ScaledOutcome(out.winner, _scaled(out.payments, d))
-            for key, out in distinct.items()
-        }
-        outcomes = tuple([scaled[id(out)] for out in originals])
-        return cls(d, _scaled(levels, d), outcomes, originals)
-
-    def unscale(self, report: PropertyReport) -> PropertyReport:
-        """The report with its witness, if any, in the grid's amounts and original outcomes."""
         if report.passed:
             return report
         w = report.witness
         d = self.denominator
-        index = {level: k for k, level in enumerate(self.levels)}
-        strides = domain_strides((self.levels,) * len(w.profile))
+        first = [{} for _ in self.domains]
+        for positions, ints in zip(first, self.domains):
+            for position, value in enumerate(ints):
+                positions.setdefault(value, position)
+        strides = domain_strides(self.domains)
 
-        def amounts(values):
-            return None if values is None else tuple(Fraction(v, d) for v in values)
+        def positions(profile):
+            return [f[value] for f, value in zip(first, profile)]
+
+        def entries(profile):
+            if profile is None:
+                return None
+            return tuple(domain[k] for domain, k in zip(domains, positions(profile)))
 
         def original(profile):
             if profile is None:
                 return None
-            return self.originals[sum(index[v] * s for v, s in zip(profile, strides))]
+            return self.originals[sum(k * s for k, s in zip(positions(profile), strides))]
 
+        def amounts(payoffs):
+            return None if payoffs is None else tuple(Fraction(u, d) for u in payoffs)
+
+        deviation = None
+        if w.deviation is not None:
+            deviation = domains[w.agent][first[w.agent][w.deviation]]
         witness = dataclasses.replace(
             w,
-            profile=amounts(w.profile),
-            deviation_profile=amounts(w.deviation_profile),
-            deviation=None if w.deviation is None else Fraction(w.deviation, d),
+            profile=entries(w.profile),
+            deviation_profile=entries(w.deviation_profile),
+            deviation=deviation,
             utilities_before=amounts(w.utilities_before),
             utilities_after=amounts(w.utilities_after),
             outcome_before=original(w.profile),
@@ -154,18 +160,34 @@ class _Lattice:
         return dataclasses.replace(report, witness=witness)
 
 
+def _grid_lattice(levels, originals: tuple[Outcome, ...], n: int) -> _Lattice:
+    """The lattice of ``originals``, in flat order over ``levels`` to the n-th power.
+
+    D is the least common denominator of the levels and of every payment.
+    Each outcome object is scaled once; equal outcomes that are one object
+    (interned, or shared by a table) share one scaled outcome.
+    """
+    distinct = {id(out): out for out in originals}
+    d = _lcm_of_denominators([*levels, *(p for out in distinct.values() for p in out.payments)])
+    scaled = {
+        key: _ScaledOutcome(out.winner, _scaled(out.payments, d)) for key, out in distinct.items()
+    }
+    outcomes = tuple([scaled[id(out)] for out in originals])
+    return _Lattice(d, (_scaled(levels, d),) * n, outcomes, originals)
+
+
 # One verify checks one (mechanism, grid) pair up to eight times, and the
 # sweep checks one recognized spec twice; a few entries serve both.
 @lru_cache(maxsize=4)
 def _cached_tabulation(mechanism, grid: Grid) -> _Lattice:
-    return _Lattice.build(grid.levels, tabulate_outcomes(mechanism, grid))
+    return _grid_lattice(grid.levels, tabulate_outcomes(mechanism, grid), mechanism.n)
 
 
 def _tabulation(mechanism, grid: Grid) -> _Lattice:
     if isinstance(mechanism, MechanismTable):
         if mechanism.grid != grid:
             raise DomainMismatchError("tables can only be checked on their own grid")
-        return _Lattice.build(grid.levels, mechanism.outcomes)
+        return _grid_lattice(grid.levels, mechanism.outcomes, mechanism.n)
     return _cached_tabulation(mechanism, grid)
 
 
@@ -312,9 +334,9 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> P
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
-    """``check(domains, outcomes)`` on the mechanism's lattice, witness in amounts."""
+    """``check(domains, outcomes)`` on the mechanism's lattice, witness on the grid."""
     lattice = _tabulation(mechanism, grid)
-    return lattice.unscale(check((lattice.levels,) * mechanism.n, lattice.outcomes))
+    return lattice.named(check(lattice.domains, lattice.outcomes), (grid.levels,) * mechanism.n)
 
 
 def check_ir(mechanism, grid: Grid) -> PropertyReport:
@@ -414,8 +436,8 @@ def check_payment_structure(mechanism, grid: Grid) -> tuple[PropertyReport, Prop
     raising the winner's own bid keeps her winning.
     """
     lattice = _tabulation(mechanism, grid)
-    reports = _payment_checks((lattice.levels,) * mechanism.n, lattice.outcomes)
-    return tuple(map(lattice.unscale, reports))
+    domains = (grid.levels,) * mechanism.n
+    return tuple(lattice.named(r, domains) for r in _payment_checks(lattice.domains, lattice.outcomes))
 
 
 def _payment_checks(domains, outcomes) -> tuple[PropertyReport, PropertyReport, PropertyReport]:
@@ -600,6 +622,28 @@ class _KeyOutcomes(dict):
         return MechanismTable(self.grid, self.n, tuple(map(self.__getitem__, keys)))
 
 
+# The walk recurses once per profile, and Python stops it near 1 000 frames.
+_MAX_WALK_PROFILES = 512
+
+
+def _check_walk_size(grid: Grid, n: int) -> None:
+    """Refuse, before any work, a walk over more than `_MAX_WALK_PROFILES` profiles.
+
+    A one-level grid counts as two levels, as do the closure grids on
+    which the sweep judges anonymity and efficiency.
+    """
+    if n < 1:
+        raise ValueError("need at least one agent")
+    width = max(len(grid), 2)
+    # 2^10 is over the cap, so an n of a billion is never raised to
+    if n >= _MAX_WALK_PROFILES.bit_length() or width**n > _MAX_WALK_PROFILES:
+        count = f"{width}^{n}" + (f" = {width**n}" if n * math.log10(width) <= 30 else "")
+        raise BudgetExceededError(
+            f"a {len(grid)}-level grid at n={n} has {count} profiles, "
+            f"over the IR+IC walk's cap of {_MAX_WALK_PROFILES}"
+        )
+
+
 def _walk_winner_codes(grid: Grid, n: int, max_tables: int):
     """Yield the profile keys (see `_KeyOutcomes`) of every IR + IC table, in encoding order.
 
@@ -656,8 +700,10 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     lowest grid bid that still wins against the same opponents).  Any other
     payment choice would break IC off the grid, so this family is exactly
     the IR + IC search space.  Raises `BudgetExceededError` after
-    ``max_tables`` yields.
+    ``max_tables`` yields, and before any work when ``grid^n`` has more
+    than `_MAX_WALK_PROFILES` profiles.
     """
+    _check_walk_size(grid, n)
     outcome_of = _KeyOutcomes(grid, n)
     for keys in _walk_winner_codes(grid, n, max_tables):
         yield outcome_of.table(keys)
@@ -703,8 +749,11 @@ def characterization_experiment(
     lattice, and its verdict reused for every table that shares it.  A
     table in which some agent wins at two prices is not threshold form (see
     `recognize_threshold_form`), so it is built only when it passes SIC, to
-    report the mismatch.
+    report the mismatch.  Like `enumerate_ir_ic_mechanisms`, it raises
+    `BudgetExceededError` before any work on more than
+    `_MAX_WALK_PROFILES` profiles.
     """
+    _check_walk_size(grid, n)
     outcome_of = _KeyOutcomes(grid, n)
     base = n + 1
     width = len(grid)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from spitefree import cli
+from spitefree import cli, verifier
 from spitefree.cli import (
     EXIT_BUDGET,
     EXIT_INPUT_ERROR,
@@ -160,6 +160,32 @@ def test_enumerate_rejects_zero_agents():
     code, _, err = run_cli("enumerate", "--grid", "0,1,2", "--n", "0")
     assert code == EXIT_INPUT_ERROR
     assert "at least one agent" in err
+    code, out, err = run_cli("enumerate", "--grid", "0,1,2", "--n", "-1")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert "need at least one agent" in err
+
+
+def _levels(count):
+    return ",".join(str(k) for k in range(count))
+
+
+def test_enumerate_at_the_walk_cap_runs_to_its_budget():
+    # 512 levels at n=1: 512 profiles, walked until the sixth table
+    code, out, err = run_cli("enumerate", "--grid", _levels(512), "--n", "1", "--budget", "5")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "more than 5 IR+IC tables" in err
+
+
+@pytest.mark.parametrize(
+    "grid, n, count",
+    [(_levels(513), "1", "513^1 = 513"), ("0,1", "40", "2^40 = 1099511627776"), ("0,1", "10", "2^10 = 1024")],
+)
+def test_an_oversized_enumerate_grid_exits_3_before_any_work(grid, n, count, monkeypatch):
+    for name in ("_walk_winner_codes", "_agent_lines"):
+        monkeypatch.setattr(verifier, name, _never)
+    code, out, err = run_cli("enumerate", "--grid", grid, "--n", n, "--budget", "5")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert f"at n={n} has {count} profiles, over the IR+IC walk's cap of 512" in err
 
 
 def test_thresholds_exact_values():

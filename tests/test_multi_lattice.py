@@ -11,11 +11,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from spitefree.core import Grid
+from spitefree.mechanisms import FirstPriceMechanism, SecondPriceMechanism
 from spitefree.money import INFINITY
 from spitefree.multiitem import (
     BundleValuation,
     ClusterSpec,
     ClusterTieRule,
+    HomogeneousSubmodularValuation,
     MultiOutcome,
     SequentialSpec,
     check_multi_esic,
@@ -37,6 +40,7 @@ from spitefree.multiitem import (
     sequential_ordering_counterexample,
 )
 from spitefree.reports import Property
+from spitefree.verifier import check_esic, check_ic, check_ir, check_sic, enumerate_ir_ic_mechanisms
 
 CHECKS = {
     Property.IR: check_multi_ir,
@@ -312,6 +316,68 @@ def test_a_witness_names_the_valuations_of_its_own_call():
                                        for j, d in enumerate(copies)), strict=True))
     # the outcomes are the allocator's, from the call that tabulated them
     assert second.outcome_before is first.outcome_before
+
+
+# --- one item, written both ways ------------------------------------------
+
+
+def _as_one_item_sale(mechanism):
+    """The single-item mechanism as an allocator of bundle 1 (the item) to the winner."""
+
+    def allocate(bids):
+        out = mechanism.outcome(tuple(bid.marginals[0] for bid in bids))
+        bundles = tuple(int(out.winner == i + 1) for i in range(mechanism.n))
+        return MultiOutcome(bundles, out.payments)
+
+    return allocate
+
+
+def _one_item_cases():
+    for text in ("0,1,2", "0,1/3,7/6,5/2"):
+        grid = Grid.from_text(text)
+        for n in (2, 3):
+            yield FirstPriceMechanism(n), grid
+            yield SecondPriceMechanism(n), grid
+    grid = Grid.from_text("0,1,2")
+    yield from ((table, grid) for table, _ in zip(enumerate_ir_ic_mechanisms(grid, 2), range(200)))
+
+
+def test_single_and_multi_item_checks_agree_on_one_item():
+    single = {
+        check_multi_ir: check_ir,
+        check_multi_ic: check_ic,
+        check_multi_sic: check_sic,
+        check_multi_esic: check_esic,
+    }
+
+    def level(valuation):
+        return None if valuation is None else valuation.marginals[0]
+
+    def levels(profile):
+        return None if profile is None else tuple(map(level, profile))
+
+    pairs = failures = 0
+    for mechanism, grid in _one_item_cases():
+        valuations = tuple(HomogeneousSubmodularValuation((v,)) for v in grid.levels)
+        domains = (valuations,) * mechanism.n
+        allocate = _as_one_item_sale(mechanism)
+        for multi_check, check in single.items():
+            expected = check(mechanism, grid)
+            report = multi_check(allocate, domains)
+            pairs += 1
+            assert (report.property, report.passed, report.checked_count) == (
+                expected.property, expected.passed, expected.checked_count)
+            if expected.passed:
+                assert report.witness is None
+                continue
+            failures += 1
+            w, e = report.witness, expected.witness
+            assert levels(w.profile) == e.profile
+            assert (w.agent, level(w.deviation), w.note) == (e.agent, e.deviation, e.note)
+            assert levels(w.deviation_profile) == e.deviation_profile
+            assert (w.utilities_before, w.utilities_after) == (e.utilities_before, e.utilities_after)
+    # both sides map failing witnesses back, so many of the pairs must fail
+    assert (pairs, failures) == (832, 314)
 
 
 # --- best-bundle regions ---------------------------------------------------

@@ -594,6 +594,22 @@ def test_enumeration_budget():
         list(enumerate_ir_ic_mechanisms(Grid.from_text("0,1"), 2, max_tables=10))
 
 
+def test_enumeration_refuses_an_oversized_walk_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized walk started")
+
+    monkeypatch.setattr(verifier, "_walk_winner_codes", never)
+    monkeypatch.setattr(verifier, "_agent_lines", never)
+    # a one-level grid counts as two: 2^10 profiles; an n of 10^9 is not raised to
+    for grid, n in ((Grid.from_text("0,1,2"), 6), (Grid.from_text("0"), 10), (Grid.from_text("0,1"), 10**9)):
+        with pytest.raises(BudgetExceededError, match="over the IR[+]IC walk's cap of 512"):
+            list(enumerate_ir_ic_mechanisms(grid, n))
+        with pytest.raises(BudgetExceededError, match="over the IR[+]IC walk's cap of 512"):
+            characterization_experiment(grid, n)
+    with pytest.raises(ValueError, match="need at least one agent"):
+        list(enumerate_ir_ic_mechanisms(GRID012, 0))
+
+
 def _ir_ic_tables_by_brute_force(grid, n):
     """Every winner-code vector with induced payments that passes IR and IC.
 
