@@ -31,7 +31,6 @@ from . import __version__
 from .core import DomainMismatchError, Grid, MechanismTable, closure_for_thresholds
 from .money import is_infinite, parse_ext_money, parse_money, render_ext_money
 from .multiitem import (
-    OwnBidPaymentVariationError,
     check_multi_esic,
     check_multi_ic,
     check_multi_ir,
@@ -501,9 +500,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OwnBidPaymentVariationError as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
     except (SpecFileError, DomainMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -14,6 +14,8 @@ above), so it is stated once, in `_threshold_winner`, on those signs.
 `threshold_outcome` applies it to one profile; `tabulate_outcomes` compares
 each threshold with each grid level once and applies it to every profile of
 ``grid^n``, with one shared `Outcome` per winner code.
+`recognize_threshold_form` reads a table's outcomes against the same sign
+columns to recover a spec, without tabulating one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Grid, MechanismTable, Outcome, RankedSpec, enumerate_profiles
+from .core import DomainMismatchError, Grid, MechanismTable, Outcome, RankedSpec, enumerate_profiles
 from .money import ExtMoney, INFINITY, as_ext_money
 
 
@@ -69,8 +71,6 @@ class ThresholdSpec(RankedSpec):
 def threshold_outcome(spec: ThresholdSpec, bids: tuple[Fraction, ...]) -> Outcome:
     n = spec.n
     if len(bids) != n:
-        from .core import DomainMismatchError
-
         raise DomainMismatchError(f"expected {n} bids, got {len(bids)}")
     signs = tuple(map(_sign, bids, spec.thresholds))
     return _threshold_result(spec, _threshold_winner(spec, signs))
@@ -188,52 +188,48 @@ def tabulate(mechanism, grid: Grid) -> MechanismTable:
 
 
 def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
-    """Recover a threshold spec whose tabulation matches the table, or None.
+    """Recover a threshold spec that explains the table, or None.
 
-    Candidate thresholds come from the winners' payments (which a threshold
-    mechanism keeps constant per agent), the candidate ranking from the
-    winners at profiles where somebody strictly exceeds.  The match tolerates
-    the boundary-rule freedom: at profiles where nobody strictly exceeds, any
-    exactly-tied agent (or nobody) may win at her threshold price.
+    The first pass reads only the outcomes: losers must pay nothing and
+    each winner one price, her threshold (INFINITY for an agent who never
+    wins).  It returns None for any other table before any other test;
+    `verifier.characterization_experiment` relies on this to skip such
+    tables without building them.  The second pass zips the outcomes with
+    the sign columns that `tabulate_outcomes` reads.  Every winner must
+    meet her threshold; wherever some bid strictly exceeds, the item must
+    sell, and its winner beats every other meeting agent.  The ranking is
+    a topological order of those facts, and None if they have a cycle.
 
-    A table in which some agent wins at two different prices, or a loser
-    pays, is never threshold form: the first stage returns None for it
-    before any other test.  `verifier.characterization_experiment` relies
-    on this to skip such tables without building them.
+    Where nobody exceeds but somebody meets (a boundary profile), any
+    meeting agent or nobody may win: every agent's payoff at the truth is
+    the same either way.  The rule is `NO_ALLOCATION` when boundary
+    profiles exist and none of them sold, else `HIGHEST_RANK_AT_THRESHOLD`,
+    so the spec tabulates back to the table whenever either rule does.
     """
     n = table.n
-    rows = table.rows
-    wins: dict[int, list[tuple[tuple[Fraction, ...], Outcome]]] = {i: [] for i in range(n)}
-    for profile, outcome in rows:
-        w = outcome.winner_index()
-        for j, payment in enumerate(outcome.payments):
-            if j != w and payment != 0:
+    prices: dict[int, Fraction] = {}
+    for out in table.outcomes:
+        w = out.winner - 1
+        for j, payment in enumerate(out.payments):
+            if j != w and payment:
                 return None
-        if w is not None:
-            wins[w].append((profile, outcome))
-
-    thresholds: list[ExtMoney] = []
-    for i in range(n):
-        if not wins[i]:
-            thresholds.append(INFINITY)
-            continue
-        payments = {outcome.payments[i] for _, outcome in wins[i]}
-        if len(payments) != 1:
+        if w >= 0 and prices.setdefault(w, out.payments[w]) != out.payments[w]:
             return None
-        price = payments.pop()
-        if any(profile[i] < price for profile, _ in wins[i]):
-            return None
-        thresholds.append(price)
+    thresholds = tuple(prices.get(i, INFINITY) for i in range(n))
 
+    columns = [[_sign(level, t) for level in table.grid.levels] for t in thresholds]
     beats: dict[int, set[int]] = defaultdict(set)
-    for profile, outcome in rows:
-        meets = [j for j in range(n) if profile[j] >= thresholds[j]]
-        if not any(profile[j] > thresholds[j] for j in meets):
-            continue
-        w = outcome.winner_index()
-        if w is None or w not in meets:
+    boundary_sold: set[bool] = set()
+    for signs, out in zip(itertools.product(*columns), table.outcomes):
+        w = out.winner - 1
+        if w >= 0 and signs[w] < 0:
             return None
-        beats[w].update(j for j in meets if j != w)
+        if 1 in signs:
+            if w < 0:
+                return None
+            beats[w].update(j for j, s in enumerate(signs) if s >= 0 and j != w)
+        elif 0 in signs:
+            boundary_sold.add(w >= 0)
 
     order = _toposort(n, beats)
     if order is None:
@@ -241,15 +237,11 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
     ranking = [0] * n
     for position, agent in enumerate(order, start=1):
         ranking[agent] = position
-
-    for rule in (BoundaryRule.HIGHEST_RANK_AT_THRESHOLD, BoundaryRule.NO_ALLOCATION):
-        spec = ThresholdSpec(tuple(ranking), tuple(thresholds), rule)
-        if tabulate_outcomes(spec, table.grid) == table.outcomes:
-            return spec
-    spec = ThresholdSpec(tuple(ranking), tuple(thresholds))
-    if _matches_with_boundary_freedom(spec, table):
-        return spec
-    return None
+    if boundary_sold == {False}:
+        rule = BoundaryRule.NO_ALLOCATION
+    else:
+        rule = BoundaryRule.HIGHEST_RANK_AT_THRESHOLD
+    return ThresholdSpec(tuple(ranking), thresholds, rule)
 
 
 def _toposort(n: int, beats: dict[int, set[int]]) -> list[int] | None:
@@ -268,30 +260,3 @@ def _toposort(n: int, beats: dict[int, set[int]]) -> list[int] | None:
         order.append(head)
         remaining.remove(head)
     return order
-
-
-def _matches_with_boundary_freedom(spec: ThresholdSpec, table: MechanismTable) -> bool:
-    zero = Fraction(0)
-    for profile, outcome in table.rows:
-        meets = [j for j in range(spec.n) if profile[j] >= spec.thresholds[j]]
-        exceeds = any(profile[j] > spec.thresholds[j] for j in meets)
-        if exceeds:
-            expected = threshold_outcome(spec, profile)
-            if outcome != expected:
-                return False
-        elif meets:
-            w = outcome.winner_index()
-            if w is None:
-                if any(p != zero for p in outcome.payments):
-                    return False
-            else:
-                if w not in meets:
-                    return False
-                for j, payment in enumerate(outcome.payments):
-                    expected_payment = spec.thresholds[w] if j == w else zero
-                    if payment != expected_payment:
-                        return False
-        else:
-            if outcome.winner != 0 or any(p != zero for p in outcome.payments):
-                return False
-    return True

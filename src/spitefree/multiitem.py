@@ -119,7 +119,7 @@ def parse_bundle_amounts(text: str, parse_amount, item_count: int | None = None)
 
     Every bundle string must have `item_count` digits or, when that is
     None, as many as the first one; the count is None for an empty list.
-    `parse_amount` reads each amount.
+    A bundle listed twice is an error.  `parse_amount` reads each amount.
     """
     amounts = {}
     for part in text.split(","):
@@ -137,6 +137,8 @@ def parse_bundle_amounts(text: str, parse_amount, item_count: int | None = None)
             raise ValueError(
                 f"bundle string {bundle_text!r} must have one digit per item ({item_count})"
             )
+        if bundle in amounts:
+            raise ValueError(f"bundle {bundle_text!r} is listed twice")
         amounts[bundle] = parse_amount(amount_text.strip())
     return amounts, item_count
 

@@ -272,7 +272,7 @@ def _build_table(fields, rows, indexed) -> LoadedSpec:
         bids = ",".join(render_money(b) for b in profile)
         pays = ",".join(render_money(p) for p in out.payments)
         lines.append(f"row: {bids} -> {out.winner} ; {pays}")
-    return LoadedSpec(kind="table", mechanism=table, source=lines and "\n".join(lines))
+    return LoadedSpec(kind="table", mechanism=table, source="\n".join(lines))
 
 
 def _candidates_from(indexed, n, item_count):

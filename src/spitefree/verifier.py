@@ -40,10 +40,12 @@ from .core import (
     Outcome,
     closure_for_thresholds,
     payoff,
+    render_profile,
     utility,
     utility_vector,
 )
 from .mechanisms import recognize_threshold_form, tabulate_outcomes
+from .money import render_money
 from .reports import Property, PropertyReport, Witness
 
 
@@ -58,9 +60,6 @@ class CharacterizationMismatchError(AssertionError):
         self.table = table
         self.sic = sic
         self.spec = spec
-        from .core import render_profile
-        from .money import render_money
-
         lines = [
             f"table is {'SIC' if sic else 'not SIC'} but "
             f"{'recognized as threshold form' if spec is not None else 'not threshold form'}:"
@@ -551,7 +550,7 @@ def confirm_witness(mechanism, report: PropertyReport) -> bool:
         )
     if prop is Property.EFF:
         widx = out.winner_index()
-        return widx is not None and out.payments is not None and w.profile[widx] < max(w.profile)
+        return widx is not None and w.profile[widx] < max(w.profile)
     if prop is Property.LOSER_PAYS_NOTHING:
         if w.agent is None:
             return False

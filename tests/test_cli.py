@@ -350,6 +350,13 @@ def test_regions_rejects_malformed_payment_lists():
     assert "one digit per item" in err
 
 
+def test_regions_rejects_a_bundle_listed_twice():
+    code, out, err = run_cli("regions", "--payments", "10=1,01=1,11=2,10=3")
+    assert code == EXIT_INPUT_ERROR
+    assert "bundle '10' is listed twice" in err
+    assert out == ""
+
+
 def test_regions_lattice_needs_both_box_and_step():
     payments = ("regions", "--payments", "10=1,01=1,11=2")
     for flags in (("--step", "1/2"), ("--box", "0,2")):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from spitefree.mechanisms import (
     threshold_outcome,
 )
 from spitefree.money import INFINITY
-from spitefree.verifier import _cached_tabulation
+from spitefree.verifier import _cached_tabulation, enumerate_ir_ic_mechanisms
 
 
 def spec12(rule=BoundaryRule.HIGHEST_RANK_AT_THRESHOLD):
@@ -243,3 +244,73 @@ def test_null_table_recognized_as_all_infinite():
     spec = recognize_threshold_form(tabulate(null_spec(2), grid))
     assert spec is not None
     assert spec.thresholds == (INFINITY, INFINITY)
+
+
+def _some_ranking_explains(table):
+    """Whether some ranking explains the table by the definition, with each
+    threshold set to that agent's first winning price (INFINITY if none)."""
+    prices = {}
+    for out in table.outcomes:
+        if out.winner:
+            prices.setdefault(out.winner - 1, out.payments[out.winner - 1])
+    thresholds = tuple(prices.get(i, INFINITY) for i in range(table.n))
+    return any(
+        _explains_up_to_boundary(ThresholdSpec(ranking, thresholds), table)
+        for ranking in itertools.permutations(range(1, table.n + 1))
+    )
+
+
+def _perturbed_tabulations(seed, count):
+    """Threshold tabulations with up to three outcomes replaced at random:
+    by no sale, a sale at the winner's threshold or at a grid level, or a
+    sale with a paying loser."""
+    rng = random.Random(seed)
+    candidates = [F(a, b) for a in range(9) for b in (1, 2, 3)]
+    for _ in range(count):
+        n = rng.choice((1, 2, 2, 3))
+        grid = Grid(rng.sample(candidates, rng.randint(1, 4 if n == 3 else 5)))
+        pool = list(grid.levels) + [F(5, 7), INFINITY]
+        thresholds = tuple(rng.choice(pool) for _ in range(n))
+        ranking = tuple(rng.sample(range(1, n + 1), n))
+        spec = ThresholdSpec(ranking, thresholds, rng.choice(list(BoundaryRule)))
+        outcomes = list(tabulate(spec, grid).outcomes)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(4)
+            winner = rng.randrange(n) if kind else -1
+            payments = [F(0)] * n
+            if kind == 1 and thresholds[winner] != INFINITY:
+                payments[winner] = thresholds[winner]
+            elif kind:
+                payments[winner] = rng.choice(grid.levels)
+            if kind == 3 and n > 1:
+                payments[(winner + 1) % n] = F(1)
+            outcomes[rng.randrange(len(outcomes))] = Outcome(winner + 1, tuple(payments))
+        yield MechanismTable(grid, n, outcomes)
+
+
+def test_recognition_agrees_with_the_definition():
+    """The recognizer finds a spec exactly when some ranking explains the
+    table; its spec explains the table, and its rule is NO_ALLOCATION
+    exactly when that rule, and not the other, tabulates back to it."""
+    tables = [
+        table
+        for text, n in (("0,1", 2), ("0,1,2", 2), ("0,1", 3))
+        for table in enumerate_ir_ic_mechanisms(Grid.from_text(text), n)
+    ]
+    tables.extend(_perturbed_tabulations(seed=9, count=3000))
+    recognized = 0
+    for table in tables:
+        spec = recognize_threshold_form(table)
+        assert (spec is None) == (not _some_ranking_explains(table)), table
+        if spec is None:
+            continue
+        recognized += 1
+        assert _explains_up_to_boundary(spec, table), table
+        refusing, allocating = (
+            tabulate(ThresholdSpec(spec.ranking, spec.thresholds, rule), table.grid)
+            for rule in (BoundaryRule.NO_ALLOCATION, BoundaryRule.HIGHEST_RANK_AT_THRESHOLD)
+        )
+        no_allocation = refusing == table and allocating != table
+        assert (spec.boundary_rule is BoundaryRule.NO_ALLOCATION) == no_allocation, table
+    # both answers occur often, so neither side of the equivalence is vacuous
+    assert 1000 < recognized < len(tables) - 1000

@@ -160,6 +160,14 @@ def test_cluster_rows_must_price_every_nonempty_bundle():
         )
 
 
+def test_a_bundle_listed_twice_is_rejected_with_its_line():
+    cluster = "kind: cluster\nitems: 2\nranking: 1\n"
+    with pytest.raises(SpecFileError, match="line 4: bundle '10' is listed twice"):
+        parse_spec_text(cluster + "thresholds[1]: 10=1, 01=1, 11=2, 10=5\n")
+    with pytest.raises(SpecFileError, match="line 5: bundle '10' is listed twice"):
+        parse_spec_text(cluster + "thresholds[1]: 10=1, 01=1, 11=2\ncandidate[1]: 10=1, 10=4\n")
+
+
 def test_infinite_thresholds_are_single_item_only():
     loaded = parse_spec_text("kind: threshold\nranking: 1\nthresholds: inf\n")
     assert loaded.mechanism.thresholds == (INFINITY,)
