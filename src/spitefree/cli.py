@@ -10,8 +10,9 @@ contract: 0 all requested properties hold, 1 a property failed or an
 assertion tripped, 2 bad input (an empty ``--props`` list among it), 3
 an enumeration budget was exceeded or the input's size, estimated before
 any work, is over a fixed cap: for `enumerate` a grid of more than 512
-profiles (see `verifier.characterization_experiment`), for `regions` and
-`multi` `MAX_LATTICE_POINTS` and `MAX_PAYOFF_READS`.
+profiles or anonymity checks of more than a million relabeled profiles
+(see `verifier.characterization_experiment`), for `regions` and `multi`
+`MAX_LATTICE_POINTS` and `MAX_PAYOFF_READS`.
 """
 
 from __future__ import annotations
@@ -103,22 +104,17 @@ def _jsonable(value):
         return value.value
     if isinstance(value, Grid):
         return value.render()
-    if isinstance(value, Witness):
-        # agents are numbered from 1 in everything a report shows
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
         rendered = {
             field.name: _jsonable(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
-        if value.agent is not None:
+        # agents are numbered from 1 in everything a report shows
+        if isinstance(value, Witness) and value.agent is not None:
             rendered["agent"] = value.agent + 1
-        if value.permutation is not None:
+        if isinstance(value, Witness) and value.permutation is not None:
             rendered["permutation"] = [p + 1 for p in value.permutation]
         return rendered
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: _jsonable(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -160,28 +156,6 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(report, indent=2)
-    else:
-        text = "\n".join(_render_text(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _report(command: str, config: dict, results: dict, started: float) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "results": results,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-
-
 def _parse_props(text: str | None, allowed, default):
     if text is None:
         names = list(default)
@@ -197,8 +171,7 @@ def _parse_props(text: str | None, allowed, default):
     return names
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, dict, int]:
     loaded = load_spec(args.spec)
     if loaded.kind in ("sequential", "cluster"):
         raise SpecFileError(
@@ -231,12 +204,10 @@ def cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in reports),
         "reports": [_jsonable(r) for r in reports],
     }
-    _emit(_report("verify", config, results, started), args)
-    return EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
+    return config, results, EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
 
 
-def cmd_enumerate(args) -> int:
-    started = time.perf_counter()
+def cmd_enumerate(args) -> tuple[dict, dict, int]:
     if not args.grid:
         raise SpecFileError("enumerate needs --grid")
     if args.budget < 1:
@@ -251,9 +222,7 @@ def cmd_enumerate(args) -> int:
     try:
         summary = characterization_experiment(grid, args.n, max_tables=args.budget)
     except CharacterizationMismatchError as exc:
-        results = {"all_passed": False, "violation": str(exc)}
-        _emit(_report("enumerate", config, results, started), args)
-        return EXIT_PROPERTY_FAIL
+        return config, {"all_passed": False, "violation": str(exc)}, EXIT_PROPERTY_FAIL
     null_only = summary.anonymous_sic_count == 1 and summary.efficient_sic_count == 1
     results = {
         "all_passed": null_only,
@@ -262,12 +231,10 @@ def cmd_enumerate(args) -> int:
         "null_is_only_anonymous_sic": summary.anonymous_sic_count == 1,
         "null_is_only_efficient_sic": summary.efficient_sic_count == 1,
     }
-    _emit(_report("enumerate", config, results, started), args)
-    return EXIT_OK if null_only else EXIT_PROPERTY_FAIL
+    return config, results, EXIT_OK if null_only else EXIT_PROPERTY_FAIL
 
 
-def cmd_thresholds(args) -> int:
-    started = time.perf_counter()
+def cmd_thresholds(args) -> tuple[dict, dict, int]:
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
     config = {"n": args.n, "format": args.format}
@@ -279,12 +246,10 @@ def cmd_thresholds(args) -> int:
         "expected_revenue": _jsonable(gamma),
         "expected_revenue_decimal": f"{float(gamma):.12g}",
     }
-    _emit(_report("thresholds", config, results, started), args)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
-def cmd_revenue(args) -> int:
-    started = time.perf_counter()
+def cmd_revenue(args) -> tuple[dict, dict, int]:
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
     estimate = monte_carlo_revenue(seq, samples=args.samples, seed=args.seed)
@@ -300,12 +265,10 @@ def cmd_revenue(args) -> int:
         "estimate": _jsonable(estimate),
         "abs_error": abs(estimate.mean - float(gamma)),
     }
-    _emit(_report("revenue", config, results, started), args)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
-def cmd_regions(args) -> int:
-    started = time.perf_counter()
+def cmd_regions(args) -> tuple[dict, dict, int]:
     if not args.payments:
         raise SpecFileError("regions needs --payments")
     payments, item_count = parse_bundle_amounts(args.payments, parse_ext_money)
@@ -366,8 +329,7 @@ def cmd_regions(args) -> int:
             for point, best in classify_lattice(system, axis)
         ]
         results["lattice"] = lattice
-    _emit(_report("regions", config, results, started), args)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
 def _count_text(count: int) -> str:
@@ -375,8 +337,7 @@ def _count_text(count: int) -> str:
     return str(count) if count < 10**12 else f"{Decimal(count):.3e}"
 
 
-def cmd_multi(args) -> int:
-    started = time.perf_counter()
+def cmd_multi(args) -> tuple[dict, dict, int]:
     loaded = load_spec(args.spec)
     if loaded.kind not in ("sequential", "cluster"):
         raise SpecFileError(
@@ -432,8 +393,7 @@ def cmd_multi(args) -> int:
         "domain_sizes": [len(d) for d in domains],
         "reports": [_jsonable(r) for r in reports],
     }
-    _emit(_report("multi", config, results, started), args)
-    return EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
+    return config, results, EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
 
 
 def _add_common(parser) -> None:
@@ -495,14 +455,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        config, results, code = args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SpecFileError, DomainMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    report = {
+        "version": __version__,
+        "command": args.command,
+        "config": config,
+        "results": results,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
+    if args.format == "json":
+        text = json.dumps(report, indent=2)
+    else:
+        text = "\n".join(_render_text(report))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

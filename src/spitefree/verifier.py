@@ -516,66 +516,70 @@ def _winner_price_check(domains, outcomes) -> PropertyReport:
 
 
 def confirm_witness(mechanism, report: PropertyReport) -> bool:
-    """Replay a failure report against the mechanism from scratch."""
+    """Replay a single-item failure report against the mechanism from scratch.
+
+    The witness must have its check's shape: one profile (IR, EFF,
+    LOSER_PAYS_NOTHING); ``agent``'s unilateral move, to ``deviation``
+    when given (IC, SIC, ESIC, PAYMENT_OWN_BID_INVARIANT,
+    WIN_PRESERVED_BY_RAISE); a relabeling by ``permutation`` (ANON); or two
+    profiles (WINNER_PRICE_CONSTANT).  Each profile is evaluated once, and
+    the clause judged on `Fraction` payoffs.  A malformed witness is refused.
+    """
     if report.passed or report.witness is None:
         return False
     w = report.witness
-    out = mechanism.outcome(tuple(w.profile))
     prop = report.property
-    if prop in (Property.IC, Property.SIC, Property.ESIC):
-        if w.deviation_profile is None or w.agent is None:
+    n = mechanism.n
+    i = w.agent
+    profile = tuple(w.profile)
+    other = None if w.deviation_profile is None else tuple(w.deviation_profile)
+    one_profile = prop in (Property.IR, Property.EFF, Property.LOSER_PAYS_NOTHING)
+    profiles = [profile] if one_profile else [profile, other]
+    if (other is None and not one_profile) or any(len(p) != n for p in profiles):
+        return False
+    if (i is None and prop not in (Property.ANON, Property.EFF)) or not 0 <= (i or 0) < n:
+        return False
+    if prop is Property.ANON:
+        perm = w.permutation
+        if perm is None or sorted(perm) != list(range(n)):
             return False
-        out_dev = mechanism.outcome(tuple(w.deviation_profile))
-        values = tuple(w.profile)
-        before = utility_vector(out, values)
-        after = utility_vector(out_dev, values)
+        if any(other[perm[j]] != profile[j] for j in range(n)):
+            return False
+    elif not one_profile and prop is not Property.WINNER_PRICE_CONSTANT:  # a unilateral move
+        if any(other[j] != profile[j] for j in range(n) if j != i):
+            return False
+        if w.deviation is not None and other[i] != w.deviation:
+            return False
+    try:
+        outs = [mechanism.outcome(p) for p in profiles]
+    except DomainMismatchError:
+        return False
+    out, out2 = outs[0], outs[-1]
+    if prop in (Property.IC, Property.SIC, Property.ESIC):
+        before = utility_vector(out, profile)
+        after = utility_vector(out2, profile)
         if w.utilities_before is not None and tuple(w.utilities_before) != before:
             return False
         if w.utilities_after is not None and tuple(w.utilities_after) != after:
             return False
-        return deviation_clause(prop, w.agent, before, after) is not None
+        return deviation_clause(prop, i, before, after) is not None
     if prop is Property.IR:
-        if w.agent is None:
-            return False
-        return utility(out, w.agent, w.profile[w.agent]) < 0
-    if prop is Property.ANON:
-        if w.permutation is None or w.deviation_profile is None:
-            return False
-        out_p = mechanism.outcome(tuple(w.deviation_profile))
-        perm = w.permutation
-        n = len(w.profile)
-        expected_winner = perm[out.winner - 1] + 1 if out.winner else 0
-        return out_p.winner != expected_winner or any(
-            out_p.payments[perm[i]] != out.payments[i] for i in range(n)
-        )
+        return utility(out, i, profile[i]) < 0
     if prop is Property.EFF:
-        widx = out.winner_index()
-        return widx is not None and w.profile[widx] < max(w.profile)
+        return out.winner > 0 and profile[out.winner - 1] < max(profile)
+    if prop is Property.ANON:
+        expected_winner = perm[out.winner - 1] + 1 if out.winner else 0
+        return out2.winner != expected_winner or any(
+            out2.payments[perm[j]] != out.payments[j] for j in range(n)
+        )
+    wins, wins2 = out.winner == i + 1, out2.winner == i + 1
     if prop is Property.LOSER_PAYS_NOTHING:
-        if w.agent is None:
-            return False
-        return out.winner != w.agent + 1 and out.payments[w.agent] != 0
-    if prop in (Property.PAYMENT_OWN_BID_INVARIANT, Property.WINNER_PRICE_CONSTANT):
-        if w.deviation_profile is None or w.agent is None:
-            return False
-        out2 = mechanism.outcome(tuple(w.deviation_profile))
-        i = w.agent
-        if prop is Property.WINNER_PRICE_CONSTANT:
-            return (
-                out.winner == i + 1
-                and out2.winner == i + 1
-                and out.payments[i] != out2.payments[i]
-            )
-        same_status = (out.winner == i + 1) == (out2.winner == i + 1)
-        return same_status and out.payments[i] != out2.payments[i]
-    if prop is Property.WIN_PRESERVED_BY_RAISE:
-        if w.deviation_profile is None or w.agent is None:
-            return False
-        out2 = mechanism.outcome(tuple(w.deviation_profile))
-        i = w.agent
-        raised = w.deviation_profile[i] > w.profile[i]
-        return raised and out.winner == i + 1 and out2.winner != i + 1
-    return False
+        return not wins and out.payments[i] != 0
+    if prop is Property.PAYMENT_OWN_BID_INVARIANT:
+        return wins == wins2 and out.payments[i] != out2.payments[i]
+    if prop is Property.WINNER_PRICE_CONSTANT:
+        return wins and wins2 and out.payments[i] != out2.payments[i]
+    return other[i] > profile[i] and wins and not wins2  # WIN_PRESERVED_BY_RAISE
 
 
 @dataclass(frozen=True)
@@ -590,39 +594,28 @@ class EnumerationSummary:
     efficient_sic_count: int
 
 
-def _decode_key(key: int, levels, n: int) -> tuple[int, tuple]:
-    """(winner code, payments) of a profile key (see `_KeyOutcomes`), priced in ``levels``."""
-    k, code = divmod(key, n + 1)
-    payments = [0] * n
-    if code:
-        payments[code - 1] = levels[k]
-    return code, tuple(payments)
-
-
-class _KeyOutcomes(dict):
-    """``[key]``: the `Outcome` that a profile key stands for, built on first lookup.
+def _key_lattice(grid: Grid, n: int) -> _Lattice:
+    """The outcomes that profile keys stand for, as a lattice indexed by key.
 
     A key is 0 when the item stays unsold, otherwise ``code + (n + 1) * k``:
     the agent with winner code ``code`` wins and pays the grid's ``k``-th
-    level.  Every table of one enumeration shares these outcomes.
+    level.  ``originals[key]`` is that `Outcome` and ``outcomes[key]`` its
+    scaled form; every table of one walk shares them.
     """
-
-    def __init__(self, grid: Grid, n: int) -> None:
-        super().__init__()
-        self.grid = grid
-        self.n = n
-
-    def __missing__(self, key: int) -> Outcome:
-        out = self[key] = Outcome(*_decode_key(key, self.grid.levels, self.n))
-        return out
-
-    def table(self, keys) -> MechanismTable:
-        """The table whose profiles, in flat order, have these keys."""
-        return MechanismTable(self.grid, self.n, tuple(map(self.__getitem__, keys)))
+    originals = [
+        Outcome(code, tuple([level if j == code - 1 else 0 for j in range(n)]))
+        for level in grid.levels
+        for code in range(n + 1)
+    ]
+    return _grid_lattice(grid.levels, tuple(originals), n)
 
 
 # The walk recurses once per profile, and Python stops it near 1 000 frames.
 _MAX_WALK_PROFILES = 512
+# The sweep checks anonymity on closure grids, which hold the grid and 0,
+# over all n! - 1 relabelings: at about 2 us a read, 1.2 s for the null
+# mechanism on {0,1} at n=7 (645 k reads) and 21 s at n=8 (10.3 M reads).
+_MAX_RELABELING_READS = 1_000_000
 
 
 def _check_walk_size(grid: Grid, n: int) -> None:
@@ -644,7 +637,7 @@ def _check_walk_size(grid: Grid, n: int) -> None:
 
 
 def _walk_winner_codes(grid: Grid, n: int, max_tables: int):
-    """Yield the profile keys (see `_KeyOutcomes`) of every IR + IC table, in encoding order.
+    """Yield the profile keys (see `_key_lattice`) of every IR + IC table, in encoding order.
 
     The walk assigns a winner code to each profile in flat order, keeping
     each agent's winning region upward closed in her own bid.  A winner
@@ -703,9 +696,9 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     than `_MAX_WALK_PROFILES` profiles.
     """
     _check_walk_size(grid, n)
-    outcome_of = _KeyOutcomes(grid, n)
+    originals = _key_lattice(grid, n).originals
     for keys in _walk_winner_codes(grid, n, max_tables):
-        yield outcome_of.table(keys)
+        yield MechanismTable(grid, n, tuple(map(originals.__getitem__, keys)))
 
 
 def _agent_lines(levels, n: int):
@@ -750,15 +743,22 @@ def characterization_experiment(
     `recognize_threshold_form`), so it is built only when it passes SIC, to
     report the mismatch.  Like `enumerate_ir_ic_mechanisms`, it raises
     `BudgetExceededError` before any work on more than
-    `_MAX_WALK_PROFILES` profiles.
+    `_MAX_WALK_PROFILES` profiles, or when one anonymity check may read
+    more than `_MAX_RELABELING_READS` relabeled profiles.
     """
     _check_walk_size(grid, n)
-    outcome_of = _KeyOutcomes(grid, n)
+    closure_width = len(set(grid.levels) | {0})
+    reads = closure_width**n * (math.factorial(n) - 1)
+    if reads > _MAX_RELABELING_READS:
+        raise BudgetExceededError(
+            f"an anonymity check on a {closure_width}-level closure at n={n} reads up to "
+            f"{closure_width}^{n} x ({n}! - 1) = {reads} relabeled profiles, "
+            f"over the sweep's cap of {_MAX_RELABELING_READS}"
+        )
+    keyed = _key_lattice(grid, n)
     base = n + 1
     width = len(grid)
-    levels = _scaled(grid.levels, _lcm_of_denominators(grid.levels))
-    lines = _agent_lines(levels, n)
-    scaled_of = [_ScaledOutcome(*_decode_key(key, levels, n)) for key in range(base * width)]
+    lines = _agent_lines(keyed.domains[0], n)
     line_verdicts: dict[tuple, bool] = {}
 
     def passes_sic(keys) -> bool:
@@ -767,7 +767,7 @@ def characterization_experiment(
             memo_key = (i, start, line)
             verdict = line_verdicts.get(memo_key)
             if verdict is None:
-                outcomes = [scaled_of[key] for key in line]
+                outcomes = [keyed.outcomes[key] for key in line]
                 verdict = deviation_check(Property.SIC, domains, outcomes, payoff).passed
                 line_verdicts[memo_key] = verdict
             if not verdict:
@@ -787,7 +787,7 @@ def characterization_experiment(
         one_price_each = len(sold) == len({key % base for key in sold})
         if not (sic or one_price_each):
             continue
-        table = outcome_of.table(keys)
+        table = MechanismTable(grid, n, tuple(map(keyed.originals.__getitem__, keys)))
         spec = recognize_threshold_form(table)
         if sic != (spec is not None):
             raise CharacterizationMismatchError(table, sic, spec)

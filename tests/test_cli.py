@@ -188,6 +188,14 @@ def test_an_oversized_enumerate_grid_exits_3_before_any_work(grid, n, count, mon
     assert f"at n={n} has {count} profiles, over the IR+IC walk's cap of 512" in err
 
 
+def test_an_enumerate_sweep_over_the_relabeling_cap_exits_3_before_any_work(monkeypatch):
+    for name in ("_walk_winner_codes", "_agent_lines", "_anonymity_check"):
+        monkeypatch.setattr(verifier, name, _never)
+    code, out, err = run_cli("enumerate", "--grid", "0,1", "--n", "9", "--budget", "5")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "2^9 x (9! - 1) = 185794048 relabeled profiles, over the sweep's cap of 1000000" in err
+
+
 def test_thresholds_exact_values():
     code, out, _ = run_cli("thresholds", "--n", "3")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from spitefree.mechanisms import (
     tabulate,
 )
 from spitefree.money import INFINITY
-from spitefree.reports import Property
+from spitefree.reports import Property, PropertyReport, Witness
 from spitefree.verifier import (
     BudgetExceededError,
     CharacterizationMismatchError,
@@ -387,6 +388,71 @@ def _table_of(grid, n, rule):
     )
 
 
+def _unique_top_bid_wins(profile):
+    """The unique highest bid wins and pays nothing; on a tie the item stays unsold."""
+    top = max(profile)
+    winner = profile.index(top) + 1 if profile.count(top) == 1 else 0
+    return winner, (F(0),) * len(profile)
+
+
+def _forged(prop, profile, deviation_profile=None, **fields):
+    """A failing report of ``prop`` whose witness no check produces."""
+    moved = None if deviation_profile is None else tuple(map(F, deviation_profile))
+    return PropertyReport(prop, False, Witness(tuple(map(F, profile)), moved, **fields), 1)
+
+
+# On GRID012 second price passes IC and own-bid payment invariance, the
+# threshold spec passes win preservation and the unique-top-bid table
+# passes ANON, so the first four witnesses replay True only if forged.
+@pytest.mark.parametrize(
+    "mechanism, report",
+    [
+        pytest.param(
+            SecondPriceMechanism(2),
+            _forged(Property.IC, (1, 2), (1, 0), agent=0),
+            id="ic-move-of-another-agent",
+        ),
+        pytest.param(
+            SecondPriceMechanism(2),
+            _forged(Property.PAYMENT_OWN_BID_INVARIANT, (2, 1), (2, 0), agent=0),
+            id="payment-move-of-another-agent",
+        ),
+        pytest.param(
+            ThresholdSpec((2, 1), (F(1), F(1))),
+            _forged(Property.WIN_PRESERVED_BY_RAISE, (1, 0), (2, 2), agent=0),
+            id="raise-moving-both-agents",
+        ),
+        pytest.param(
+            _table_of(GRID012, 2, _unique_top_bid_wins),
+            _forged(Property.ANON, (2, 1), (2, 0), permutation=(1, 0)),
+            id="anon-profile-not-relabeled",
+        ),
+        pytest.param(
+            SecondPriceMechanism(2),
+            _forged(Property.SIC, (0, 2), (1, 2), agent=5, deviation=F(1)),
+            id="agent-out-of-range",
+        ),
+        pytest.param(
+            _table_of(GRID012, 2, _unique_top_bid_wins),
+            _forged(Property.ANON, (2, 1), (1, 2), permutation=(1, 2)),
+            id="permutation-entry-out-of-range",
+        ),
+        pytest.param(
+            SecondPriceMechanism(2),
+            _forged(Property.SIC, (0, 2), (1, 2, 2), agent=0, deviation=F(1)),
+            id="deviation-profile-of-wrong-length",
+        ),
+        pytest.param(
+            SecondPriceMechanism(2),
+            _forged(Property.SIC, (0, 2), (1, 2), agent=0, deviation=F(2)),
+            id="deviation-bid-not-the-moved-bid",
+        ),
+    ],
+)
+def test_confirm_witness_rejects_forged_shapes(mechanism, report):
+    assert confirm_witness(mechanism, report) is False
+
+
 def _priority_posted_price(price, loser_fee=F(0)):
     """The first agent bidding at least 1/3 buys at ``price``; everyone else pays the fee."""
 
@@ -608,6 +674,27 @@ def test_enumeration_refuses_an_oversized_walk_before_any_work(monkeypatch):
             characterization_experiment(grid, n)
     with pytest.raises(ValueError, match="need at least one agent"):
         list(enumerate_ir_ic_mechanisms(GRID012, 0))
+
+
+def test_the_sweep_refuses_unbounded_anonymity_work_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep over the relabeling cap started")
+
+    for name in ("_walk_winner_codes", "_agent_lines", "_anonymity_check"):
+        monkeypatch.setattr(verifier, name, never)
+    # each grid is under the walk cap; a closure adds the level 0 to the grid
+    for grid, n, reads in (
+        ("0,1", 8, "2^8 x (8! - 1) = 10321664"),
+        ("0,1", 9, "2^9 x (9! - 1) = 185794048"),
+        ("1,2", 7, "3^7 x (7! - 1) = 11020293"),
+    ):
+        cap = f"{reads} relabeled profiles, over the sweep's cap of 1000000"
+        with pytest.raises(BudgetExceededError, match=re.escape(cap)):
+            characterization_experiment(Grid.from_text(grid), n)
+    # 2^7 x (7! - 1) = 644 992 reads is under the cap: the sweep starts its walk
+    monkeypatch.setattr(verifier, "_agent_lines", lambda levels, n: [])
+    monkeypatch.setattr(verifier, "_walk_winner_codes", lambda *args: iter(()))
+    assert characterization_experiment(Grid.from_text("0,1"), 7).ir_ic_count == 0
 
 
 def _ir_ic_tables_by_brute_force(grid, n):
