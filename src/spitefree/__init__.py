@@ -65,7 +65,6 @@ from .multiitem import (
     classify_point,
     cluster_allocate,
     cluster_spite_counterexample,
-    demand,
     multi_utility,
     nonincreasing_marginal_vectors,
     parse_bundle,
@@ -73,7 +72,6 @@ from .multiitem import (
     region_partition,
     render_bundle,
     sequential_allocate_general,
-    sequential_allocate_hs,
     sequential_bundle_counterexample,
     sequential_ordering_counterexample,
 )

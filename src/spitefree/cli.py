@@ -7,12 +7,15 @@ mechanism description, so reports replay without the input file), the
 results, and the wall time.  Only `revenue` draws random numbers, so
 only it takes ``--seed``; the others refuse it.  Exit codes are a stable
 contract: 0 all requested properties hold, 1 a property failed or an
-assertion tripped, 2 bad input (an empty ``--props`` list among it), 3
-an enumeration budget was exceeded or the input's size, estimated before
-any work, is over a fixed cap: for `enumerate` a grid of more than 512
-profiles or anonymity checks of more than a million relabeled profiles
-(see `verifier.characterization_experiment`), for `regions` and `multi`
-`MAX_LATTICE_POINTS` and `MAX_PAYOFF_READS`.
+assertion tripped, 2 bad input (an empty ``--props`` list among it, or
+a `regions` price list that leaves a bundle out), 3 an enumeration
+budget was exceeded or the input's size, estimated before any work, is
+over a fixed cap: for `enumerate` a grid of more than 512 profiles or
+anonymity checks of more than a million relabeled profiles (see
+`verifier.characterization_experiment`), for `regions`
+`MAX_LATTICE_POINTS` and `multiitem.MAX_REGION_INEQUALITIES`, for `multi`
+`MAX_PAYOFF_READS` on the built-in domain and, for any multi-item spec
+file, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .multiitem import (
     region_partition,
     render_bundle_key,
     sequential_allocate_general,
-    sequential_allocate_hs,
 )
 from .optimal import (
     expected_revenue_recursive,
@@ -77,7 +79,9 @@ EXIT_BUDGET = 3
 # takes about 2.3 s and 170 MB and writes a 13 MB report.  A `multi` run
 # on the built-in domain reads every agent's payoff at every profile and
 # at each single-agent deviation from it; at the cap the slowest runs
-# timed take about 10 s.  (2-core Xeon, Python 3.11.)
+# timed take about 10 s.  (2-core Xeon, Python 3.11.)  Region systems and
+# spec files have caps of their own where they are built:
+# `multiitem.MAX_REGION_INEQUALITIES`, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
 MAX_LATTICE_POINTS = 100_000
 MAX_PAYOFF_READS = 20_000_000
 
@@ -351,13 +355,13 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
         "esic": check_multi_esic,
     }
     props = _parse_props(args.props, checks, ("ir", "ic", "sic"))
+    if loaded.kind == "sequential":
+        mechanism = lambda bids: sequential_allocate_general(spec, bids)
+    else:
+        mechanism = lambda bids: cluster_allocate(spec, bids)
     if loaded.candidates is not None:
         domains = loaded.candidates
         truths = tuple(domain[0] for domain in domains)
-        if loaded.kind == "sequential":
-            mechanism = lambda bids: sequential_allocate_general(spec, bids)
-        else:
-            mechanism = lambda bids: cluster_allocate(spec, bids)
         domain_note = "candidates from spec file; first candidate per agent is the truth"
     elif loaded.kind == "sequential":
         per_agent = marginal_vector_count(loaded.item_count, args.max_marginal)
@@ -373,7 +377,6 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
         pool = tuple(nonincreasing_marginal_vectors(loaded.item_count, args.max_marginal))
         domains = tuple(pool for _ in range(spec.n))
         truths = None
-        mechanism = lambda bids: sequential_allocate_hs(spec, bids)
         domain_note = (
             f"all nonincreasing integer marginal vectors with entries <= {args.max_marginal}"
         )

@@ -98,14 +98,10 @@ def expected_revenue_recursive(n: int):
     """Expected revenue under the optimal prices, by the revenue recursion.
 
     Exact `Fraction` for n up to `EXACT_RECURSION_LIMIT`, an mpmath float
-    at `PRECISION_BITS` bits beyond.
+    at `PRECISION_BITS` bits beyond.  The recursion is the Horner scheme
+    of `expected_revenue_closed` run on the optimal sequence.
     """
-    seq = optimal_thresholds_uniform(n)
-    with mpmath.workprec(PRECISION_BITS):
-        gamma = _gamma_step(seq.values[0], 0)
-        for t in seq.values[1:]:
-            gamma = _gamma_step(t, gamma)
-    return gamma
+    return expected_revenue_closed(optimal_thresholds_uniform(n))
 
 
 def expected_revenue_closed(thresholds):

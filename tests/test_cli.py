@@ -7,13 +7,14 @@ surface the tool promises.
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from spitefree import cli, verifier
+from spitefree import cli, multiitem, specfile, verifier
 from spitefree.cli import (
     EXIT_BUDGET,
     EXIT_INPUT_ERROR,
@@ -21,7 +22,7 @@ from spitefree.cli import (
     EXIT_PROPERTY_FAIL,
     main,
 )
-from spitefree.multiitem import sequential_allocate_hs
+from spitefree.multiitem import sequential_allocate_general
 
 THRESHOLD_SPEC = "kind: threshold\nranking: 1,2\nthresholds: 1,2\n"
 SECOND_PRICE_SPEC = "kind: second_price\nn: 2\n"
@@ -340,13 +341,49 @@ def test_a_multi_run_allocates_each_profile_once(tmp_path, monkeypatch):
 
     def counting(spec, bids):
         calls.append(bids)
-        return sequential_allocate_hs(spec, bids)
+        return sequential_allocate_general(spec, bids)
 
-    monkeypatch.setattr(cli, "sequential_allocate_hs", counting)
+    monkeypatch.setattr(cli, "sequential_allocate_general", counting)
     spec = write(tmp_path, "seq.spec", "kind: sequential\nitems: 2\nranking: 1,2\nthresholds: 2,1\n")
     code, _, _ = run_cli("multi", "--spec", spec, "--max-marginal", "2", "--props", "ir,ic,sic,esic")
     assert code == EXIT_OK
     assert len(calls) == len(set(calls)) == 6**2
+
+
+@pytest.mark.parametrize(
+    "spec_text, estimate",
+    [
+        ("kind: sequential\nitems: 70\nranking: 1\nthresholds: 1\ncandidate[1]:\n", "1 x 2^70"),
+        (f"kind: cluster\nitems: 22\nranking: 1\nthresholds[1]: {'1' * 22}=1\n", "1 x 2^22"),
+    ],
+    ids=["sequential-items-70", "cluster-items-22"],
+)
+def test_a_spec_file_over_the_bundle_table_cap_exits_3_before_any_table(
+    tmp_path, monkeypatch, spec_text, estimate
+):
+    monkeypatch.setattr(specfile, "_bundle_pairs", _never)
+    monkeypatch.setattr(specfile.BundleValuation, "from_map", _never)
+    spec = write(tmp_path, "big.spec", spec_text)
+    code, out, err = run_cli("multi", "--spec", spec)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert f"{estimate} bundle-table entries" in err
+    assert str(specfile.MAX_BUNDLE_TABLE_ENTRIES) in err
+
+
+@pytest.mark.parametrize("digits", [20, 40, 70])
+def test_regions_name_a_few_missing_bundles_of_a_wide_list(digits):
+    code, out, err = run_cli("regions", "--payments", "1" * digits + "=1")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert f"prices cover 1 of the 2^{digits} - 1 nonempty bundles; missing: {{a1}}, {{a2}}, {{a1,a2}}, ...\n" in err
+
+
+def test_an_oversized_region_system_exits_3_before_any_inequality(monkeypatch):
+    monkeypatch.setattr(multiitem, "LinearInequality", _never)
+    bundles = ["".join(bits) for bits in itertools.product("01", repeat=9)][1:]
+    code, out, err = run_cli("regions", "--payments", ",".join(f"{b}={b.count('1')}" for b in bundles))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "512 attainable bundles make 512 x 511 = 261632 region inequalities" in err
+    assert str(multiitem.MAX_REGION_INEQUALITIES) in err
 
 
 def test_regions_rejects_malformed_payment_lists():

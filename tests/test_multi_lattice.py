@@ -35,7 +35,6 @@ from spitefree.multiitem import (
     nonincreasing_marginal_vectors,
     region_partition,
     sequential_allocate_general,
-    sequential_allocate_hs,
     sequential_bundle_counterexample,
     sequential_ordering_counterexample,
 )
@@ -149,7 +148,7 @@ def test_builtin_domain_checks_match_the_definitions(items, ranking):
     domain = tuple(nonincreasing_marginal_vectors(items, 2))
     for thresholds in itertools.product(range(4), repeat=2):
         spec = SequentialSpec(ranking, tuple(F(t) for t in thresholds))
-        mech = lambda bids, spec=spec: sequential_allocate_hs(spec, bids)
+        mech = lambda bids, spec=spec: sequential_allocate_general(spec, bids)
         _assert_matches_definition(mech, (domain, domain))
 
 
@@ -251,7 +250,7 @@ class _Counting:
 
 def test_every_profile_is_allocated_once_per_run():
     domain = tuple(nonincreasing_marginal_vectors(3, 2))
-    mech = _Counting(sequential_allocate_hs, SequentialSpec((1, 2), (F(2), F(1))))
+    mech = _Counting(sequential_allocate_general, SequentialSpec((1, 2), (F(2), F(1))))
     for check in CHECKS.values():
         assert check(mech, (domain, domain)).passed
     assert mech.calls == len(domain) ** 2 == 100

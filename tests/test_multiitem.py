@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +26,6 @@ from spitefree.multiitem import (
     classify_point,
     cluster_allocate,
     cluster_spite_counterexample,
-    demand,
     full_bundle,
     multi_utility,
     multi_utility_vector,
@@ -34,7 +35,6 @@ from spitefree.multiitem import (
     region_partition,
     render_bundle,
     sequential_allocate_general,
-    sequential_allocate_hs,
     sequential_bundle_counterexample,
     sequential_ordering_counterexample,
     subsets_of,
@@ -104,12 +104,16 @@ def test_homogeneous_valuation_marginals_must_not_increase():
         HomogeneousSubmodularValuation((F(1), F(-1)))
 
 
-def test_demand_counts_marginals_meeting_the_price():
-    v = HomogeneousSubmodularValuation((F(3), F(2), F(1)))
-    assert demand(v, F(2)) == 2
-    assert demand(v, F(4)) == 0
-    assert demand(v, F(1)) == 3
-    assert demand(v, F(0)) == 3
+def test_homogeneous_values_by_size_stay_off_the_fields():
+    v = HomogeneousSubmodularValuation((F(3), F(2), F(2)))
+    w = HomogeneousSubmodularValuation((F(3), F(2), F(2)))
+    before = (dataclasses.fields(v), repr(v), hash(v))
+    assert v.of_bundle(0b011) == 5  # stores the value of each size on v, not on w
+    assert (dataclasses.fields(v), repr(v), hash(v)) == before
+    assert [f.name for f in before[0]] == ["marginals"]
+    assert (v, repr(v), hash(v)) == (w, repr(w), hash(w))
+    with pytest.raises(ValueError):
+        v.value_for_count(4)
 
 
 # --- outcomes --------------------------------------------------------------
@@ -136,18 +140,24 @@ def seq_spec():
     return SequentialSpec((1, 2), (F(2), F(1)))
 
 
-def naive_hs(spec, bids, supply=None):
-    """Reference implementation: walk the line, hand out greedily."""
+def naive_hs(spec, bids):
+    """Reference implementation: walk the line, hand out greedily.
+
+    Each agent in priority order takes a block of the next items, as many
+    as she has marginals meeting her price while items last.
+    """
     item_count = bids[0].item_count
-    left = item_count if supply is None else min(supply, item_count)
-    took = {}
+    bundles = [EMPTY_BUNDLE] * spec.n
+    payments = [F(0)] * spec.n
+    taken = 0
     for i in spec.priority_order():
         q = 0
-        while q < left and q < item_count and bids[i].marginals[q] >= spec.thresholds[i]:
+        while taken + q < item_count and bids[i].marginals[q] >= spec.thresholds[i]:
             q += 1
-        took[i] = q
-        left -= q
-    return took
+        bundles[i] = ((1 << q) - 1) << taken
+        payments[i] = q * spec.thresholds[i]
+        taken += q
+    return MultiOutcome(tuple(bundles), tuple(payments))
 
 
 def test_hs_allocation_hand_trace():
@@ -155,44 +165,41 @@ def test_hs_allocation_hand_trace():
         HomogeneousSubmodularValuation((F(3), F(2), F(1))),
         HomogeneousSubmodularValuation((F(2), F(2), F(2))),
     )
-    out = sequential_allocate_hs(seq_spec(), bids)
-    assert bundle_size(out.bundles[0]) == 2
-    assert bundle_size(out.bundles[1]) == 1
+    out = sequential_allocate_general(seq_spec(), bids)
+    assert out.bundles == (0b011, 0b100)
     assert out.payments == (F(4), F(1))
-    assert out.bundles[0] & out.bundles[1] == EMPTY_BUNDLE
 
 
 def test_hs_allocation_matches_reference_greedy():
-    domain = tuple(nonincreasing_marginal_vectors(3, 3))
-    spec = seq_spec()
-    for bids in itertools.product(domain, repeat=2):
-        out = sequential_allocate_hs(spec, bids)
-        expected = naive_hs(spec, bids)
-        for i in range(2):
-            assert bundle_size(out.bundles[i]) == expected[i]
-            assert out.payments[i] == expected[i] * spec.thresholds[i]
-
-
-def test_hs_supply_cap():
-    bids = (
-        HomogeneousSubmodularValuation((F(3), F(2), F(1))),
-        HomogeneousSubmodularValuation((F(2), F(2), F(2))),
-    )
-    out = sequential_allocate_hs(seq_spec(), bids, supply=1)
-    assert bundle_size(out.bundles[0]) == 1
-    assert out.bundles[1] == EMPTY_BUNDLE
-    assert out.payments == (F(2), F(0))
-    with pytest.raises(ValueError):
-        sequential_allocate_hs(seq_spec(), bids, supply=-1)
+    # 2-3 items, marginals up to 2-3, 2-3 agents, every ranking, prices
+    # from {0, 1/2, 1, 2, 3}: all profiles for two agents, a seeded sample
+    # for three.  Price 0 meets every marginal and price 3 at most the
+    # top ones, so both ends of an agent's demand, all items and none, occur.
+    rng = random.Random(11)
+    prices = (F(0), F(1, 2), F(1), F(2), F(3))
+    pairs = 0
+    for items, top in itertools.product((2, 3), (2, 3)):
+        domain = tuple(nonincreasing_marginal_vectors(items, top))
+        for n in (2, 3):
+            profiles = list(itertools.product(domain, repeat=n))
+            for ranking in itertools.permutations(range(1, n + 1)):
+                for thresholds in itertools.product(prices, repeat=n):
+                    spec = SequentialSpec(ranking, thresholds)
+                    for bids in profiles if n == 2 else rng.sample(profiles, 6):
+                        assert sequential_allocate_general(spec, bids) == naive_hs(spec, bids)
+                        pairs += 1
+    assert pairs == 50 * (36 + 100 + 100 + 400) + 750 * 4 * 6
 
 
 def test_hs_quantities_grow_with_supply():
+    # selling the first s items: every bid truncated to its first s marginals
     domain = tuple(nonincreasing_marginal_vectors(3, 3))
     spec = seq_spec()
     for bids in itertools.product(domain, repeat=2):
         prev = None
         for supply in range(4):
-            out = sequential_allocate_hs(spec, bids, supply=supply)
+            truncated = tuple(HomogeneousSubmodularValuation(b.marginals[:supply]) for b in bids)
+            out = sequential_allocate_general(spec, truncated)
             sizes = tuple(bundle_size(b) for b in out.bundles)
             assert sum(sizes) <= supply
             if prev is not None:
@@ -225,7 +232,7 @@ def test_general_allocation_matches_reference():
 
 def test_sequential_bids_must_cover_the_same_items():
     with pytest.raises(ValueError):
-        sequential_allocate_hs(
+        sequential_allocate_general(
             seq_spec(),
             (
                 HomogeneousSubmodularValuation((F(1),)),
@@ -286,7 +293,7 @@ def test_cluster_never_forces_a_losing_purchase():
 def test_interchangeable_sale_passes_all_checks_exhaustively():
     domain = tuple(nonincreasing_marginal_vectors(2, 2))
     spec = SequentialSpec((1, 2), (F(2), F(1)))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     assert check_multi_ir(mech, (domain, domain)).passed
     assert check_multi_ic(mech, (domain, domain)).passed
     assert check_multi_sic(mech, (domain, domain)).passed
@@ -367,7 +374,7 @@ def _esic_by_definition(mech, domain):
 def test_interchangeable_sale_passes_esic_on_the_builtin_domain(thresholds):
     domain = tuple(nonincreasing_marginal_vectors(3, 3))
     spec = SequentialSpec((1, 2), tuple(F(t) for t in thresholds))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     assert _esic_by_definition(mech, domain)
     report = check_multi_esic(mech, (domain, domain))
     assert report.passed
@@ -387,7 +394,7 @@ def test_a_repeated_candidate_is_not_a_deviation():
 
 def test_multi_checks_validate_their_inputs():
     spec = SequentialSpec((1,), (F(1),))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     domain = tuple(nonincreasing_marginal_vectors(1, 1))
     with pytest.raises(ValueError):
         check_multi_ir(mech, (domain,), (HomogeneousSubmodularValuation((F(9),)),))
@@ -401,7 +408,7 @@ def test_multi_checks_validate_their_inputs():
 def test_price_range_stays_within_the_counting_bound():
     spec = SequentialSpec((1, 2), (F(2), F(1)))
     domain = tuple(nonincreasing_marginal_vectors(2, 3))
-    mech = lambda bids: sequential_allocate_hs(spec, bids)
+    mech = lambda bids: sequential_allocate_general(spec, bids)
     for agent in (0, 1):
         for mask in range(4):
             count = payment_range_cardinality(mech, agent, mask, domain, domain)
