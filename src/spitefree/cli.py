@@ -12,10 +12,13 @@ a `regions` price list that leaves a bundle out), 3 an enumeration
 budget was exceeded or the input's size, estimated before any work, is
 over a fixed cap: for `enumerate` a grid of more than 512 profiles or
 anonymity checks of more than a million relabeled profiles (see
-`verifier.characterization_experiment`), for `regions`
-`MAX_LATTICE_POINTS` and `multiitem.MAX_REGION_INEQUALITIES`, for `multi`
-`MAX_PAYOFF_READS` on the built-in domain and, for any multi-item spec
-file, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
+`verifier.characterization_experiment`), for `thresholds` the report
+bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the n x samples
+uniform draws `MAX_SAMPLE_DRAWS`, for `regions` `MAX_LATTICE_POINTS`,
+`MAX_LATTICE_CLASSIFICATIONS` (points x attainable bundles) and
+`multiitem.MAX_REGION_INEQUALITIES`, for `multi` `MAX_PAYOFF_READS` on
+the built-in domain and, for any multi-item spec file,
+`specfile.MAX_BUNDLE_TABLE_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import time
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-
-import mpmath
 
 from . import __version__
 from .core import DomainMismatchError, Grid, MechanismTable, closure_for_thresholds
@@ -76,14 +77,25 @@ EXIT_BUDGET = 3
 
 # Size caps, checked against an estimate before any work (exit 3 above).
 # A `regions` lattice has one report entry per point; at the cap a run
-# takes about 2.3 s and 170 MB and writes a 13 MB report.  A `multi` run
-# on the built-in domain reads every agent's payoff at every profile and
-# at each single-agent deviation from it; at the cap the slowest runs
-# timed take about 10 s.  (2-core Xeon, Python 3.11.)  Region systems and
-# spec files have caps of their own where they are built:
-# `multiitem.MAX_REGION_INEQUALITIES`, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
+# takes about 2.3 s and 170 MB and writes a 13 MB report.  Classifying it
+# compares every point with every attainable bundle; near that cap the
+# runs timed take about 3 s and 180 MB.  A `multi` run on the built-in
+# domain reads every agent's payoff at every profile and at each
+# single-agent deviation from it; at the cap the slowest runs timed take
+# about 10 s.  A `thresholds` report spends about 100 bytes per agent on
+# three lists of 25-digit decimals (exact fractions, n <= 16, stay under
+# 240 KB); at the cap a run takes 0.2 s and 24 MB.  A `revenue` run draws
+# one uniform per agent per sample and keeps 24 bytes per sample; at the
+# cap a run takes at most 1.5 s and 320 MB (n = 1).  (2-core Xeon,
+# Python 3.11.)  Region systems and spec files have caps of their own
+# where they are built: `multiitem.MAX_REGION_INEQUALITIES`,
+# `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
 MAX_LATTICE_POINTS = 100_000
+MAX_LATTICE_CLASSIFICATIONS = 2_000_000
 MAX_PAYOFF_READS = 20_000_000
+MAX_THRESHOLDS_REPORT_BYTES = 1_000_000
+MAX_SAMPLE_DRAWS = 10_000_000
+_THRESHOLDS_BYTES_PER_AGENT = 100
 
 _SIMPLE_CHECKS = {
     "ir": check_ir,
@@ -102,8 +114,11 @@ def _jsonable(value):
         return render_ext_money(value)
     if isinstance(value, float):
         return "inf" if is_infinite(value) else value
-    if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, 25)
+    if isinstance(value, Decimal):
+        # 25 significant digits, correctly rounded, without trailing zeros;
+        # the thresholds and revenues rendered here lie in [1/4, 1), so
+        # the text always has a point and never an exponent
+        return f"{value:.25g}".rstrip("0")
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Grid):
@@ -239,6 +254,13 @@ def cmd_enumerate(args) -> tuple[dict, dict, int]:
 
 
 def cmd_thresholds(args) -> tuple[dict, dict, int]:
+    estimate = args.n * _THRESHOLDS_BYTES_PER_AGENT
+    if estimate > MAX_THRESHOLDS_REPORT_BYTES:
+        raise BudgetExceededError(
+            f"a report for --n {_count_text(args.n)} holds about {_count_text(estimate)} "
+            f"bytes ({_THRESHOLDS_BYTES_PER_AGENT} per agent), "
+            f"over the cap of {MAX_THRESHOLDS_REPORT_BYTES}"
+        )
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
     config = {"n": args.n, "format": args.format}
@@ -254,6 +276,12 @@ def cmd_thresholds(args) -> tuple[dict, dict, int]:
 
 
 def cmd_revenue(args) -> tuple[dict, dict, int]:
+    draws = args.n * args.samples
+    if args.n > 0 and draws > MAX_SAMPLE_DRAWS:
+        raise BudgetExceededError(
+            f"--n {_count_text(args.n)} x --samples {_count_text(args.samples)} = "
+            f"{_count_text(draws)} uniform draws, over the cap of {MAX_SAMPLE_DRAWS}"
+        )
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
     estimate = monte_carlo_revenue(seq, samples=args.samples, seed=args.seed)
@@ -279,6 +307,7 @@ def cmd_regions(args) -> tuple[dict, dict, int]:
     if item_count is None:
         raise SpecFileError("no payments given")
     system = region_partition(payments, item_count)
+    axis = _lattice_axis(args, system) if args.box or args.step else None
     config = {
         "payments": args.payments,
         "box": args.box,
@@ -305,25 +334,7 @@ def cmd_regions(args) -> tuple[dict, dict, int]:
             ]
         bundles.append(entry)
     results = {"item_count": item_count, "regions": bundles}
-    if args.box or args.step:
-        if not (args.box and args.step):
-            raise SpecFileError("a lattice needs both --box and --step")
-        low_text, _, high_text = args.box.partition(",")
-        try:
-            low, high = parse_money(low_text), parse_money(high_text)
-        except ValueError as exc:
-            raise SpecFileError(f"bad --box: {exc}") from None
-        step = parse_money(args.step)
-        if step == 0 or high < low:
-            raise SpecFileError("--box must be 'low,high' with low <= high; --step > 0")
-        width = (high - low) // step + 1
-        points = width**item_count
-        if points > MAX_LATTICE_POINTS:
-            raise BudgetExceededError(
-                f"the lattice has ({_count_text(width)} values per axis)^{item_count} = "
-                f"{_count_text(points)} points, over the cap of {MAX_LATTICE_POINTS}"
-            )
-        axis = [low + k * step for k in range(width)]
+    if axis is not None:
         rendered = {x: _jsonable(x) for x in axis}
         lattice = [
             {
@@ -334,6 +345,35 @@ def cmd_regions(args) -> tuple[dict, dict, int]:
         ]
         results["lattice"] = lattice
     return config, results, EXIT_OK
+
+
+def _lattice_axis(args, system) -> list:
+    """The lattice's axis from ``--box`` and ``--step``, after its size caps."""
+    if not (args.box and args.step):
+        raise SpecFileError("a lattice needs both --box and --step")
+    low_text, _, high_text = args.box.partition(",")
+    try:
+        low, high = parse_money(low_text), parse_money(high_text)
+    except ValueError as exc:
+        raise SpecFileError(f"bad --box: {exc}") from None
+    step = parse_money(args.step)
+    if step == 0 or high < low:
+        raise SpecFileError("--box must be 'low,high' with low <= high; --step > 0")
+    width = (high - low) // step + 1
+    points = width**system.item_count
+    if points > MAX_LATTICE_POINTS:
+        raise BudgetExceededError(
+            f"the lattice has ({_count_text(width)} values per axis)^{system.item_count} = "
+            f"{_count_text(points)} points, over the cap of {MAX_LATTICE_POINTS}"
+        )
+    attainable = sum(region is not None for region in system.regions)
+    if points * attainable > MAX_LATTICE_CLASSIFICATIONS:
+        raise BudgetExceededError(
+            f"classifying {points} lattice points against {attainable} attainable bundles "
+            f"takes {points * attainable} comparisons, over the cap of "
+            f"{MAX_LATTICE_CLASSIFICATIONS}"
+        )
+    return [low + k * step for k in range(width)]
 
 
 def _count_text(count: int) -> str:

@@ -417,17 +417,17 @@ class _ScaledMultiOutcome(NamedTuple):
     payments: tuple[int, ...]
 
 
-def _bundle_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
-    """A mechanism's outcomes at the profiles a check reads, on one lattice.
+def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
+    """A mechanism's outcomes at the profiles the checks read, on one lattice.
 
     Each distinct valuation becomes an int.  With ``truth=None`` every
     profile of the domain product is allocated; a given truth (per-agent
-    domain indices) allocates that profile and, with ``deviations``, each
-    profile where one agent reports another value.  D is the least common
-    denominator of every payment and of the value of each valuation an
-    agent may truly hold at each bundle she is dealt.  Equal outcomes
-    share one `MultiOutcome`, the first the allocator returned, and one
-    scaled outcome.
+    domain indices) allocates that profile and each profile where one
+    agent reports another value.  D is the least common denominator of
+    every payment and of the value of each valuation an agent may truly
+    hold at each bundle she is dealt.  Equal outcomes share one
+    `MultiOutcome`, the first the allocator returned, and one scaled
+    outcome.
     """
     kind_of: dict = {}
     kinds = tuple(tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains)
@@ -438,9 +438,8 @@ def _bundle_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
         strides = domain_strides(domains)
         flat = sum(k * s for k, s in zip(truth, strides))
         flats = [flat]
-        if deviations:
-            for rivals, k, s in zip(_rivals(kinds), truth, strides):
-                flats += [flat + (d - k) * s for d in rivals[k]]
+        for rivals, k, s in zip(_rivals(kinds), truth, strides):
+            flats += [flat + (d - k) * s for d in rivals[k]]
         profiles = [
             (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
             for f in flats
@@ -474,11 +473,11 @@ def _bundle_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
     return _Lattice(d, kinds, outcomes, originals, utility)
 
 
-# One `multi` run checks one (mechanism, domains) pair up to four times:
-# with a given truth, IR reads one lattice and the deviation checks another.
+# One `multi` run checks one (mechanism, domains, truth) up to four times,
+# all on one lattice.
 @lru_cache(maxsize=4)
-def _cached_lattice(mechanism, domains, truth, deviations: bool) -> _Lattice:
-    return _bundle_lattice(mechanism, domains, truth, deviations)
+def _cached_lattice(mechanism, domains, truth) -> _Lattice:
+    return _bundle_lattice(mechanism, domains, truth)
 
 
 def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
@@ -494,13 +493,12 @@ def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
             if v not in domains[i]:
                 raise ValueError(f"agent {i}'s true valuation is outside her domain")
         truth = tuple(domain.index(v) for domain, v in zip(domains, profile))
-    deviations = truth is None or kernel is not ir_check
     try:
         hash(mechanism)
     except TypeError:  # an unhashable mechanism is tabulated afresh
-        lattice = _bundle_lattice(mechanism, domains, truth, deviations)
+        lattice = _bundle_lattice(mechanism, domains, truth)
     else:
-        lattice = _cached_lattice(mechanism, domains, truth, deviations)
+        lattice = _cached_lattice(mechanism, domains, truth)
     return lattice.named(kernel(lattice.domains, lattice.outcomes, lattice.utility, truth), domains)
 
 

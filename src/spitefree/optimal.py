@@ -14,8 +14,13 @@ and the expected revenue gamma_n follows
 Exact rationals are used up to `EXACT_RECURSION_LIMIT` agents.  The cap is
 not taste: den(t_n) = 2^(2^n - 1), so the exact representation doubles in
 size with every agent; at n = 16 it spans 65 kilobits, at n = 20 a
-megabit, and at n = 30 it would need gigabytes.  Beyond the cap
-everything runs in mpmath binary floats at `PRECISION_BITS` bits.
+megabit, and at n = 30 it would need gigabytes.  Beyond the cap the
+recursion and the revenue fold run in the standard library's `decimal`
+at `PRECISION_DIGITS` significant digits (more than 200 bits).  Each
+step rounds once and scales earlier errors by a factor below 1, so the
+drift stays far below the 25 digits a report prints: at n = 10 000 every
+value is within 10^-59 of a 150-digit run.  Only the two samplers import
+numpy, and only when called.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-import numpy as np
-
 EXACT_RECURSION_LIMIT = 16
-PRECISION_BITS = 200
+# set as `ctx.prec` inside each `localcontext()` block, because the
+# `localcontext(prec=...)` keyword needs Python 3.11
+PRECISION_DIGITS = 61
 GENERATOR_ID = "philox4x64 (numpy Philox)"
 
 _HALF = Fraction(1, 2)
@@ -43,7 +48,7 @@ class ThresholdSequence:
     `values[i]` is the price quoted to the agent who is (i+1)-th from the
     END of the line; `in_line_order()` gives the order a simulation visits
     them.  `exact` records whether the entries are `Fraction`s or rounded
-    mpmath floats.
+    `Decimal`s.
     """
 
     n: int
@@ -73,8 +78,9 @@ def _threshold_values(n: int, exact: bool) -> tuple:
             t = values[-1]
             values.append((1 + t * t) / 2)
         return tuple(values)
-    with mpmath.workprec(PRECISION_BITS):
-        t = mpmath.mpf(1) / 2
+    with localcontext() as ctx:
+        ctx.prec = PRECISION_DIGITS
+        t = Decimal(1) / 2
         values = [t]
         for _ in range(n - 1):
             t = (1 + t * t) / 2
@@ -97,8 +103,8 @@ def _gamma_step(t, acc):
 def expected_revenue_recursive(n: int):
     """Expected revenue under the optimal prices, by the revenue recursion.
 
-    Exact `Fraction` for n up to `EXACT_RECURSION_LIMIT`, an mpmath float
-    at `PRECISION_BITS` bits beyond.  The recursion is the Horner scheme
+    Exact `Fraction` for n up to `EXACT_RECURSION_LIMIT`, a `Decimal` of
+    `PRECISION_DIGITS` digits beyond.  The recursion is the Horner scheme
     of `expected_revenue_closed` run on the optimal sequence.
     """
     return expected_revenue_closed(optimal_thresholds_uniform(n))
@@ -123,7 +129,8 @@ def expected_revenue_closed(thresholds):
     for t in values:
         if not 0 <= t <= 1:
             raise ValueError(f"threshold {t} outside [0, 1]")
-    with mpmath.workprec(PRECISION_BITS):
+    with localcontext() as ctx:
+        ctx.prec = PRECISION_DIGITS
         gamma = 0
         for t in values:
             gamma = _gamma_step(t, gamma)
@@ -160,6 +167,8 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
         line = tuple(reversed(tuple(thresholds)))
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     prices = np.array([float(t) for t in line], dtype=np.float64)
     n = len(prices)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -204,6 +213,8 @@ def efficiency_loss_probe(epsilon, n_list, samples: int, seed: int):
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     for n in n_list:

@@ -9,11 +9,14 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import spitefree
 from spitefree import cli, multiitem, specfile, verifier
 from spitefree.cli import (
     EXIT_BUDGET,
@@ -236,6 +239,78 @@ def test_thresholds_render_exactly_up_to_the_exact_limit():
             assert Fraction(results["expected_revenue"]) == revenue
 
 
+def _exact_optimum(n):
+    """The exact prices t_1..t_n and revenue, each as an int m and e for m / 2^e.
+
+    The Fraction recursion on dyadic numerators: t_1 = 1/2 and
+    t_(k+1) = (1 + t_k^2) / 2, then revenue = t (1 - t + revenue) over the
+    prices in order.  Fraction itself would spend seconds on gcds.
+    """
+    prices = [(1, 1)]
+    for _ in range(n - 1):
+        a, e = prices[-1]
+        prices.append(((1 << 2 * e) + a * a, 2 * e + 1))
+    g, f = 0, 0
+    for a, e in prices:
+        top = max(e, f)
+        g = a * ((1 << top) - (a << top - e) + (g << top - f))
+        f = top + e
+    return prices, (g, f)
+
+
+def _round_25(m: int, e: int) -> str:
+    """m / 2^e in [1/10, 1) to 25 significant digits, half to even, on ints alone."""
+    q, r = divmod(m * 10**25, 1 << e)
+    if 2 * r > 1 << e or (2 * r == 1 << e and q % 2):
+        q += 1
+    assert 10**24 <= q < 10**25
+    return ("0." + str(q)).rstrip("0")
+
+
+def test_thresholds_past_the_exact_limit_render_the_exact_values_rounded():
+    for n in range(17, 21):
+        code, out, err = run_cli("thresholds", "--n", str(n))
+        assert code == EXIT_OK, err
+        results = json.loads(out)["results"]
+        assert results["exact"] is False
+        prices, revenue = _exact_optimum(n)
+        assert results["values_last_to_first"] == [_round_25(*t) for t in prices]
+        assert results["values_in_line_order"] == [_round_25(*t) for t in reversed(prices)]
+        assert results["expected_revenue"] == _round_25(*revenue)
+    # t_4006 is 0.99950200020712229102407715000002091...: a near tie at
+    # the 25th digit, which rounds up
+    code, out, _ = run_cli("thresholds", "--n", "4006")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["values_last_to_first"][-1] == "0.9995020002071222910240772"
+
+
+def test_an_oversized_thresholds_report_exits_3_before_any_work(monkeypatch):
+    for name in ("optimal_thresholds_uniform", "expected_revenue_recursive"):
+        monkeypatch.setattr(cli, name, _never)
+    code, out, err = run_cli("thresholds", "--n", "100000")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "a report for --n 100000 holds about 10000000 bytes (100 per agent)" in err
+    assert str(cli.MAX_THRESHOLDS_REPORT_BYTES) in err
+
+
+def test_the_thresholds_cap_admits_ten_thousand_agents():
+    code, out, _ = run_cli("thresholds", "--n", "10000")
+    assert code == EXIT_OK
+    assert len(out) <= 10_000 * cli._THRESHOLDS_BYTES_PER_AGENT
+
+
+def test_an_oversized_revenue_simulation_exits_3_before_any_work(monkeypatch):
+    for name in ("optimal_thresholds_uniform", "expected_revenue_recursive", "monte_carlo_revenue"):
+        monkeypatch.setattr(cli, name, _never)
+    code, out, err = run_cli("revenue", "--n", "3", "--samples", "10000000000000")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "--n 3 x --samples 1.000e+13 = 3.000e+13 uniform draws" in err
+    assert str(cli.MAX_SAMPLE_DRAWS) in err
+    code, _, err = run_cli("revenue", "--n", "11", "--samples", "1000000")
+    assert code == EXIT_BUDGET
+    assert "= 11000000 uniform draws" in err
+
+
 def test_revenue_estimate_is_seeded():
     code, out, _ = run_cli("revenue", "--n", "1", "--samples", "1000000", "--seed", "3")
     assert code == EXIT_OK
@@ -386,6 +461,18 @@ def test_an_oversized_region_system_exits_3_before_any_inequality(monkeypatch):
     assert str(multiitem.MAX_REGION_INEQUALITIES) in err
 
 
+def test_an_oversized_regions_classification_exits_3_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli, "classify_lattice", _never)
+    bundles = ["".join(bits) for bits in itertools.product("01", repeat=8)][1:]
+    code, out, err = run_cli(
+        "regions", "--payments", ",".join(f"{b}={b.count('1')}" for b in bundles),
+        "--box", "0,3", "--step", "1",
+    )
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "65536 lattice points against 256 attainable bundles takes 16777216 comparisons" in err
+    assert str(cli.MAX_LATTICE_CLASSIFICATIONS) in err
+
+
 def test_regions_rejects_malformed_payment_lists():
     code, _, err = run_cli("regions", "--payments", "10=4,oops")
     assert code == EXIT_INPUT_ERROR
@@ -476,3 +563,32 @@ def test_empty_property_list(tmp_path, command, spec_text):
     code, out, err = run_cli(command, "--spec", spec, "--props", ",")
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert "--props names no property" in err
+
+
+_NO_NUMERICS_SCRIPT = """
+import contextlib, io, json, sys
+import spitefree, spitefree.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [spitefree.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
+"""
+
+
+def test_every_command_but_revenue_runs_on_the_standard_library_alone(tmp_path):
+    spec = write(tmp_path, "t.spec", THRESHOLD_SPEC)
+    seq = write(tmp_path, "seq.spec", "kind: sequential\nitems: 2\nranking: 1,2\nthresholds: 2,1\n")
+    runs = [
+        ["verify", "--spec", spec],
+        ["enumerate", "--grid", "0,1,2"],
+        ["thresholds", "--n", "3"],
+        ["thresholds", "--n", "20"],
+        ["regions", "--payments", "10=4,01=3,11=6", "--box", "0,8", "--step", "1/2"],
+        ["multi", "--spec", seq, "--max-marginal", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(spitefree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMERICS_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"

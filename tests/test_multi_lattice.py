@@ -269,9 +269,9 @@ def test_a_given_truth_allocates_only_what_the_checks_read(example, allocate):
     mech = _Counting(allocate, spec)
     for check in (check_multi_ir, check_multi_ic, check_multi_sic):
         check(mech, domains, truths)
-    # IR reads the truth alone, IC and SIC share the truth and its one
-    # deviation; one lattice per check would allocate 1 + 2 + 2 times
-    assert mech.calls == 1 + 2
+    # the three checks share one lattice of the truth and its one
+    # deviation; one lattice per check would allocate 2 + 2 + 2 times
+    assert mech.calls == 2
 
 
 @pytest.mark.parametrize("seed", range(20))

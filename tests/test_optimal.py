@@ -59,8 +59,8 @@ def test_closed_form_matches_recursion_exactly():
 
 
 def test_closed_and_recursive_agree_past_the_exact_cap():
-    # both sides switch to 200-bit floats above the cap; the shared fold
-    # keeps them bitwise identical there as well
+    # both sides switch to 61-digit decimals above the cap; the shared
+    # fold keeps them identical there as well
     for n in (EXACT_RECURSION_LIMIT + 1, 30, 50):
         assert expected_revenue_closed(optimal_thresholds_uniform(n)) == (
             expected_revenue_recursive(n)
