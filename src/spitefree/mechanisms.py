@@ -15,7 +15,8 @@ above), so it is stated once, in `_threshold_winner`, on those signs.
 each threshold with each grid level once and applies it to every profile of
 ``grid^n``, with one shared `Outcome` per winner code.
 `recognize_threshold_form` reads a table's outcomes against the same sign
-columns to recover a spec, without tabulating one.
+columns to recover a spec, without tabulating one; its second pass,
+`recognize_on_signs`, reads only signs and winner codes.
 """
 
 from __future__ import annotations
@@ -192,19 +193,9 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
 
     The first pass reads only the outcomes: losers must pay nothing and
     each winner one price, her threshold (INFINITY for an agent who never
-    wins).  It returns None for any other table before any other test;
-    `verifier.characterization_experiment` relies on this to skip such
-    tables without building them.  The second pass zips the outcomes with
-    the sign columns that `tabulate_outcomes` reads.  Every winner must
-    meet her threshold; wherever some bid strictly exceeds, the item must
-    sell, and its winner beats every other meeting agent.  The ranking is
-    a topological order of those facts, and None if they have a cycle.
-
-    Where nobody exceeds but somebody meets (a boundary profile), any
-    meeting agent or nobody may win: every agent's payoff at the truth is
-    the same either way.  The rule is `NO_ALLOCATION` when boundary
-    profiles exist and none of them sold, else `HIGHEST_RANK_AT_THRESHOLD`,
-    so the spec tabulates back to the table whenever either rule does.
+    wins).  It returns None for any other table before any other test.
+    The second pass, `recognize_on_signs`, reads the winners against the
+    sign columns that `tabulate_outcomes` reads.
     """
     n = table.n
     prices: dict[int, Fraction] = {}
@@ -216,12 +207,34 @@ def recognize_threshold_form(table: MechanismTable) -> ThresholdSpec | None:
         if w >= 0 and prices.setdefault(w, out.payments[w]) != out.payments[w]:
             return None
     thresholds = tuple(prices.get(i, INFINITY) for i in range(n))
-
     columns = [[_sign(level, t) for level in table.grid.levels] for t in thresholds]
+    return recognize_on_signs(columns, [out.winner for out in table.outcomes], thresholds)
+
+
+def recognize_on_signs(columns, winners, thresholds: tuple[ExtMoney, ...]) -> ThresholdSpec | None:
+    """The threshold spec with these thresholds that explains the winners, or None.
+
+    ``columns[i][k]`` is the sign (see `_sign`) of the grid's k-th level
+    against agent i's threshold, and ``winners`` lists the winner codes,
+    in flat order, of a table that charges each winner her threshold and
+    nobody else anything.  Only signs are read, so the sweep of
+    `verifier.characterization_experiment` passes those of level indices.
+
+    Every winner must meet her threshold; wherever some bid strictly
+    exceeds, the item must sell, and its winner beats every other meeting
+    agent.  The ranking is a topological order of those facts, and None if
+    they have a cycle.  Where nobody exceeds but somebody meets (a
+    boundary profile), any meeting agent or nobody may win: every agent's
+    payoff at the truth is the same either way.  The rule is
+    `NO_ALLOCATION` when boundary profiles exist and none of them sold,
+    else `HIGHEST_RANK_AT_THRESHOLD`, so the spec tabulates back to the
+    table whenever either rule does.
+    """
+    n = len(thresholds)
     beats: dict[int, set[int]] = defaultdict(set)
     boundary_sold: set[bool] = set()
-    for signs, out in zip(itertools.product(*columns), table.outcomes):
-        w = out.winner - 1
+    for signs, winner in zip(itertools.product(*columns), winners):
+        w = winner - 1
         if w >= 0 and signs[w] < 0:
             return None
         if 1 in signs:

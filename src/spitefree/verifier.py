@@ -44,8 +44,8 @@ from .core import (
     utility,
     utility_vector,
 )
-from .mechanisms import recognize_threshold_form, tabulate_outcomes
-from .money import render_money
+from .mechanisms import ThresholdSpec, recognize_on_signs, tabulate_outcomes
+from .money import INFINITY, render_money
 from .reports import Property, PropertyReport, Witness
 
 
@@ -610,7 +610,10 @@ def _key_lattice(grid: Grid, n: int) -> _Lattice:
     return _grid_lattice(grid.levels, tuple(originals), n)
 
 
-# The walk recurses once per profile, and Python stops it near 1 000 frames.
+# The sweep walks only the tables it recognizes and counts the rest (see
+# `characterization_experiment`), and counted tables count toward its
+# budget like walked ones.  The walk and the count recurse once per profile
+# between them, and Python stops them near 1 000 frames.
 _MAX_WALK_PROFILES = 512
 # The sweep checks anonymity on closure grids, which hold the grid and 0,
 # over all n! - 1 relabelings: at about 2 us a read, 1.2 s for the null
@@ -636,51 +639,80 @@ def _check_walk_size(grid: Grid, n: int) -> None:
         )
 
 
-def _walk_winner_codes(grid: Grid, n: int, max_tables: int):
-    """Yield the profile keys (see `_key_lattice`) of every IR + IC table, in encoding order.
+class _Walk:
+    """The IR + IC walk: a profile key (see `_key_lattice`) per profile of ``grid^n``.
 
-    The walk assigns a winner code to each profile in flat order, keeping
-    each agent's winning region upward closed in her own bid.  A winner
-    inherits the price of the profile one level below her own bid when she
-    wins there too, and otherwise pays her own bid: the induced price.
-    Raises `BudgetExceededError` instead of yielding table ``max_tables + 1``.
+    ``keys[pad + flat]`` is profile ``flat``'s key, after ``pad`` zeros: the
+    forcing rule, `choices`, reads back ``pad`` profiles at most, the
+    stride of agent 1's bid.  ``tables`` counts the tables walked or
+    counted; the one after ``max_tables`` raises `BudgetExceededError`.
     """
-    width = len(grid)
-    total = width**n
-    base = n + 1
-    strides = domain_strides((grid.levels,) * n)
-    digit_list = list(itertools.product(range(width), repeat=n))
-    keys = [0] * total
-    yielded = 0
 
-    def walk(flat: int):
-        nonlocal yielded
-        if flat == total:
-            if yielded >= max_tables:
-                raise BudgetExceededError(
-                    f"more than {max_tables} IR+IC tables on grid {grid.render()}"
-                )
-            yielded += 1
-            yield tuple(keys)
+    def __init__(self, grid: Grid, n: int, max_tables: int) -> None:
+        self.grid, self.n, self.max_tables = grid, n, max_tables
+        self.width = len(grid)
+        self.total = self.width**n
+        self.base = base = n + 1
+        self.strides = domain_strides((grid.levels,) * n)
+        self.pad = self.strides[0]
+        self.digits = list(itertools.product(range(self.width), repeat=n))
+        # unsold, or a winner who does not win one level lower pays her own bid
+        self.free = [(0, *(i + 1 + base * d for i, d in enumerate(ds))) for ds in self.digits]
+        self.keys = [0] * (self.pad + self.total)
+        self.tables = 0
+        self.counts: dict[tuple, int] = {}
+
+    def choices(self, flat: int, entries, end: int, free):
+        """The entries profile ``flat`` may take: ``free``, one forced entry, or none.
+
+        ``entries[end - stride]`` stands for the profile ``stride`` places
+        before ``flat``, as a key or a winner code: either way its winner
+        code is the entry modulo n + 1.  An agent who wins one level below
+        her own bid wins here too at the same price; two such agents leave
+        no IR + IC table.
+        """
+        forced = ()
+        for i, d in enumerate(self.digits[flat]):
+            if d:
+                below = entries[end - self.strides[i]]
+                if below % self.base == i + 1:
+                    if forced:
+                        return ()
+                    forced = (below,)
+        return forced or free
+
+    def add(self, count: int) -> None:
+        if self.tables + count > self.max_tables:
+            raise BudgetExceededError(
+                f"more than {self.max_tables} IR+IC tables on grid {self.grid.render()}"
+            )
+        self.tables += count
+
+    def key_tuples(self, flat: int = 0):
+        """Yield the keys of every table that extends the walk's profiles before ``flat``."""
+        if flat == self.total:
+            self.add(1)
+            yield tuple(self.keys[self.pad :])
             return
-        digits = digit_list[flat]
-        forced = None  # the agent who also wins one level below her own bid
-        for i in range(n):
-            if digits[i] and keys[flat - strides[i]] % base == i + 1:
-                if forced is not None:
-                    return
-                forced = i
-        if forced is not None:
-            keys[flat] = keys[flat - strides[forced]]
-            yield from walk(flat + 1)
-        else:
-            keys[flat] = 0
-            yield from walk(flat + 1)
-            for i in range(n):
-                keys[flat] = i + 1 + base * digits[i]
-                yield from walk(flat + 1)
+        end = self.pad + flat
+        for key in self.choices(flat, self.keys, end, self.free[flat]):
+            self.keys[end] = key
+            yield from self.key_tuples(flat + 1)
 
-    return walk(0)
+    def count(self, flat: int, window: tuple[int, ...]) -> int:
+        """How many tables go on from profile ``flat`` after the ``pad`` winner codes ``window``.
+
+        Memoized per ``(flat, window)``: the codes are all `choices` reads.
+        """
+        if flat == self.total:
+            return 1
+        counted = self.counts.get((flat, window))
+        if counted is None:
+            counted = 0
+            for code in self.choices(flat, window, self.pad, range(self.base)):
+                counted += self.count(flat + 1, window[1:] + (code,))
+            self.counts[flat, window] = counted
+        return counted
 
 
 def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
@@ -697,7 +729,7 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     """
     _check_walk_size(grid, n)
     originals = _key_lattice(grid, n).originals
-    for keys in _walk_winner_codes(grid, n, max_tables):
+    for keys in _Walk(grid, n, max_tables).key_tuples():
         yield MechanismTable(grid, n, tuple(map(originals.__getitem__, keys)))
 
 
@@ -722,6 +754,81 @@ def _agent_lines(levels, n: int):
     return lines
 
 
+class _Sweep(_Walk):
+    """The walk of `characterization_experiment`, with its line verdicts and counts."""
+
+    def __init__(self, grid: Grid, n: int, max_tables: int) -> None:
+        super().__init__(grid, n, max_tables)
+        self.keyed = _key_lattice(grid, n)
+        self.lines_at = [[] for _ in range(self.total)]  # by the line's last profile
+        for line in _agent_lines(self.keyed.domains[0], n):
+            self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
+        self.line_verdicts: dict[tuple, bool] = {}
+        self.spec_verdicts: dict[ThresholdSpec, tuple[bool, bool]] = {}  # anonymous, efficient
+        self.sic_count = self.anonymous_count = self.efficient_count = 0
+
+    def walk(self, flat: int, sic: bool, prices) -> None:
+        """Walk on from profile ``flat``, counting the subtrees where nothing is recognized.
+
+        ``sic`` holds while every finished line passes SIC; ``prices[i]``
+        is the level index agent i pays (``width`` while she never wins),
+        and None once some agent has won at two prices.
+        """
+        if flat == self.total:
+            return self.judge(sic, prices)
+        keys, end, base = self.keys, self.pad + flat, self.base
+        for key in self.choices(flat, keys, end, self.free[flat]):
+            keys[end] = key
+            now = prices
+            if key and prices is not None:
+                i, level = key % base - 1, key // base
+                if prices[i] == self.width:
+                    now = (*prices[:i], level, *prices[i + 1 :])
+                elif prices[i] != level:
+                    now = None
+            passes = sic and all(map(self.line_passes, self.lines_at[flat]))
+            if passes or now is not None:
+                self.walk(flat + 1, passes, now)
+            else:
+                self.add(self.count(flat + 1, tuple([k % base for k in keys[flat + 1 : end + 1]])))
+
+    def line_passes(self, line) -> bool:
+        """Whether the finished line passes SIC, judged once per distinct line."""
+        i, start, stride, domains = line
+        keys = tuple(self.keys[self.pad + start : self.pad + start + self.width * stride : stride])
+        verdict = self.line_verdicts.get((i, start, keys))
+        if verdict is None:
+            outcomes = [self.keyed.outcomes[key] for key in keys]
+            verdict = deviation_check(Property.SIC, domains, outcomes, payoff).passed
+            self.line_verdicts[i, start, keys] = verdict
+        return verdict
+
+    def judge(self, sic: bool, prices) -> None:
+        """Count the finished table and check that SIC and threshold form agree on it."""
+        self.add(1)
+        spec = None
+        if prices is not None:  # a table that charges some agent two prices is not threshold form
+            levels = self.grid.levels
+            thresholds = tuple([levels[k] if k < self.width else INFINITY for k in prices])
+            # signs of level indices against price indices, as of levels against prices
+            columns = [[(j > k) - (j < k) for j in range(self.width)] for k in prices]
+            winners = [key % self.base for key in self.keys[self.pad :]]
+            spec = recognize_on_signs(columns, winners, thresholds)
+        if sic != (spec is not None):
+            outcomes = tuple(map(self.keyed.originals.__getitem__, self.keys[self.pad :]))
+            table = MechanismTable(self.grid, self.n, outcomes)
+            raise CharacterizationMismatchError(table, sic, spec)
+        if sic:
+            self.sic_count += 1
+            verdicts = self.spec_verdicts.get(spec)
+            if verdicts is None:  # tables that differ only at boundary profiles share a spec
+                closure = closure_for_thresholds(spec.thresholds, base=self.grid.levels)
+                verdicts = check_anonymous(spec, closure).passed, check_efficient(spec, closure).passed
+                self.spec_verdicts[spec] = verdicts
+            self.anonymous_count += verdicts[0]
+            self.efficient_count += verdicts[1]
+
+
 def characterization_experiment(
     grid: Grid, n: int, max_tables: int = 1_000_000
 ) -> EnumerationSummary:
@@ -732,19 +839,26 @@ def characterization_experiment(
     `CharacterizationMismatchError` with the offending table otherwise.  For the
     spite-proof tables it also counts how many are anonymous and how many
     are efficient, judging the recognized threshold form on its closure
-    grid so that the witness bids above the recognized thresholds exist.
+    grid so that the witness bids above the recognized thresholds exist,
+    once per distinct form.
 
-    The sweep reads the walk's winner codes and builds a `MechanismTable`
-    only for recognition.  A deviation changes one agent's bid, so a table
-    is SIC exactly when each of its lines (see `_agent_lines`) is; each line
-    is judged by `deviation_check` once per sweep, on the grid's integer
-    lattice, and its verdict reused for every table that shares it.  A
-    table in which some agent wins at two prices is not threshold form (see
-    `recognize_threshold_form`), so it is built only when it passes SIC, to
-    report the mismatch.  Like `enumerate_ir_ic_mechanisms`, it raises
-    `BudgetExceededError` before any work on more than
-    `_MAX_WALK_PROFILES` profiles, or when one anonymity check may read
-    more than `_MAX_RELABELING_READS` relabeled profiles.
+    The sweep walks the IR + IC tables in encoding order and decides, as
+    it goes, whether every finished line (see `_agent_lines`) passes SIC
+    and whether every winner pays one price.  A deviation changes one
+    agent's bid, so a table is SIC exactly when each of its lines is; each
+    distinct line is judged by `deviation_check` once per sweep, on the
+    grid's integer lattice.  A table that charges some agent two prices is
+    not threshold form, so below a walk node that has failed SIC and has
+    such an agent no table can be recognized or mismatch: `_Walk.count`
+    counts those tables without walking them, and they count toward
+    ``max_tables`` all the same.  Every walked table that charges each
+    winner one price is recognized from level indices by
+    `recognize_on_signs`; a walked SIC table that does not is a mismatch
+    at once.  A `MechanismTable` is built only to report a mismatch.
+    Like `enumerate_ir_ic_mechanisms`, it raises `BudgetExceededError`
+    before any work on more than `_MAX_WALK_PROFILES` profiles, or when
+    one anonymity check may read more than `_MAX_RELABELING_READS`
+    relabeled profiles.
     """
     _check_walk_size(grid, n)
     closure_width = len(set(grid.levels) | {0})
@@ -755,58 +869,15 @@ def characterization_experiment(
             f"{closure_width}^{n} x ({n}! - 1) = {reads} relabeled profiles, "
             f"over the sweep's cap of {_MAX_RELABELING_READS}"
         )
-    keyed = _key_lattice(grid, n)
-    base = n + 1
-    width = len(grid)
-    lines = _agent_lines(keyed.domains[0], n)
-    line_verdicts: dict[tuple, bool] = {}
-
-    def passes_sic(keys) -> bool:
-        for i, start, stride, domains in lines:
-            line = keys[start : start + width * stride : stride]
-            memo_key = (i, start, line)
-            verdict = line_verdicts.get(memo_key)
-            if verdict is None:
-                outcomes = [keyed.outcomes[key] for key in line]
-                verdict = deviation_check(Property.SIC, domains, outcomes, payoff).passed
-                line_verdicts[memo_key] = verdict
-            if not verdict:
-                return False
-        return True
-
-    ir_ic = 0
-    sic_count = 0
-    threshold_count = 0
-    anonymous_count = 0
-    efficient_count = 0
-    for keys in _walk_winner_codes(grid, n, max_tables):
-        ir_ic += 1
-        sic = passes_sic(keys)
-        sold = set(keys)
-        sold.discard(0)
-        one_price_each = len(sold) == len({key % base for key in sold})
-        if not (sic or one_price_each):
-            continue
-        table = MechanismTable(grid, n, tuple(map(keyed.originals.__getitem__, keys)))
-        spec = recognize_threshold_form(table)
-        if sic != (spec is not None):
-            raise CharacterizationMismatchError(table, sic, spec)
-        if spec is not None:
-            threshold_count += 1
-        if sic:
-            sic_count += 1
-            closure = closure_for_thresholds(spec.thresholds, base=grid.levels)
-            if check_anonymous(spec, closure).passed:
-                anonymous_count += 1
-            if check_efficient(spec, closure).passed:
-                efficient_count += 1
+    sweep = _Sweep(grid, n, max_tables)
+    sweep.walk(0, True, (len(grid),) * n)
     return EnumerationSummary(
         grid=grid,
         n=n,
         total_candidates=(n + 1) ** (len(grid) ** n),
-        ir_ic_count=ir_ic,
-        sic_count=sic_count,
-        threshold_form_count=threshold_count,
-        anonymous_sic_count=anonymous_count,
-        efficient_sic_count=efficient_count,
+        ir_ic_count=sweep.tables,
+        sic_count=sweep.sic_count,
+        threshold_form_count=sweep.sic_count,  # every SIC table, and no other, was recognized
+        anonymous_sic_count=sweep.anonymous_count,
+        efficient_sic_count=sweep.efficient_count,
     )

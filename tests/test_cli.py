@@ -185,15 +185,16 @@ def test_enumerate_at_the_walk_cap_runs_to_its_budget():
     [(_levels(513), "1", "513^1 = 513"), ("0,1", "40", "2^40 = 1099511627776"), ("0,1", "10", "2^10 = 1024")],
 )
 def test_an_oversized_enumerate_grid_exits_3_before_any_work(grid, n, count, monkeypatch):
-    for name in ("_walk_winner_codes", "_agent_lines"):
-        monkeypatch.setattr(verifier, name, _never)
+    monkeypatch.setattr(verifier._Walk, "__init__", _never)
+    monkeypatch.setattr(verifier, "_agent_lines", _never)
     code, out, err = run_cli("enumerate", "--grid", grid, "--n", n, "--budget", "5")
     assert (code, out) == (EXIT_BUDGET, "")
     assert f"at n={n} has {count} profiles, over the IR+IC walk's cap of 512" in err
 
 
 def test_an_enumerate_sweep_over_the_relabeling_cap_exits_3_before_any_work(monkeypatch):
-    for name in ("_walk_winner_codes", "_agent_lines", "_anonymity_check"):
+    monkeypatch.setattr(verifier._Walk, "__init__", _never)
+    for name in ("_agent_lines", "_anonymity_check"):
         monkeypatch.setattr(verifier, name, _never)
     code, out, err = run_cli("enumerate", "--grid", "0,1", "--n", "9", "--budget", "5")
     assert (code, out) == (EXIT_BUDGET, "")

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import re
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from spitefree.mechanisms import (
     SecondPriceMechanism,
     ThresholdSpec,
     null_spec,
+    recognize_on_signs,
     recognize_threshold_form,
     tabulate,
 )
@@ -664,7 +666,7 @@ def test_enumeration_refuses_an_oversized_walk_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an oversized walk started")
 
-    monkeypatch.setattr(verifier, "_walk_winner_codes", never)
+    monkeypatch.setattr(verifier._Walk, "__init__", never)
     monkeypatch.setattr(verifier, "_agent_lines", never)
     # a one-level grid counts as two: 2^10 profiles; an n of 10^9 is not raised to
     for grid, n in ((Grid.from_text("0,1,2"), 6), (Grid.from_text("0"), 10), (Grid.from_text("0,1"), 10**9)):
@@ -680,7 +682,8 @@ def test_the_sweep_refuses_unbounded_anonymity_work_before_any_work(monkeypatch)
     def never(*args, **kwargs):
         raise AssertionError("a sweep over the relabeling cap started")
 
-    for name in ("_walk_winner_codes", "_agent_lines", "_anonymity_check"):
+    monkeypatch.setattr(verifier._Walk, "__init__", never)
+    for name in ("_agent_lines", "_anonymity_check"):
         monkeypatch.setattr(verifier, name, never)
     # each grid is under the walk cap; a closure adds the level 0 to the grid
     for grid, n, reads in (
@@ -692,8 +695,8 @@ def test_the_sweep_refuses_unbounded_anonymity_work_before_any_work(monkeypatch)
         with pytest.raises(BudgetExceededError, match=re.escape(cap)):
             characterization_experiment(Grid.from_text(grid), n)
     # 2^7 x (7! - 1) = 644 992 reads is under the cap: the sweep starts its walk
-    monkeypatch.setattr(verifier, "_agent_lines", lambda levels, n: [])
-    monkeypatch.setattr(verifier, "_walk_winner_codes", lambda *args: iter(()))
+    monkeypatch.undo()
+    monkeypatch.setattr(verifier._Sweep, "walk", lambda *args: None)
     assert characterization_experiment(Grid.from_text("0,1"), 7).ir_ic_count == 0
 
 
@@ -733,6 +736,18 @@ def test_enumeration_matches_the_brute_force_slow_path(text, count):
     assert tables == _ir_ic_tables_by_brute_force(grid, 2)
 
 
+@pytest.mark.parametrize(
+    "text, n, count", [("0,1", 2, 30), ("0,1,2", 2, 594), ("0,1", 3, 5075), ("0,1,2,3", 2, 19246)]
+)
+def test_the_frontier_count_matches_the_walk(text, n, count):
+    grid = Grid.from_text(text)
+    walk = verifier._Walk(grid, n, max_tables=0)
+    assert walk.count(0, (0,) * walk.pad) == count
+    assert len(list(enumerate_ir_ic_mechanisms(grid, n))) == count
+    if (text, n) == ("0,1", 2):
+        assert len(_ir_ic_tables_by_brute_force(grid, n)) == count
+
+
 def _wins_at_two_prices(table):
     prices = {}
     for out in table.outcomes:
@@ -746,6 +761,7 @@ def test_sweep_counts_match_the_public_checks(text, monkeypatch):
     grid = Grid.from_text(text)
     ir_ic = sic_count = threshold_count = anonymous = efficient = 0
     one_price = []
+    sic_specs = set()
     for table in enumerate_ir_ic_mechanisms(grid, 2):
         ir_ic += 1
         sic = check_sic(table, grid).passed
@@ -758,16 +774,27 @@ def test_sweep_counts_match_the_public_checks(text, monkeypatch):
         threshold_count += spec is not None
         if sic:
             sic_count += 1
+            sic_specs.add(spec)
             closure = closure_for_thresholds(spec.thresholds, base=grid.levels)
             anonymous += check_anonymous(spec, closure).passed
             efficient += check_efficient(spec, closure).passed
     recognized = []
 
-    def recording(table):
-        recognized.append(table)
-        return recognize_threshold_form(table)
+    def recording(columns, winners, thresholds):
+        # the sweep's sign columns, from level indices, are those of the levels
+        assert columns == [[(level > t) - (level < t) for level in grid.levels] for t in thresholds]
+        payments = [tuple(t if j == w - 1 else F(0) for j, t in enumerate(thresholds)) for w in winners]
+        recognized.append(MechanismTable(grid, 2, tuple(map(Outcome, winners, payments))))
+        return recognize_on_signs(columns, winners, thresholds)
 
-    monkeypatch.setattr(verifier, "recognize_threshold_form", recording)
+    judged = []
+
+    def judging(spec, closure):
+        judged.append(spec)
+        return check_anonymous(spec, closure)
+
+    monkeypatch.setattr(verifier, "recognize_on_signs", recording)
+    monkeypatch.setattr(verifier, "check_anonymous", judging)
     summary = characterization_experiment(grid, 2)
     assert summary.total_candidates == 3 ** len(grid) ** 2
     assert (
@@ -780,6 +807,10 @@ def test_sweep_counts_match_the_public_checks(text, monkeypatch):
     # every two-price table fails SIC, so the sweep recognizes exactly the rest
     assert 0 < len(recognized) < ir_ic
     assert recognized == one_price
+    # SIC tables that differ only where the boundary choice is invisible share a spec,
+    # and each distinct spec is judged once
+    assert sorted(map(repr, judged)) == sorted(map(repr, sic_specs))
+    assert len(judged) < sic_count
 
 
 @pytest.mark.parametrize("text", ["0,1,2,3", "0,1/3,7/6,5/2"])
@@ -792,6 +823,19 @@ def test_characterization_counts_on_four_levels(text):
     assert summary.threshold_form_count == 246
     assert summary.anonymous_sic_count == 1
     assert summary.efficient_sic_count == 1
+
+
+def test_characterization_counts_on_five_levels():
+    # counts measured with the earlier sweep, which walked and judged all 918 530 tables
+    summary = characterization_experiment(Grid.from_text("0,1,2,3,4"), 2)
+    assert summary.total_candidates == 3**25
+    assert (
+        summary.ir_ic_count,
+        summary.sic_count,
+        summary.threshold_form_count,
+        summary.anonymous_sic_count,
+        summary.efficient_sic_count,
+    ) == (918530, 882, 882, 1, 1)
 
 
 def test_three_agents_on_two_levels_stop_at_a_known_mismatch():
@@ -812,6 +856,42 @@ def test_sweep_budget_counts_tables():
     with pytest.raises(BudgetExceededError, match="more than 29 IR[+]IC tables"):
         characterization_experiment(grid, 2, max_tables=29)
     assert characterization_experiment(grid, 2, max_tables=30).ir_ic_count == 30
+
+
+def test_sweep_budget_cut_inside_a_counted_subtree(monkeypatch):
+    added = []
+    add = verifier._Walk.add
+
+    def recording(walk, count):
+        added.append((walk.tables, count))
+        add(walk, count)
+
+    monkeypatch.setattr(verifier._Walk, "add", recording)
+    assert characterization_experiment(GRID012, 2).ir_ic_count == 594
+    # the largest batch of tables counted at once, not walked
+    before, count = max(added, key=lambda a: a[1])
+    assert count > 2
+    for budget in range(before, before + count):
+        added.clear()
+        with pytest.raises(BudgetExceededError, match=f"more than {budget} IR[+]IC tables"):
+            characterization_experiment(GRID012, 2, max_tables=budget)
+        assert added[-1] == (before, count)
+    with pytest.raises(BudgetExceededError, match="more than 593 IR[+]IC tables"):
+        characterization_experiment(GRID012, 2, max_tables=593)
+    assert characterization_experiment(GRID012, 2, max_tables=594).ir_ic_count == 594
+
+
+def test_the_sweep_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for text in ("0,1", "0,1,2,3"):
+            characterization_experiment(Grid.from_text(text), 2)
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found[1] <= found[0]
 
 
 def test_characterization_summary_on_the_two_level_grid():
