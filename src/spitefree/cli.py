@@ -13,8 +13,9 @@ budget was exceeded or the input's size, estimated before any work, is
 over a fixed cap: for `enumerate` a grid of more than 512 profiles or
 anonymity checks of more than a million relabeled profiles (see
 `verifier.characterization_experiment`), for `thresholds` the report
-bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the n x samples
-uniform draws `MAX_SAMPLE_DRAWS`, for `regions` `MAX_LATTICE_POINTS`,
+bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the agents
+`MAX_REVENUE_AGENTS` and the n x samples uniform draws
+`MAX_SAMPLE_DRAWS`, for `regions` `MAX_LATTICE_POINTS`,
 `MAX_LATTICE_CLASSIFICATIONS` (points x attainable bundles) and
 `multiitem.MAX_REGION_INEQUALITIES`, for `multi` `MAX_PAYOFF_READS` on
 the built-in domain and, for any multi-item spec file,
@@ -85,16 +86,19 @@ EXIT_BUDGET = 3
 # about 10 s.  A `thresholds` report spends about 100 bytes per agent on
 # three lists of 25-digit decimals (exact fractions, n <= 16, stay under
 # 240 KB); at the cap a run takes 0.2 s and 24 MB.  A `revenue` run draws
-# one uniform per agent per sample and keeps 24 bytes per sample; at the
-# cap a run takes at most 1.5 s and 320 MB (n = 1).  (2-core Xeon,
-# Python 3.11.)  Region systems and spec files have caps of their own
-# where they are built: `multiitem.MAX_REGION_INEQUALITIES`,
-# `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
+# one uniform per agent per sample and keeps 16 bytes per sample plus one
+# batch of draws; at the draw cap a run takes about 0.7 s and 190 MB
+# (n = 1).  Its exact recursion and prices take one 61-digit decimal step
+# per agent, whatever the samples; at the agent cap a run takes at most
+# 4 s and 200 MB.  (2-core Xeon, Python 3.11.)  Region systems and spec
+# files have caps of their own where they are built:
+# `multiitem.MAX_REGION_INEQUALITIES`, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.
 MAX_LATTICE_POINTS = 100_000
 MAX_LATTICE_CLASSIFICATIONS = 2_000_000
 MAX_PAYOFF_READS = 20_000_000
 MAX_THRESHOLDS_REPORT_BYTES = 1_000_000
 MAX_SAMPLE_DRAWS = 10_000_000
+MAX_REVENUE_AGENTS = 1_000_000
 _THRESHOLDS_BYTES_PER_AGENT = 100
 
 _SIMPLE_CHECKS = {
@@ -276,6 +280,11 @@ def cmd_thresholds(args) -> tuple[dict, dict, int]:
 
 
 def cmd_revenue(args) -> tuple[dict, dict, int]:
+    if args.n > MAX_REVENUE_AGENTS:
+        raise BudgetExceededError(
+            f"--n {_count_text(args.n)} agents, over the cap of {MAX_REVENUE_AGENTS} "
+            "for the exact revenue recursion"
+        )
     draws = args.n * args.samples
     if args.n > 0 and draws > MAX_SAMPLE_DRAWS:
         raise BudgetExceededError(

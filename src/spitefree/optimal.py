@@ -110,6 +110,19 @@ def expected_revenue_recursive(n: int):
     return expected_revenue_closed(optimal_thresholds_uniform(n))
 
 
+def _checked_values(thresholds) -> tuple:
+    """The prices of `thresholds`, last in line first, each checked in [0, 1]."""
+    if isinstance(thresholds, ThresholdSequence):
+        return thresholds.values
+    values = tuple(Fraction(t) if isinstance(t, int) else t for t in thresholds)
+    if not values:
+        raise ValueError("need at least one threshold")
+    for t in values:
+        if not 0 <= t <= 1:
+            raise ValueError(f"threshold {t} outside [0, 1]")
+    return values
+
+
 def expected_revenue_closed(thresholds):
     """Expected revenue for an arbitrary price sequence in [0,1].
 
@@ -118,17 +131,7 @@ def expected_revenue_closed(thresholds):
     Horner's scheme, which is the same arithmetic the recursion performs,
     so for an optimal sequence the two agree exactly at any precision.
     """
-    if isinstance(thresholds, ThresholdSequence):
-        values = thresholds.values
-    else:
-        values = tuple(
-            Fraction(t) if isinstance(t, int) else t for t in thresholds
-        )
-    if not values:
-        raise ValueError("need at least one threshold")
-    for t in values:
-        if not 0 <= t <= 1:
-            raise ValueError(f"threshold {t} outside [0, 1]")
+    values = _checked_values(thresholds)
     with localcontext() as ctx:
         ctx.prec = PRECISION_DIGITS
         gamma = 0
@@ -150,7 +153,10 @@ class RevenueEstimate:
             raise ValueError("mean revenue must lie in [0, 1]")
 
 
-_BATCH_ELEMENTS = 1 << 21
+# About 2^16 draws per batch (half a megabyte of floats): a batch's
+# temporaries stay small and cache-sized, and only the revenue array grows
+# with the samples.
+_BATCH_ELEMENTS = 1 << 16
 
 
 def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
@@ -159,12 +165,17 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     Each draw walks the line front to back; the first agent whose value
     meets her price buys at that price, otherwise revenue is zero.  The
     counter-based Philox generator makes a fixed seed bitwise
-    reproducible; the algorithm id is recorded on the estimate.
+    reproducible; the algorithm id is recorded on the estimate.  The
+    thresholds are checked as `expected_revenue_closed` checks them,
+    before any draw.
+
+    Batches of about `_BATCH_ELEMENTS` draws are written into one array
+    of every sample's revenue (8 bytes per sample).  That array is kept,
+    not folded into running sums, because numpy's `mean()` and
+    `std(ddof=1)` over it define the reported bits: a fixed seed gives
+    the same estimate whatever the batch size.
     """
-    if isinstance(thresholds, ThresholdSequence):
-        line = thresholds.in_line_order()
-    else:
-        line = tuple(reversed(tuple(thresholds)))
+    line = tuple(reversed(_checked_values(thresholds)))
     if samples < 1:
         raise ValueError("need at least one sample")
     import numpy as np
@@ -173,16 +184,15 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     n = len(prices)
     rng = np.random.Generator(np.random.Philox(key=seed))
     batch = max(1, _BATCH_ELEMENTS // n)
-    chunks = []
-    done = 0
-    while done < samples:
-        rows = min(batch, samples - done)
-        draws = rng.random((rows, n))
-        meets = draws >= prices
+    revenue = np.empty(samples, dtype=np.float64)
+    for start in range(0, samples, batch):
+        rows = min(batch, samples - start)
+        meets = rng.random((rows, n)) >= prices
         first = meets.argmax(axis=1)
-        chunks.append(np.where(meets.any(axis=1), prices[first], 0.0))
-        done += rows
-    revenue = np.concatenate(chunks)
+        # argmax is 0 both when the first in line buys and when nobody does;
+        # a price times True or False is exact
+        sold = meets[:, 0] | (first != 0)
+        np.multiply(prices[first], sold, out=revenue[start : start + rows])
     std_error = float(revenue.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return RevenueEstimate(
         mean=float(revenue.mean()), std_error=std_error, samples=samples, seed=seed

@@ -312,6 +312,21 @@ def test_an_oversized_revenue_simulation_exits_3_before_any_work(monkeypatch):
     assert "= 11000000 uniform draws" in err
 
 
+def test_a_revenue_run_over_the_agent_cap_exits_3_before_any_work(monkeypatch):
+    # n x samples sits at the draw cap here, so only the agent cap stops
+    # an exact recursion of ten million steps
+    for name in ("optimal_thresholds_uniform", "expected_revenue_recursive", "monte_carlo_revenue"):
+        monkeypatch.setattr(cli, name, _never)
+    n = 10 * cli.MAX_REVENUE_AGENTS
+    assert n * 1 <= cli.MAX_SAMPLE_DRAWS
+    code, out, err = run_cli("revenue", "--n", str(n), "--samples", "1")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert f"--n {n} agents, over the cap of {cli.MAX_REVENUE_AGENTS}" in err
+    code, _, err = run_cli("revenue", "--n", str(cli.MAX_REVENUE_AGENTS + 1), "--samples", "1")
+    assert code == EXIT_BUDGET
+    assert str(cli.MAX_REVENUE_AGENTS) in err
+
+
 def test_revenue_estimate_is_seeded():
     code, out, _ = run_cli("revenue", "--n", "1", "--samples", "1000000", "--seed", "3")
     assert code == EXIT_OK

@@ -5,10 +5,15 @@ The pinned constants below come from direct runs of the exact recursion
 closed form or the sampler shows up as a hard mismatch.
 """
 
+import math
+import re
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from spitefree import optimal
 from spitefree.optimal import (
     EXACT_RECURSION_LIMIT,
     GENERATOR_ID,
@@ -137,6 +142,75 @@ def test_revenue_estimate_validation():
         RevenueEstimate(mean=1.5, std_error=0.0, samples=1, seed=0, generator="x")
     with pytest.raises(ValueError):
         monte_carlo_revenue(optimal_thresholds_uniform(1), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [
+        ([], "need at least one threshold"),
+        ([-1.0], "threshold -1.0 outside [0, 1]"),
+        ([1.5], "threshold 1.5 outside [0, 1]"),
+        ([float("nan")], "threshold nan outside [0, 1]"),
+    ],
+    ids=["empty", "negative", "above-one", "nan"],
+)
+def test_monte_carlo_checks_thresholds_before_drawing(monkeypatch, thresholds, message):
+    # the same checks and messages as expected_revenue_closed, raised
+    # before the generator is built
+    monkeypatch.setattr(np.random, "Philox", _never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expected_revenue_closed(thresholds)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        monte_carlo_revenue(thresholds, 1000, 0)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the simulation drew before checking its input")
+
+
+def _slow_revenue(line, samples, seed):
+    """Each sample walked in Python: the first in line who meets her price buys."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    revenue = []
+    for _ in range(samples):
+        values = rng.random(len(line))
+        revenue.append(next((p for v, p in zip(values, line) if v >= p), 0.0))
+    return np.array(revenue)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("samples", [1, 2, 1000])
+def test_monte_carlo_matches_a_sample_by_sample_walk(monkeypatch, n, samples):
+    # batches of 27 draws hold 27, 13, 9 and 3 rows for n = 1, 2, 3, 7, so
+    # 1000 samples take many batches and end in a short one at every n;
+    # prices 0 and 1 are the two lines where argmax reads 0
+    monkeypatch.setattr(optimal, "_BATCH_ELEMENTS", 27)
+    optimal_line = [float(t) for t in optimal_thresholds_uniform(n).in_line_order()]
+    for line in (optimal_line, [0.0] * n, [1.0] * n, [1.0] * (n - 1) + [0.0]):
+        for seed in (0, 11):
+            est = monte_carlo_revenue(line[::-1], samples, seed)
+            ref = _slow_revenue(line, samples, seed)
+            assert est.mean == float(ref.mean())
+            if samples > 1:
+                assert est.std_error == float(ref.std(ddof=1) / math.sqrt(samples))
+            else:
+                assert est.std_error == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monte_carlo_memory_stays_near_the_revenue_array(n):
+    # 8 bytes per sample for the revenue array, 8 more for std's
+    # deviations, and one batch of draws; temporaries sized by the samples
+    # rather than the batch would take 37 to 50 bytes per sample
+    samples = 10**6
+    seq = optimal_thresholds_uniform(n)
+    tracemalloc.start()
+    try:
+        monte_carlo_revenue(seq, samples, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * samples
 
 
 # --- allocation probability probe ------------------------------------------
