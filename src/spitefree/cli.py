@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import DomainMismatchError, Grid, MechanismTable, closure_for_thresholds
-from .money import is_infinite, parse_ext_money, parse_money, render_ext_money
+from .money import is_infinite, parse_amounts, parse_ext_money, parse_money, render_ext_money
 from .multiitem import (
     check_multi_esic,
     check_multi_ic,
@@ -360,14 +360,14 @@ def _lattice_axis(args, system) -> list:
     """The lattice's axis from ``--box`` and ``--step``, after its size caps."""
     if not (args.box and args.step):
         raise SpecFileError("a lattice needs both --box and --step")
-    low_text, _, high_text = args.box.partition(",")
     try:
-        low, high = parse_money(low_text), parse_money(high_text)
+        box = parse_amounts(args.box, parse_money)
     except ValueError as exc:
         raise SpecFileError(f"bad --box: {exc}") from None
     step = parse_money(args.step)
-    if step == 0 or high < low:
+    if args.box.count(",") != 1 or len(box) != 2 or step == 0 or box[1] < box[0]:
         raise SpecFileError("--box must be 'low,high' with low <= high; --step > 0")
+    low, high = box
     width = (high - low) // step + 1
     points = width**system.item_count
     if points > MAX_LATTICE_POINTS:

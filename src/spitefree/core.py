@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Protocol
 
-from .money import ExtMoney, as_money, is_infinite, render_money
+from .money import ExtMoney, as_money, is_infinite, parse_amounts, parse_money, render_money
 
 
 class DomainMismatchError(ValueError):
@@ -46,12 +46,10 @@ class Grid:
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":
-        from .money import parse_money
-
-        parts = [part for part in text.split(",") if part.strip()]
-        if not parts:
+        levels = parse_amounts(text, parse_money)
+        if not levels:
             raise ValueError(f"empty grid: {text!r}")
-        return cls(parse_money(part) for part in parts)
+        return cls(levels)
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -63,6 +63,14 @@ def parse_ext_money(text: str) -> ExtMoney:
     return parse_money(text)
 
 
+def parse_amounts(text: str, parse_amount) -> tuple:
+    """Read a comma list like ``"0, 1/2, 2"``, skipping blank parts.
+
+    ``parse_amount`` (`parse_money` or `parse_ext_money`) reads each part.
+    """
+    return tuple([parse_amount(part.strip()) for part in text.split(",") if part.strip()])
+
+
 def render_money(value: Fraction) -> str:
     # str(int) refuses integers longer than sys.get_int_max_str_digits()
     # digits (the exact optimal prices reach ~20 000 at n = 16); Decimal

@@ -16,12 +16,12 @@ from bundle domains (`_bundle_lattice`): each distinct valuation becomes
 an int, and bundle values and payments are multiplied by one common
 denominator, so utilities are ints.  Checks of one (mechanism, domains,
 truth) share that lattice, which calls the allocator once per profile
-they read, and `_Lattice.named` maps a failing witness back to the
-domain's own valuations, `Fraction` utilities and the allocator's own
-outcomes.  Best-bundle classification likewise scales the item values
-and prices to ints and takes the argmax of value minus price
-(`_best_buys`), which is exactly the set of bundles whose region
-inequalities all hold weakly.
+they read, and `_Lattice.report` names a failure by the domain's own
+valuations at the positions the check visited, with `Fraction`
+utilities and the allocator's own outcomes.  Best-bundle
+classification likewise scales the item values and prices to ints and
+takes the argmax of value minus price (`_best_buys`), which is exactly
+the set of bundles whose region inequalities all hold weakly.
 """
 
 from __future__ import annotations
@@ -499,7 +499,8 @@ def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
         lattice = _bundle_lattice(mechanism, domains, truth)
     else:
         lattice = _cached_lattice(mechanism, domains, truth)
-    return lattice.named(kernel(lattice.domains, lattice.outcomes, lattice.utility, truth), domains)
+    found = kernel(lattice.domains, lattice.outcomes, lattice.utility, truth)
+    return lattice.report(found, domains)
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:

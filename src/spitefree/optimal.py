@@ -70,7 +70,9 @@ class ThresholdSequence:
         return tuple(reversed(self.values))
 
 
-@lru_cache(maxsize=None)
+# `cmd_thresholds` and `cmd_revenue` ask for one n twice in a row; a
+# sequence of 10^6 Decimals holds about 106 MB, so only the last is kept.
+@lru_cache(maxsize=1)
 def _threshold_values(n: int, exact: bool) -> tuple:
     if exact:
         values = [_HALF]

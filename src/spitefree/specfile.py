@@ -42,7 +42,7 @@ from .mechanisms import (
     ThresholdSpec,
     null_spec,
 )
-from .money import parse_ext_money, parse_money, render_ext_money, render_money
+from .money import parse_amounts, parse_ext_money, parse_money, render_ext_money, render_money
 from .multiitem import (
     BundleValuation,
     ClusterSpec,
@@ -103,17 +103,14 @@ def _split_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
-def _money_list(value: str, lineno: int, allow_infinite: bool):
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
+def _money_list(value: str, lineno: int, parse_amount):
+    try:
+        amounts = parse_amounts(value, parse_amount)
+    except ValueError as exc:
+        raise _fail(lineno, str(exc)) from None
+    if not amounts:
         raise _fail(lineno, "expected a comma-separated list of amounts")
-    out = []
-    for part in parts:
-        try:
-            out.append(parse_ext_money(part) if allow_infinite else parse_money(part))
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from None
-    return tuple(out)
+    return amounts
 
 
 def _int_list(value: str, lineno: int):
@@ -208,7 +205,7 @@ def _build_threshold(fields, rows, indexed) -> LoadedSpec:
     lineno, ranking_text = _take(fields, "ranking", "threshold")
     ranking = _int_list(ranking_text, lineno)
     lineno, thresholds_text = _take(fields, "thresholds", "threshold")
-    thresholds = _money_list(thresholds_text, lineno, allow_infinite=True)
+    thresholds = _money_list(thresholds_text, lineno, parse_ext_money)
     rule = BoundaryRule.HIGHEST_RANK_AT_THRESHOLD
     if "boundary_rule" in fields:
         lineno, rule_text = fields.pop("boundary_rule")
@@ -264,9 +261,9 @@ def _build_table(fields, rows, indexed) -> LoadedSpec:
         if ";" not in rest:
             raise _fail(lineno, "row must read 'bids -> winner ; payments'")
         winner_text, _, payments_text = rest.partition(";")
-        profile = _money_list(bids_text, lineno, allow_infinite=False)
+        profile = _money_list(bids_text, lineno, parse_money)
         winner = _int_field(winner_text.strip(), lineno)
-        payments = _money_list(payments_text, lineno, allow_infinite=False)
+        payments = _money_list(payments_text, lineno, parse_money)
         if profile in outcome_for:
             raise _fail(lineno, f"duplicate row for profile {bids_text.strip()!r}")
         try:
@@ -328,7 +325,7 @@ def _build_sequential(fields, rows, indexed) -> LoadedSpec:
     lineno, ranking_text = _take(fields, "ranking", "sequential")
     ranking = _int_list(ranking_text, lineno)
     lineno, thresholds_text = _take(fields, "thresholds", "sequential")
-    thresholds = _money_list(thresholds_text, lineno, allow_infinite=False)
+    thresholds = _money_list(thresholds_text, lineno, parse_money)
     try:
         spec = SequentialSpec(ranking=ranking, thresholds=thresholds)
     except ValueError as exc:

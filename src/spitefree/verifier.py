@@ -16,16 +16,17 @@ D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 `domain_strides`), profile by profile or line by line (see
 `_agent_lines`).  Ints compare exactly as the fractions do, so
 verdicts, checked counts and first witnesses are those of the
-fractions; `_Lattice.named` maps a failing witness back to the caller's
-domains, `Fraction` payoffs and the mechanism's own outcomes.  No check
-compares two `Fraction`s: they appear only in parsing, in the
-mechanism's own outcomes, in witnesses and their replay, and in
-rendering.
+fractions.  A check returns only where it failed, as flat indices (a
+`_Finding`); `_Lattice.report` names each profile by the positions the
+check visited in the caller's domains, which are the first equal
+entries because equal entries give equal outcomes, and adds `Fraction`
+payoffs and the mechanism's own outcomes.  No check compares two
+`Fraction`s: they appear only in parsing, in the mechanism's own
+outcomes, in witnesses and their replay, and in rendering.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from .core import (
     closure_for_thresholds,
     payoff,
     render_profile,
-    utility,
     utility_vector,
 )
 from .mechanisms import ThresholdSpec, recognize_on_signs, tabulate_outcomes
@@ -89,6 +89,37 @@ def _lcm_of_denominators(amounts) -> int:
     return math.lcm(*{a.denominator for a in amounts})
 
 
+# Witness shapes, read by `_Lattice.report` and `confirm_witness`.  A
+# witness of a property in `_ONE_PROFILE` names one profile, and one in
+# `_MOVES` names ``agent``'s unilateral move to ``deviation``; ANON names a
+# relabeling by ``permutation`` and WINNER_PRICE_CONSTANT two winning
+# profiles.  A witness of a property in `_PAYOFFS` carries everyone's
+# payoffs, at their true values, at each of its profiles.
+_ONE_PROFILE = frozenset({Property.IR, Property.EFF, Property.LOSER_PAYS_NOTHING})
+_MOVES = frozenset({
+    Property.IC, Property.SIC, Property.ESIC,
+    Property.PAYMENT_OWN_BID_INVARIANT, Property.WIN_PRESERVED_BY_RAISE,
+})
+_PAYOFFS = frozenset({Property.IR, Property.IC, Property.SIC, Property.ESIC})
+
+
+class _Finding(NamedTuple):
+    """A lattice check's count of cases and, if one failed, where.
+
+    ``flat`` is the failing profile's flat index (see `domain_strides`),
+    None when every case passed; ``other`` is the witness's second
+    profile, if it has one.  `_Lattice.report` names them.
+    """
+
+    property: Property
+    checked: int
+    flat: int | None = None
+    agent: int | None = None
+    other: int | None = None
+    permutation: tuple[int, ...] | None = None
+    note: str = ""
+
+
 @dataclass(frozen=True)
 class _Lattice:
     """A mechanism's outcomes on the integer lattice of a common denominator D.
@@ -110,53 +141,45 @@ class _Lattice:
     originals: tuple | dict
     utility: Callable = payoff
 
-    def named(self, report: PropertyReport, domains) -> PropertyReport:
-        """The report with its witness, if any, named in ``domains``.
+    def report(self, found: _Finding, domains) -> PropertyReport:
+        """``found`` as a report, its witness named in ``domains``.
 
-        Agent i's int is named by her first entry of ``domains[i]`` at the
-        position of that int, payoffs are divided by D and outcomes are
-        the mechanism's own.
+        Each profile is named by the positions its check visited in
+        the caller's own domains; equal entries stand for one int and
+        give equal outcomes, so the first failure sits at the first
+        equal entry.  Payoffs are recomputed with ``utility`` at the
+        truthful values and divided by D, and outcomes are the
+        mechanism's own.
         """
-        if report.passed:
-            return report
-        w = report.witness
-        d = self.denominator
-        first = [{} for _ in self.domains]
-        for positions, ints in zip(first, self.domains):
-            for position, value in enumerate(ints):
-                positions.setdefault(value, position)
+        prop, flat, other, agent = found.property, found.flat, found.other, found.agent
+        if flat is None:
+            return PropertyReport(prop, True, None, found.checked)
         strides = domain_strides(self.domains)
 
-        def positions(profile):
-            return [f[value] for f, value in zip(first, profile)]
+        def entries(names, index):
+            return tuple(dom[index // s % len(dom)] for dom, s in zip(names, strides))
 
-        def entries(profile):
-            if profile is None:
-                return None
-            return tuple(domain[k] for domain, k in zip(domains, positions(profile)))
+        truth = entries(self.domains, flat)
 
-        def original(profile):
-            if profile is None:
-                return None
-            return self.originals[sum(k * s for k, s in zip(positions(profile), strides))]
+        def payoffs(index):
+            out, d = self.outcomes[index], self.denominator
+            return tuple(Fraction(self.utility(out, j, v), d) for j, v in enumerate(truth))
 
-        def amounts(payoffs):
-            return None if payoffs is None else tuple(Fraction(u, d) for u in payoffs)
-
-        deviation = None
-        if w.deviation is not None:
-            deviation = domains[w.agent][first[w.agent][w.deviation]]
-        witness = dataclasses.replace(
-            w,
-            profile=entries(w.profile),
-            deviation_profile=entries(w.deviation_profile),
-            deviation=deviation,
-            utilities_before=amounts(w.utilities_before),
-            utilities_after=amounts(w.utilities_after),
-            outcome_before=original(w.profile),
-            outcome_after=original(w.deviation_profile),
+        profile = entries(domains, flat)
+        moved = None if other is None else entries(domains, other)
+        witness = Witness(
+            profile=profile,
+            deviation_profile=moved,
+            agent=agent,
+            deviation=moved[agent] if prop in _MOVES else None,
+            permutation=found.permutation,
+            utilities_before=payoffs(flat) if prop in _PAYOFFS else None,
+            utilities_after=payoffs(other) if prop in _PAYOFFS and other is not None else None,
+            outcome_before=self.originals[flat],
+            outcome_after=None if other is None else self.originals[other],
+            note=found.note,
         )
-        return dataclasses.replace(report, witness=witness)
+        return PropertyReport(prop, False, witness, found.checked)
 
 
 def _grid_lattice(levels, originals: tuple[Outcome, ...], n: int) -> _Lattice:
@@ -237,7 +260,7 @@ def _truthful_points(domains, strides, truth):
     return [(sum(k * s for k, s in zip(truth, strides)), tuple(truth), values)]
 
 
-def ir_check(domains, outcomes, utility, truth=None) -> PropertyReport:
+def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
     """Truthful reporting never yields a negative payoff.
 
     ``domains[i]`` lists agent i's values, ``outcomes[flat]`` is the
@@ -253,15 +276,8 @@ def ir_check(domains, outcomes, utility, truth=None) -> PropertyReport:
         for i in range(n):
             checked += 1
             if utility(out, i, values[i]) < 0:
-                witness = Witness(
-                    profile=values,
-                    agent=i,
-                    utilities_before=tuple(utility(out, j, values[j]) for j in range(n)),
-                    outcome_before=out,
-                    note="truthful payoff is negative",
-                )
-                return PropertyReport(Property.IR, False, witness, checked)
-    return PropertyReport(Property.IR, True, None, checked)
+                return _Finding(Property.IR, checked, flat, i, note="truthful payoff is negative")
+    return _Finding(Property.IR, checked)
 
 
 def _rivals(domains) -> list[list[list[int]]]:
@@ -277,7 +293,7 @@ def _rivals(domains) -> list[list[list[int]]]:
     return [by_domain[id(dom)] for dom in domains]
 
 
-def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> PropertyReport:
+def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _Finding:
     """First deviation that breaks ``prop``, over truthful profiles.
 
     Inputs are those of `ir_check`.  Every agent may report any value of
@@ -300,7 +316,8 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> P
             stride = strides[i]
             for d in rivals[i][vi]:
                 checked += 1
-                out_b = outcomes[flat + (d - vi) * stride]
+                moved = flat + (d - vi) * stride
+                out_b = outcomes[moved]
                 if out_b is out_v or out_b == out_v:
                     continue
                 if before[i] is None:
@@ -317,25 +334,14 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> P
                 after = [own_after if j == i else utility(out_b, j, values[j]) for j in range(n)]
                 clause = deviation_clause(prop, i, before, after)
                 if clause is not None:
-                    witness = Witness(
-                        profile=values,
-                        deviation_profile=values[:i] + (domains[i][d],) + values[i + 1 :],
-                        agent=i,
-                        deviation=domains[i][d],
-                        utilities_before=tuple(before),
-                        utilities_after=tuple(after),
-                        outcome_before=out_v,
-                        outcome_after=out_b,
-                        note=clause,
-                    )
-                    return PropertyReport(prop, False, witness, checked)
-    return PropertyReport(prop, True, None, checked)
+                    return _Finding(prop, checked, flat, i, moved, note=clause)
+    return _Finding(prop, checked)
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
     """``check(domains, outcomes)`` on the mechanism's lattice, witness on the grid."""
     lattice = _tabulation(mechanism, grid)
-    return lattice.named(check(lattice.domains, lattice.outcomes), (grid.levels,) * mechanism.n)
+    return lattice.report(check(lattice.domains, lattice.outcomes), (grid.levels,) * mechanism.n)
 
 
 def check_ir(mechanism, grid: Grid) -> PropertyReport:
@@ -372,7 +378,7 @@ def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
     return _on_lattice(partial(_anonymity_check, truths=truths), mechanism, grid)
 
 
-def _anonymity_check(domains, outcomes, truths=None) -> PropertyReport:
+def _anonymity_check(domains, outcomes, truths=None) -> _Finding:
     """`check_anonymous` on a lattice; ``truths`` lists per-agent domain indices."""
     n = len(domains)
     strides = domain_strides(domains)
@@ -388,27 +394,22 @@ def _anonymity_check(domains, outcomes, truths=None) -> PropertyReport:
     else:
         points = (point for t in truths for point in _truthful_points(domains, strides, t))
     checked = 0
-    for flat, digits, values in points:
+    for flat, digits, _ in points:
         out = outcomes[flat]
         for perm, moved in perms:
             checked += 1
-            out_p = outcomes[sum(k * s for k, s in zip(digits, moved))]
+            relabeled = sum(k * s for k, s in zip(digits, moved))
+            out_p = outcomes[relabeled]
             expected_winner = perm[out.winner - 1] + 1 if out.winner else 0
             ok = out_p.winner == expected_winner and all(
                 out_p.payments[perm[i]] == out.payments[i] for i in range(n)
             )
             if not ok:
-                permuted = [None] * n
-                for i in range(n):
-                    permuted[perm[i]] = values[i]
-                witness = Witness(
-                    profile=values,
-                    deviation_profile=tuple(permuted),
-                    permutation=perm,
-                    note="outcome does not commute with the relabeling",
+                note = "outcome does not commute with the relabeling"
+                return _Finding(
+                    Property.ANON, checked, flat, other=relabeled, permutation=perm, note=note
                 )
-                return PropertyReport(Property.ANON, False, witness, checked)
-    return PropertyReport(Property.ANON, True, None, checked)
+    return _Finding(Property.ANON, checked)
 
 
 def check_efficient(mechanism, grid: Grid) -> PropertyReport:
@@ -416,15 +417,14 @@ def check_efficient(mechanism, grid: Grid) -> PropertyReport:
     return _on_lattice(_efficiency_check, mechanism, grid)
 
 
-def _efficiency_check(domains, outcomes) -> PropertyReport:
+def _efficiency_check(domains, outcomes) -> _Finding:
     checked = 0
     for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
         checked += 1
         w = outcomes[flat].winner - 1
         if w >= 0 and values[w] < max(values):
-            witness = Witness(profile=values, agent=w, note="winner is outbid by another agent")
-            return PropertyReport(Property.EFF, False, witness, checked)
-    return PropertyReport(Property.EFF, True, None, checked)
+            return _Finding(Property.EFF, checked, flat, w, note="winner is outbid by another agent")
+    return _Finding(Property.EFF, checked)
 
 
 def check_payment_structure(mechanism, grid: Grid) -> tuple[PropertyReport, PropertyReport, PropertyReport]:
@@ -436,56 +436,41 @@ def check_payment_structure(mechanism, grid: Grid) -> tuple[PropertyReport, Prop
     """
     lattice = _tabulation(mechanism, grid)
     domains = (grid.levels,) * mechanism.n
-    return tuple(lattice.named(r, domains) for r in _payment_checks(lattice.domains, lattice.outcomes))
+    found = _payment_checks(lattice.domains, lattice.outcomes)
+    return tuple(lattice.report(f, domains) for f in found)
 
 
-def _payment_checks(domains, outcomes) -> tuple[PropertyReport, PropertyReport, PropertyReport]:
+def _payment_checks(domains, outcomes) -> tuple[_Finding, _Finding, _Finding]:
     n = len(domains)
     levels = domains[0]
-    part1_witness = None
-    checked1 = 0
-    for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
-        out = outcomes[flat]
+    part1 = part2 = part3 = None  # each part's first failure: flat, agent[, other flat]
+    checked1 = checked2 = checked3 = 0
+    for flat, out in enumerate(outcomes):
         for i in range(n):
             checked1 += 1
-            if out.winner != i + 1 and out.payments[i] != 0 and part1_witness is None:
-                part1_witness = Witness(profile=values, agent=i, note="losing agent is charged")
-    part1 = PropertyReport(Property.LOSER_PAYS_NOTHING, part1_witness is None, part1_witness, checked1)
-
-    part2_witness = None
-    part3_witness = None
-    checked2 = 0
-    checked3 = 0
-    for i, start, stride, line in _agent_lines(levels, n):
+            if out.winner != i + 1 and out.payments[i] != 0 and part1 is None:
+                part1 = (flat, i)
+    for i, start, stride, _ in _agent_lines(levels, n):
         column = outcomes[start : start + len(levels) * stride : stride]
         for d1, d2 in itertools.combinations(range(len(levels)), 2):
             o1, o2 = column[d1], column[d2]
             w1, w2 = o1.winner == i + 1, o2.winner == i + 1
             checked2 += 1
-            if w1 == w2 and o1.payments[i] != o2.payments[i] and part2_witness is None:
-                part2_witness = _line_witness(
-                    line, i, d1, d2, "payment changed with own bid at fixed win/lose status"
-                )
+            if w1 == w2 and o1.payments[i] != o2.payments[i] and part2 is None:
+                part2 = (start + d1 * stride, i, start + d2 * stride)
             if w1:
                 checked3 += 1
-                if not w2 and part3_witness is None:
-                    part3_witness = _line_witness(
-                        line, i, d1, d2, "raising the winning bid lost the item"
-                    )
-    part2 = PropertyReport(Property.PAYMENT_OWN_BID_INVARIANT, part2_witness is None, part2_witness, checked2)
-    part3 = PropertyReport(Property.WIN_PRESERVED_BY_RAISE, part3_witness is None, part3_witness, checked3)
-    return part1, part2, part3
-
-
-def _line_witness(line, agent: int, low: int, high: int, note: str) -> Witness:
-    """``agent`` moves her bid on a line (see `_agent_lines`) from level ``low`` to ``high``."""
-    levels = line[agent]
-
-    def at(k):
-        return tuple(levels[k] if j == agent else dom[0] for j, dom in enumerate(line))
-
-    return Witness(
-        profile=at(low), deviation_profile=at(high), agent=agent, deviation=levels[high], note=note
+                if not w2 and part3 is None:
+                    part3 = (start + d1 * stride, i, start + d2 * stride)
+    parts = (
+        (Property.LOSER_PAYS_NOTHING, checked1, part1, "losing agent is charged"),
+        (Property.PAYMENT_OWN_BID_INVARIANT, checked2, part2,
+         "payment changed with own bid at fixed win/lose status"),
+        (Property.WIN_PRESERVED_BY_RAISE, checked3, part3, "raising the winning bid lost the item"),
+    )
+    return tuple(
+        _Finding(prop, checked, *where, note=note) if where else _Finding(prop, checked)
+        for prop, checked, where, note in parts
     )
 
 
@@ -494,36 +479,33 @@ def check_winner_payment_constant(mechanism, grid: Grid) -> PropertyReport:
     return _on_lattice(_winner_price_check, mechanism, grid)
 
 
-def _winner_price_check(domains, outcomes) -> PropertyReport:
-    first_win: dict[int, tuple] = {}
+def _winner_price_check(domains, outcomes) -> _Finding:
+    first_win: dict[int, int] = {}
     checked = 0
-    for flat, _, values in _truthful_points(domains, domain_strides(domains), None):
-        out = outcomes[flat]
+    for flat, out in enumerate(outcomes):
         w = out.winner - 1
         if w < 0:
             continue
         checked += 1
-        ref_values, ref_out = first_win.setdefault(w, (values, out))
-        if out.payments[w] != ref_out.payments[w]:
-            witness = Witness(
-                profile=ref_values,
-                deviation_profile=values,
-                agent=w,
-                note="winning price differs between two winning profiles",
-            )
-            return PropertyReport(Property.WINNER_PRICE_CONSTANT, False, witness, checked)
-    return PropertyReport(Property.WINNER_PRICE_CONSTANT, True, None, checked)
+        ref = first_win.setdefault(w, flat)
+        if out.payments[w] != outcomes[ref].payments[w]:
+            note = "winning price differs between two winning profiles"
+            return _Finding(Property.WINNER_PRICE_CONSTANT, checked, ref, w, flat, note=note)
+    return _Finding(Property.WINNER_PRICE_CONSTANT, checked)
 
 
 def confirm_witness(mechanism, report: PropertyReport) -> bool:
     """Replay a single-item failure report against the mechanism from scratch.
 
-    The witness must have its check's shape: one profile (IR, EFF,
-    LOSER_PAYS_NOTHING); ``agent``'s unilateral move, to ``deviation``
-    when given (IC, SIC, ESIC, PAYMENT_OWN_BID_INVARIANT,
-    WIN_PRESERVED_BY_RAISE); a relabeling by ``permutation`` (ANON); or two
-    profiles (WINNER_PRICE_CONSTANT).  Each profile is evaluated once, and
-    the clause judged on `Fraction` payoffs.  A malformed witness is refused.
+    The witness must have its check's shape, the one `_Lattice.report`
+    gives it: one profile (`_ONE_PROFILE`: IR, EFF, LOSER_PAYS_NOTHING);
+    ``agent``'s unilateral move, to ``deviation`` when given (`_MOVES`:
+    IC, SIC, ESIC, PAYMENT_OWN_BID_INVARIANT, WIN_PRESERVED_BY_RAISE); a
+    relabeling by ``permutation`` (ANON); or two profiles
+    (WINNER_PRICE_CONSTANT).  Each profile is evaluated once, and the
+    clause judged on `Fraction` payoffs, which must equal the utility
+    vectors the witness carries (`_PAYOFFS`).  A malformed witness is
+    refused.
     """
     if report.passed or report.witness is None:
         return False
@@ -533,7 +515,7 @@ def confirm_witness(mechanism, report: PropertyReport) -> bool:
     i = w.agent
     profile = tuple(w.profile)
     other = None if w.deviation_profile is None else tuple(w.deviation_profile)
-    one_profile = prop in (Property.IR, Property.EFF, Property.LOSER_PAYS_NOTHING)
+    one_profile = prop in _ONE_PROFILE
     profiles = [profile] if one_profile else [profile, other]
     if (other is None and not one_profile) or any(len(p) != n for p in profiles):
         return False
@@ -545,7 +527,7 @@ def confirm_witness(mechanism, report: PropertyReport) -> bool:
             return False
         if any(other[perm[j]] != profile[j] for j in range(n)):
             return False
-    elif not one_profile and prop is not Property.WINNER_PRICE_CONSTANT:  # a unilateral move
+    elif prop in _MOVES:
         if any(other[j] != profile[j] for j in range(n) if j != i):
             return False
         if w.deviation is not None and other[i] != w.deviation:
@@ -555,16 +537,14 @@ def confirm_witness(mechanism, report: PropertyReport) -> bool:
     except DomainMismatchError:
         return False
     out, out2 = outs[0], outs[-1]
-    if prop in (Property.IC, Property.SIC, Property.ESIC):
-        before = utility_vector(out, profile)
-        after = utility_vector(out2, profile)
-        if w.utilities_before is not None and tuple(w.utilities_before) != before:
+    if prop in _PAYOFFS:
+        payoffs = [utility_vector(o, profile) for o in outs]
+        carried = (w.utilities_before, w.utilities_after)
+        if any(c is not None and tuple(c) != p for c, p in zip(carried, payoffs)):
             return False
-        if w.utilities_after is not None and tuple(w.utilities_after) != after:
-            return False
-        return deviation_clause(prop, i, before, after) is not None
-    if prop is Property.IR:
-        return utility(out, i, profile[i]) < 0
+        if prop is Property.IR:
+            return payoffs[0][i] < 0
+        return deviation_clause(prop, i, *payoffs) is not None
     if prop is Property.EFF:
         return out.winner > 0 and profile[out.winner - 1] < max(profile)
     if prop is Property.ANON:
@@ -799,7 +779,7 @@ class _Sweep(_Walk):
         verdict = self.line_verdicts.get((i, start, keys))
         if verdict is None:
             outcomes = [self.keyed.outcomes[key] for key in keys]
-            verdict = deviation_check(Property.SIC, domains, outcomes, payoff).passed
+            verdict = deviation_check(Property.SIC, domains, outcomes, payoff).flat is None
             self.line_verdicts[i, start, keys] = verdict
         return verdict
 

@@ -213,6 +213,24 @@ def test_monte_carlo_memory_stays_near_the_revenue_array(n):
     assert peak < 20 * samples
 
 
+def test_the_threshold_cache_keeps_only_the_last_sequence():
+    # each sequence of 20 000 Decimals takes about 2.2 MB; an unbounded
+    # cache would still hold the first after the second was asked for
+    optimal._threshold_values.cache_clear()
+    tracemalloc.start()
+    try:
+        first = optimal_thresholds_uniform(20_000)
+        one_sequence, _ = tracemalloc.get_traced_memory()
+        del first
+        optimal_thresholds_uniform(20_001)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        optimal._threshold_values.cache_clear()
+    assert one_sequence > 10**6
+    assert held < 1.2 * one_sequence
+
+
 # --- allocation probability probe ------------------------------------------
 
 

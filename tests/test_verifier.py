@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -449,10 +450,81 @@ def _forged(prop, profile, deviation_profile=None, **fields):
             _forged(Property.SIC, (0, 2), (1, 2), agent=0, deviation=F(2)),
             id="deviation-bid-not-the-moved-bid",
         ),
+        pytest.param(
+            _table_of(GRID012, 2, lambda profile: (1, (F(2), F(0)))),
+            _forged(Property.IR, (0, 0), agent=0, utilities_before=(F(0), F(0))),
+            id="ir-payoffs-not-the-mechanisms",
+        ),
     ],
 )
 def test_confirm_witness_rejects_forged_shapes(mechanism, report):
     assert confirm_witness(mechanism, report) is False
+
+
+def _random_tables(count, seed):
+    """Tables on GRID012 at n=2 whose winners and payments, losers' too, are drawn at random."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        outcomes = {}
+        for profile in enumerate_profiles(GRID012, 2):
+            winner = rng.randrange(3)
+            payments = tuple(
+                rng.choice(GRID012.levels) if j == winner - 1 or rng.random() < 0.3 else F(0)
+                for j in range(2)
+            )
+            outcomes[profile] = Outcome(winner, payments)
+        tables.append(MechanismTable.from_outcomes(GRID012, 2, outcomes))
+    return tables
+
+
+def test_every_failing_witness_has_its_property_shape():
+    one_profile = {Property.IR, Property.EFF, Property.LOSER_PAYS_NOTHING}
+    moves = {
+        Property.IC,
+        Property.SIC,
+        Property.ESIC,
+        Property.PAYMENT_OWN_BID_INVARIANT,
+        Property.WIN_PRESERVED_BY_RAISE,
+    }
+    deviations = {Property.IC, Property.SIC, Property.ESIC}
+    mechanisms = [
+        *enumerate_ir_ic_mechanisms(GRID012, 2),
+        *(factory(n) for factory in (FirstPriceMechanism, SecondPriceMechanism) for n in (2, 3)),
+        *_random_tables(20, seed=3),
+    ]
+    checks = (
+        check_ir, check_ic, check_sic, check_esic,
+        check_anonymous, check_efficient, check_winner_payment_constant,
+    )
+    failed = {prop: 0 for prop in Property}
+    for mechanism in mechanisms:
+        reports = [check(mechanism, GRID012) for check in checks]
+        for report in [*reports, *check_payment_structure(mechanism, GRID012)]:
+            if report.passed:
+                continue
+            prop, w = report.property, report.witness
+            failed[prop] += 1
+            assert len(w.profile) == mechanism.n and w.outcome_before is not None
+            if prop in one_profile:
+                assert w.deviation_profile is w.outcome_after is w.deviation is None
+            else:
+                assert len(w.deviation_profile) == mechanism.n and w.outcome_after is not None
+            if prop is Property.ANON:
+                assert w.agent is None and sorted(w.permutation) == list(range(mechanism.n))
+            else:
+                assert w.permutation is None and 0 <= w.agent < mechanism.n
+            if prop in moves:
+                assert w.deviation == w.deviation_profile[w.agent]
+            else:
+                assert w.deviation is None
+            if prop is Property.IR:
+                assert w.utilities_after is None and len(w.utilities_before) == mechanism.n
+            elif prop in deviations:
+                assert len(w.utilities_before) == len(w.utilities_after) == mechanism.n
+            else:
+                assert w.utilities_before is w.utilities_after is None
+    assert all(failed.values()), failed
 
 
 def _priority_posted_price(price, loser_fee=F(0)):
