@@ -77,13 +77,10 @@ from .multiitem import (
 )
 from .optimal import (
     EXACT_RECURSION_LIMIT,
-    AllocationProbe,
     RevenueEstimate,
     ThresholdSequence,
-    efficiency_loss_probe,
     expected_revenue_closed,
     expected_revenue_recursive,
-    grid_search_revenue,
     monte_carlo_revenue,
     optimal_thresholds_uniform,
 )

@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
+from operator import methodcaller
 from typing import NamedTuple
 
 from .core import RankedSpec
@@ -43,7 +44,6 @@ from .verifier import (
     _lcm_of_denominators,
     _rivals,
     _scaled,
-    deviation_check,
     domain_strides,
     ir_check,
 )
@@ -470,7 +470,7 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     def utility(out, i, kind):
         return values[kind][out.bundles[i]] - out.payments[i]
 
-    return _Lattice(d, kinds, outcomes, originals, utility)
+    return _Lattice(d, kinds, outcomes, originals, utility, truth)
 
 
 # One `multi` run checks one (mechanism, domains, truth) up to four times,
@@ -480,7 +480,7 @@ def _cached_lattice(mechanism, domains, truth) -> _Lattice:
     return _bundle_lattice(mechanism, domains, truth)
 
 
-def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
+def _multi_check(check, mechanism, bid_domain, true_values) -> PropertyReport:
     domains = tuple(tuple(d) for d in bid_domain)
     if any(not d for d in domains):
         raise ValueError("every agent needs a nonempty bid domain")
@@ -499,8 +499,11 @@ def _multi_check(kernel, mechanism, bid_domain, true_values) -> PropertyReport:
         lattice = _bundle_lattice(mechanism, domains, truth)
     else:
         lattice = _cached_lattice(mechanism, domains, truth)
-    found = kernel(lattice.domains, lattice.outcomes, lattice.utility, truth)
-    return lattice.report(found, domains)
+    return lattice.report(check(lattice), domains)
+
+
+def _ir(lattice: _Lattice):
+    return ir_check(lattice.domains, lattice.outcomes, lattice.utility, lattice.truth)
 
 
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
@@ -513,22 +516,30 @@ def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
 
     The checks share tabulations: calls with one hashable mechanism,
     equal domains and equal truths allocate each profile once, so the
-    mechanism must be pure.  A witness names the valuations of the
-    call's own domains and the outcomes of the first such call.
+    mechanism must be pure, and the IC, SIC and ESIC checks share one
+    walk (see `verifier._Lattice.deviations`).  A witness names the
+    valuations of the call's own domains and the outcomes of the first
+    such call.
     """
-    return _multi_check(ir_check, mechanism, bid_domain, true_values)
+    return _multi_check(_ir, mechanism, bid_domain, true_values)
 
 
 def check_multi_ic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return _multi_check(partial(deviation_check, Property.IC), mechanism, bid_domain, true_values)
+    return _multi_check(
+        methodcaller("deviations", Property.IC), mechanism, bid_domain, true_values
+    )
 
 
 def check_multi_sic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return _multi_check(partial(deviation_check, Property.SIC), mechanism, bid_domain, true_values)
+    return _multi_check(
+        methodcaller("deviations", Property.SIC), mechanism, bid_domain, true_values
+    )
 
 
 def check_multi_esic(mechanism, bid_domain, true_values=None) -> PropertyReport:
-    return _multi_check(partial(deviation_check, Property.ESIC), mechanism, bid_domain, true_values)
+    return _multi_check(
+        methodcaller("deviations", Property.ESIC), mechanism, bid_domain, true_values
+    )
 
 
 class OwnBidPaymentVariationError(RuntimeError):

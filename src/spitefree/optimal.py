@@ -19,7 +19,7 @@ recursion and the revenue fold run in the standard library's `decimal`
 at `PRECISION_DIGITS` significant digits (more than 200 bits).  Each
 step rounds once and scales earlier errors by a factor below 1, so the
 drift stays far below the 25 digits a report prints: at n = 10 000 every
-value is within 10^-59 of a 150-digit run.  Only the two samplers import
+value is within 10^-59 of a 150-digit run.  Only the sampler imports
 numpy, and only when called.
 """
 
@@ -199,76 +199,3 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     return RevenueEstimate(
         mean=float(revenue.mean()), std_error=std_error, samples=samples, seed=seed
     )
-
-
-@dataclass(frozen=True)
-class AllocationProbe:
-    n: int
-    exact: Fraction
-    estimate: float
-    std_error: float
-
-
-def efficiency_loss_probe(epsilon, n_list, samples: int, seed: int):
-    """How often a flat price of 1 - epsilon sells, as the crowd grows.
-
-    For each n the sale happens iff the maximum of n uniform values
-    reaches 1 - epsilon, an event of exact probability 1 - (1-epsilon)^n;
-    rows pair that closed form with a Monte-Carlo estimate.  The maximum
-    is sampled in one draw per trial through its inverse CDF (a uniform
-    u is below (1-epsilon)^n exactly when u^(1/n) misses the price).
-    Pass epsilon as a Fraction or string to keep the closed form in
-    decimal rationals; floats are taken at their exact binary value.
-    """
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    rows = []
-    for n in n_list:
-        if n < 1:
-            raise ValueError("agent counts must be positive")
-        exact = 1 - (1 - eps) ** n
-        cutoff = float((1 - eps) ** n)
-        hits = rng.random(samples) >= cutoff
-        std_error = float(hits.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        rows.append(
-            AllocationProbe(
-                n=n, exact=exact, estimate=float(hits.mean()), std_error=std_error
-            )
-        )
-    return tuple(rows)
-
-
-def grid_search_revenue(n: int, step: Fraction = Fraction(1, 20)):
-    """Best price sequence on a coarse grid, as a cross-check.
-
-    Exhausts every sequence with entries in {0, step, 2*step, ..., 1} and
-    returns (best_values, best_revenue).  The recursion's optimality is
-    stated, not proved, for finite n; comparing its revenue against this
-    brute-force bound is how the claim is spot-checked for small n.
-    """
-    if n < 1:
-        raise ValueError("need at least one agent")
-    step = Fraction(step)
-    if not 0 < step <= 1:
-        raise ValueError("step must lie in (0, 1]")
-    points = []
-    k = 0
-    while k * step <= 1:
-        points.append(k * step)
-        k += 1
-    best_values = None
-    best_revenue = None
-    for values in itertools.product(points, repeat=n):
-        gamma = 0
-        for t in values:
-            gamma = _gamma_step(t, gamma)
-        if best_revenue is None or gamma > best_revenue:
-            best_revenue = gamma
-            best_values = values
-    return best_values, best_revenue

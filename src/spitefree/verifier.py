@@ -5,9 +5,18 @@ a pass certifies the property on that grid only; a fail is a genuine
 counterexample.  Use `closure_for_thresholds` to build grids on which the
 classic witnesses (bid exactly at a threshold, bid just above) exist.
 
-The IC, SIC and ESIC clauses are stated once, in `deviation_clause`;
-`deviation_check` walks any product of per-agent domains with it, so the
-single-item checks, the multi-item checks and witness replay share them.
+The IC, SIC and ESIC clauses are stated once, as one classification of
+a deviation that `deviation_clause` reads.  They are nested: ESIC fails
+wherever SIC does, and SIC wherever IC does.  `deviation_check` walks
+any product of per-agent domains and classifies each deviation once, so
+the single-item checks, the multi-item checks and witness replay share
+the clauses.  The walk keeps the first failure of each of the three that
+it meets, and a lattice keeps what its walks found
+(`_Lattice.deviations`): IC, SIC and ESIC asked for in that order, as
+`verify` asks by default, take one walk of one lattice.  A walk stops at
+its own check's first failure, so a check whose first failure may lie
+further on walks again: SIC or IC asked for after ESIC failed, IC after
+SIC failed.
 
 Every check compares Python ints on a `_Lattice`: each agent's domain
 as ints and the outcomes with every amount times a common denominator
@@ -29,9 +38,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -132,7 +142,9 @@ class _Lattice:
     ``utility(outcome, i, value)`` is agent i's payoff times D.  A grid
     lattice (`_grid_lattice`) holds each level times D, every profile in a
     tuple, and uses `payoff`; a bundle lattice (see `multiitem`) holds one
-    int per distinct valuation and, in a dict, the profiles its check reads.
+    int per distinct valuation and, in a dict, the profiles its checks
+    read: those of every truthful profile, or of ``truth`` alone, as
+    per-agent domain indices.
     """
 
     denominator: int
@@ -140,6 +152,23 @@ class _Lattice:
     outcomes: tuple | dict
     originals: tuple | dict
     utility: Callable = payoff
+    truth: tuple[int, ...] | None = None
+    # the findings of ESIC, SIC and IC known so far (see `deviations`)
+    _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def deviations(self, prop: Property) -> _Finding:
+        """The finding of ``prop`` (IC, SIC or ESIC), walking only if it is not known.
+
+        A walk keeps every finding it reaches (see `_deviation_findings`),
+        so IC, SIC and ESIC share one walk when IC is asked for first.  A
+        walk that stopped at an earlier failure leaves the later ones
+        unknown: SIC or IC after ESIC failed, IC after SIC failed.
+        """
+        if prop not in self._found:
+            self._found.update(
+                _deviation_findings(prop, self.domains, self.outcomes, self.utility, self.truth)
+            )
+        return self._found[prop]
 
     def report(self, found: _Finding, domains) -> PropertyReport:
         """``found`` as a report, its witness named in ``domains``.
@@ -213,30 +242,53 @@ def _tabulation(mechanism, grid: Grid) -> _Lattice:
     return _cached_tabulation(mechanism, grid)
 
 
+# The three clauses are nested: a deviation that breaks IC breaks SIC, and
+# one that breaks SIC breaks ESIC.  So a deviation breaks the first
+# `_broken` of these, and each one's first failure comes no later than
+# the next one's.
+_NESTED = (Property.ESIC, Property.SIC, Property.IC)
+_OWN_GAIN = "deviation strictly raises the deviator's payoff"
+_SPITE = {
+    Property.ESIC: "payoff-neutral deviation strictly harms another agent",
+    Property.SIC: "payoff-neutral deviation harms some agent and helps none",
+}
+
+
+def _broken(agent: int, before, after) -> int:
+    """How many of ESIC, SIC and IC, in that order, ``agent``'s deviation breaks.
+
+    IC forbids own gain (all three break); SIC also forbids a
+    payoff-neutral deviation that harms someone while helping nobody
+    (two); ESIC also forbids one that harms someone at all (one).
+    """
+    if after[agent] != before[agent]:
+        return 3 if after[agent] > before[agent] else 0
+    harmed = helped = False  # the deviator's own payoff is neither
+    for u_before, u_after in zip(before, after):
+        if u_after < u_before:
+            harmed = True
+        elif u_after > u_before:
+            helped = True
+    return 0 if not harmed else 1 if helped else 2
+
+
+def _clause(prop: Property, broken: int) -> str:
+    """The clause of ``prop`` a deviation that breaks ``broken`` of `_NESTED` breaks."""
+    return _OWN_GAIN if broken == 3 else _SPITE[prop]
+
+
 def deviation_clause(prop: Property, agent: int, before, after) -> str | None:
     """The clause of ``prop`` that ``agent``'s deviation breaks, or None.
 
     ``before`` and ``after`` are everyone's payoffs, at their true values,
     before and after the deviation.  IC forbids own gain; SIC also forbids
     a payoff-neutral deviation that harms someone while helping nobody;
-    ESIC also forbids one that harms someone at all.
+    ESIC also forbids one that harms someone at all.  So ESIC fails
+    wherever SIC does, and SIC wherever IC does: the verdict is read off
+    one classification of the deviation, the one `deviation_check` makes.
     """
-    if after[agent] != before[agent]:
-        if after[agent] > before[agent]:
-            return "deviation strictly raises the deviator's payoff"
-        return None
-    if prop is Property.IC:
-        return None
-    harmed = helped = False
-    for j, (u_before, u_after) in enumerate(zip(before, after)):
-        if j != agent:
-            harmed = harmed or u_after < u_before
-            helped = helped or u_after > u_before
-    if harmed and prop is Property.ESIC:
-        return "payoff-neutral deviation strictly harms another agent"
-    if harmed and not helped:
-        return "payoff-neutral deviation harms some agent and helps none"
-    return None
+    broken = _broken(agent, before, after)
+    return _clause(prop, broken) if broken > _NESTED.index(prop) else None
 
 
 def domain_strides(domains) -> list[int]:
@@ -294,18 +346,34 @@ def _rivals(domains) -> list[list[list[int]]]:
 
 
 def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _Finding:
-    """First deviation that breaks ``prop``, over truthful profiles.
+    """First deviation that breaks ``prop`` (IC, SIC or ESIC), over truthful profiles.
 
     Inputs are those of `ir_check`.  Every agent may report any value of
     her domain that differs from her truth; profiles, then agents, then
-    deviations are taken in order, and `deviation_clause` judges each
-    deviation that changes the outcome without lowering the deviator's
-    payoff.
+    deviations are taken in order, and the walk stops at the first one
+    that breaks ``prop`` (see `_deviation_findings`).
+    """
+    return _deviation_findings(prop, domains, outcomes, utility, truth)[prop]
+
+
+def _deviation_findings(stop, domains, outcomes, utility, truth=None, rivals=None) -> dict:
+    """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
+
+    Each deviation that changes the outcome without lowering the
+    deviator's payoff is classified once (`_broken`), and the first to
+    break each property is kept with the count of deviations so far.
+    The failures are nested, so they come in the order ESIC, SIC, IC,
+    and the walk stops once ``stop`` has failed; a property it did not
+    reach is missing.  If the walk ends, every property still standing
+    passes with the total count.  ``rivals`` is `_rivals` of ``domains``.
     """
     n = len(domains)
     strides = domain_strides(domains)
-    rivals = _rivals(domains)
-    spiteful = prop is not Property.IC  # only spite clauses judge payoff-neutral moves
+    if rivals is None:
+        rivals = _rivals(domains)
+    goal = _NESTED.index(stop) + 1
+    failed = 0  # the first ``failed`` of `_NESTED` have failed
+    found = {}
     checked = 0
     for flat, digits, values in _truthful_points(domains, strides, truth):
         out_v = outcomes[flat]
@@ -323,8 +391,8 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _
                 if before[i] is None:
                     before[i] = utility(out_v, i, values[i])
                 own_after = utility(out_b, i, values[i])
-                if own_after < before[i] or (not spiteful and own_after == before[i]):
-                    continue  # no clause can hold; spare filling in the vectors
+                if own_after < before[i] or (failed >= 2 and own_after == before[i]):
+                    continue  # it breaks nothing still standing; spare filling in the vectors
                 if not filled:
                     before = [
                         utility(out_v, j, values[j]) if b is None else b
@@ -332,33 +400,42 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _
                     ]
                     filled = True
                 after = [own_after if j == i else utility(out_b, j, values[j]) for j in range(n)]
-                clause = deviation_clause(prop, i, before, after)
-                if clause is not None:
-                    return _Finding(prop, checked, flat, i, moved, note=clause)
-    return _Finding(prop, checked)
+                broken = _broken(i, before, after)
+                if broken > failed:
+                    for prop in _NESTED[failed:broken]:
+                        note = _clause(prop, broken)
+                        found[prop] = _Finding(prop, checked, flat, i, moved, note=note)
+                    failed = broken
+                    if failed >= goal:
+                        return found
+    for prop in _NESTED[failed:]:
+        found[prop] = _Finding(prop, checked)
+    return found
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
-    """``check(domains, outcomes)`` on the mechanism's lattice, witness on the grid."""
+    """``check(lattice)`` on the mechanism's lattice, witness on the grid."""
     lattice = _tabulation(mechanism, grid)
-    return lattice.report(check(lattice.domains, lattice.outcomes), (grid.levels,) * mechanism.n)
+    return lattice.report(check(lattice), (grid.levels,) * mechanism.n)
 
 
 def check_ir(mechanism, grid: Grid) -> PropertyReport:
     """Truthful bidding never yields a negative payoff."""
-    return _on_lattice(partial(ir_check, utility=payoff), mechanism, grid)
+    return _on_lattice(
+        lambda lattice: ir_check(lattice.domains, lattice.outcomes, payoff), mechanism, grid
+    )
 
 
 def check_ic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.IC, utility=payoff), mechanism, grid)
+    return _on_lattice(methodcaller("deviations", Property.IC), mechanism, grid)
 
 
 def check_sic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.SIC, utility=payoff), mechanism, grid)
+    return _on_lattice(methodcaller("deviations", Property.SIC), mechanism, grid)
 
 
 def check_esic(mechanism, grid: Grid) -> PropertyReport:
-    return _on_lattice(partial(deviation_check, Property.ESIC, utility=payoff), mechanism, grid)
+    return _on_lattice(methodcaller("deviations", Property.ESIC), mechanism, grid)
 
 
 def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
@@ -375,7 +452,9 @@ def check_anonymous(mechanism, grid: Grid, profiles=None) -> PropertyReport:
             if len(p) != mechanism.n or any(b not in levels for b in p):
                 raise DomainMismatchError(f"profile {tuple(p)} is not on the grid")
             truths.append(tuple(levels.index(b) for b in p))
-    return _on_lattice(partial(_anonymity_check, truths=truths), mechanism, grid)
+    return _on_lattice(
+        lambda lattice: _anonymity_check(lattice.domains, lattice.outcomes, truths), mechanism, grid
+    )
 
 
 def _anonymity_check(domains, outcomes, truths=None) -> _Finding:
@@ -414,7 +493,9 @@ def _anonymity_check(domains, outcomes, truths=None) -> _Finding:
 
 def check_efficient(mechanism, grid: Grid) -> PropertyReport:
     """Whenever the item is allocated, the winner is a highest bidder."""
-    return _on_lattice(_efficiency_check, mechanism, grid)
+    return _on_lattice(
+        lambda lattice: _efficiency_check(lattice.domains, lattice.outcomes), mechanism, grid
+    )
 
 
 def _efficiency_check(domains, outcomes) -> _Finding:
@@ -476,7 +557,9 @@ def _payment_checks(domains, outcomes) -> tuple[_Finding, _Finding, _Finding]:
 
 def check_winner_payment_constant(mechanism, grid: Grid) -> PropertyReport:
     """Each agent pays one fixed price across all profiles where she wins."""
-    return _on_lattice(_winner_price_check, mechanism, grid)
+    return _on_lattice(
+        lambda lattice: _winner_price_check(lattice.domains, lattice.outcomes), mechanism, grid
+    )
 
 
 def _winner_price_check(domains, outcomes) -> _Finding:
@@ -741,8 +824,10 @@ class _Sweep(_Walk):
         super().__init__(grid, n, max_tables)
         self.keyed = _key_lattice(grid, n)
         self.lines_at = [[] for _ in range(self.total)]  # by the line's last profile
+        self.rivals = {}  # agent i's lines share one domain: hers, the others' singletons
         for line in _agent_lines(self.keyed.domains[0], n):
             self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
+            self.rivals.setdefault(line[0], _rivals(line[3]))
         self.line_verdicts: dict[tuple, bool] = {}
         self.spec_verdicts: dict[ThresholdSpec, tuple[bool, bool]] = {}  # anonymous, efficient
         self.sic_count = self.anonymous_count = self.efficient_count = 0
@@ -779,7 +864,9 @@ class _Sweep(_Walk):
         verdict = self.line_verdicts.get((i, start, keys))
         if verdict is None:
             outcomes = [self.keyed.outcomes[key] for key in keys]
-            verdict = deviation_check(Property.SIC, domains, outcomes, payoff).flat is None
+            rivals = self.rivals[i]
+            found = _deviation_findings(Property.SIC, domains, outcomes, payoff, None, rivals)
+            verdict = found[Property.SIC].flat is None
             self.line_verdicts[i, start, keys] = verdict
         return verdict
 

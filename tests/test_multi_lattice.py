@@ -5,12 +5,14 @@ brute force written from the definitions on `Fraction` amounts with
 `multi_utility`, or with the `RegionSystem`'s own inequalities.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from spitefree import multiitem
 from spitefree.core import Grid
 from spitefree.mechanisms import FirstPriceMechanism, SecondPriceMechanism
 from spitefree.money import INFINITY
@@ -232,6 +234,50 @@ def test_seeded_specs_reach_failures_with_fractional_payoffs():
                     amounts = report.witness.utilities_before + (report.witness.utilities_after or ())
                     fractional[prop] += any(u.denominator > 1 for u in amounts)
     assert min(fractional.values()) >= 4, fractional
+
+
+# --- one walk for IC, SIC and ESIC -------------------------------------------
+
+
+def _multi_order_cases():
+    """(mechanism, domains, truth): hashable mechanisms, so the checks share a cached lattice."""
+    spec, truths, domains = cluster_spite_counterexample()
+    cluster = functools.partial(cluster_allocate, spec)
+    builtin = tuple(nonincreasing_marginal_vectors(3, 2))
+    sequential = functools.partial(
+        sequential_allocate_general, SequentialSpec((2, 1), (F(3), F(2)))
+    )
+    cases = [
+        (cluster, domains, truths),
+        (cluster, domains, None),
+        (sequential, (builtin, builtin), None),
+        (sequential, (builtin, builtin), (builtin[3], builtin[7])),
+    ]
+    for seed in range(8):
+        _, mechanisms, domains, truth = _seeded_case(seed)
+        cases += [(mech, domains, t) for mech in mechanisms for t in (truth, None)]
+    return cases
+
+
+def test_multi_deviation_checks_agree_in_every_order():
+    props = (Property.IC, Property.SIC, Property.ESIC)
+    for mech, domains, truth in _multi_order_cases():
+        alone = {}
+        for prop in props:
+            multiitem._cached_lattice.cache_clear()
+            report = CHECKS[prop](mech, domains, truth)
+            passed, checked, expected = _by_definition(prop, mech, domains, truth)
+            assert (report.passed, report.checked_count) == (passed, checked)
+            if not passed:
+                w = report.witness
+                assert (w.profile, w.agent, w.deviation, w.note) == tuple(
+                    expected[k] for k in ("profile", "agent", "deviation", "note")
+                )
+            alone[prop] = repr(report)
+        for order in itertools.permutations(props):
+            multiitem._cached_lattice.cache_clear()
+            for prop in order:
+                assert repr(CHECKS[prop](mech, domains, truth)) == alone[prop], (order, prop)
 
 
 # --- allocator calls per run -----------------------------------------------

@@ -5,6 +5,7 @@ The pinned constants below come from direct runs of the exact recursion
 closed form or the sampler shows up as a hard mismatch.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -19,10 +20,8 @@ from spitefree.optimal import (
     GENERATOR_ID,
     RevenueEstimate,
     ThresholdSequence,
-    efficiency_loss_probe,
     expected_revenue_closed,
     expected_revenue_recursive,
-    grid_search_revenue,
     monte_carlo_revenue,
     optimal_thresholds_uniform,
 )
@@ -231,29 +230,26 @@ def test_the_threshold_cache_keeps_only_the_last_sequence():
     assert held < 1.2 * one_sequence
 
 
-# --- allocation probability probe ------------------------------------------
-
-
-def test_probe_exact_values():
-    probes = efficiency_loss_probe(F(1, 10), [1, 50], 5000, 11)
-    assert probes[0].exact == F(1, 10)
-    assert probes[1].exact == 1 - F(9, 10) ** 50
-    assert float(probes[1].exact) == pytest.approx(0.9948462247926799, abs=1e-12)
-
-
-def test_probe_exact_values_grow_with_agents():
-    probes = efficiency_loss_probe(F(1, 5), [1, 2, 5, 20], 1000, 0)
-    exacts = [p.exact for p in probes]
-    assert exacts == sorted(exacts)
-    assert all(0 < e < 1 for e in exacts)
-
-
-def test_probe_estimates_stay_in_band():
-    for probe in efficiency_loss_probe(F(1, 10), [1, 5, 50], 20000, 3):
-        assert abs(probe.estimate - float(probe.exact)) <= 4 * probe.std_error
-
-
 # --- lattice search --------------------------------------------------------
+
+
+def grid_search_revenue(n: int, step):
+    """Best price sequence on a coarse grid, the recursion's oracle.
+
+    Exhausts every sequence with entries in {0, step, 2*step, ..., 1},
+    folding the revenue recursion over it in exact rationals, and returns
+    (best_values, best_revenue).  The recursion's optimality is stated,
+    not proved, for finite n; this brute-force bound spot-checks it.
+    """
+    points = [k * step for k in range(int(1 / step) + 1)]
+    best_values = best_revenue = None
+    for values in itertools.product(points, repeat=n):
+        gamma = 0
+        for t in values:
+            gamma = (1 - t) * t + t * gamma
+        if best_revenue is None or gamma > best_revenue:
+            best_values, best_revenue = values, gamma
+    return best_values, best_revenue
 
 
 def test_grid_search_recovers_the_optimum_when_it_is_on_the_lattice():

@@ -337,6 +337,165 @@ def test_deviation_kernel_matches_the_definitions():
     assert failures == 2 * (594 - 70) + 10
 
 
+# --- one walk for IC, SIC and ESIC -------------------------------------------
+
+_DEVIATION_CHECKS = ((Property.IC, check_ic), (Property.SIC, check_sic), (Property.ESIC, check_esic))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Lookup:
+    """A hashable mechanism that looks its outcomes up, so its lattice is cached."""
+
+    n: int
+    rows: tuple
+
+    def outcome(self, profile):
+        return dict(self.rows)[tuple(profile)]
+
+
+def _random_lookups(count, seed):
+    """Mechanisms at n=2 and 3 on GRID012 with random winners and winners' payments.
+
+    Losers pay nothing and every payment is at most the winner's bid, so
+    some deviations are payoff-neutral and the three checks fail apart.
+    """
+    rng = random.Random(seed)
+    mechanisms = []
+    for k in range(count):
+        n = 2 + k % 2
+        rows = []
+        for profile in enumerate_profiles(GRID012, n):
+            winner = rng.randrange(n + 1)
+            price = rng.choice([b for b in GRID012.levels if b <= profile[winner - 1]]) if winner else 0
+            rows.append((profile, Outcome(winner, tuple(price if j == winner - 1 else F(0) for j in range(n)))))
+        mechanisms.append(_Lookup(n, tuple(rows)))
+    return mechanisms
+
+
+def _kingmaker(profile):
+    """Agent 1 never wins: while she bids 0 agent 2 wins, else agent 3 if he bids above 0.
+
+    Nobody pays, so agent 1's moves are payoff-neutral: at (0, 1, 1) her
+    raise harms agent 2 and helps agent 3, which breaks ESIC before
+    anything breaks SIC.
+    """
+    winner = 2 if profile[0] == 0 or profile[2] == 0 else 3
+    return winner, (F(0),) * 3
+
+
+def _order_cases():
+    specs = [
+        ThresholdSpec((1, 2), (F(1), F(2))),
+        ThresholdSpec((2, 1, 3), (F(1, 2), F(1, 2), INFINITY), BoundaryRule.NO_ALLOCATION),
+    ]
+    cases = [(spec, GRID012) for spec in specs]
+    cases += [(spec, closure_for_thresholds(spec.thresholds)) for spec in specs]
+    cases += [(factory(n), GRID012) for factory in (FirstPriceMechanism, SecondPriceMechanism) for n in (2, 3)]
+    cases += [(mechanism, GRID012) for mechanism in _random_lookups(16, seed=5)]
+    kingmaker = tuple((p, Outcome(*_kingmaker(p))) for p in enumerate_profiles(GRID012, 3))
+    cases.append((_Lookup(3, kingmaker), GRID012))
+    return cases
+
+
+def test_deviation_checks_agree_in_every_order():
+    """Each check gives its lone report whichever checks ran before it on the cached lattice."""
+    failed = dict.fromkeys(_DEVIATION_CHECKS, 0)
+    earlier = {Property.ESIC: 0, Property.SIC: 0}  # fails before the next stricter clause does
+    for mechanism, grid in _order_cases():
+        alone, at = {}, {}
+        for prop, check in _DEVIATION_CHECKS:
+            verifier._cached_tabulation.cache_clear()
+            report = check(mechanism, grid)
+            first = _first_violation(prop, mechanism, grid)
+            assert report.passed == (first is None), (prop, mechanism)
+            if first is not None:
+                failed[prop, check] += 1
+                w = report.witness
+                assert (w.profile, w.agent, w.deviation) == first
+                assert confirm_witness(mechanism, report)
+            alone[prop] = repr(report)
+            at[prop] = first
+        earlier[Property.ESIC] += at[Property.ESIC] != at[Property.SIC]
+        earlier[Property.SIC] += at[Property.SIC] != at[Property.IC]
+        for order in itertools.permutations(_DEVIATION_CHECKS):
+            verifier._cached_tabulation.cache_clear()
+            for prop, check in order:
+                assert repr(check(mechanism, grid)) == alone[prop], (order, prop, mechanism)
+    assert all(failed.values()) and all(earlier.values()), (failed, earlier)
+
+
+def test_ic_sic_and_esic_share_one_walk(monkeypatch):
+    walks = []
+
+    def counting(stop, *args, **kwargs):
+        walks.append(stop)
+        return deviation_findings(stop, *args, **kwargs)
+
+    deviation_findings = verifier._deviation_findings
+    monkeypatch.setattr(verifier, "_deviation_findings", counting)
+    sp = SecondPriceMechanism(3)  # IC passes; SIC and ESIC first fail at one deviation
+    kingmaker = _order_cases()[-1][0]  # IC passes; ESIC fails before SIC
+    for mechanism, order, expected in (
+        (sp, (check_ir, check_ic, check_sic, check_esic), [Property.IC]),
+        (sp, (check_esic, check_sic, check_ic), [Property.ESIC, Property.IC]),
+        (sp, (check_sic, check_esic, check_ic), [Property.SIC, Property.IC]),
+        (sp, (check_ic, check_ic), [Property.IC]),
+        (kingmaker, (check_ic, check_sic, check_esic), [Property.IC]),
+        (kingmaker, (check_esic, check_sic, check_ic), [Property.ESIC, Property.SIC, Property.IC]),
+    ):
+        verifier._cached_tabulation.cache_clear()
+        walks.clear()
+        for check in order:
+            check(mechanism, GRID012)
+        assert walks == expected, order
+
+
+class _ReadRecording:
+    """A sequence of outcomes that records the flat index of every read."""
+
+    def __init__(self, outcomes):
+        self.outcomes, self.reads = outcomes, []
+
+    def __getitem__(self, flat):
+        self.reads.append(flat)
+        return self.outcomes[flat]
+
+
+@pytest.mark.parametrize("prop", [Property.SIC, Property.ESIC])
+def test_a_lone_check_stops_at_its_witness(prop):
+    """Each truthful profile is read, then each of its deviations; nothing after the witness."""
+    lattice = verifier._tabulation(SecondPriceMechanism(2), GRID012)
+    outcomes = _ReadRecording(lattice.outcomes)
+    found = verifier.deviation_check(prop, lattice.domains, outcomes, verifier.payoff)
+    assert found.flat is not None
+    walk = []  # (truth, agent, read) in the order of the definitions
+    for flat, (d0, d1) in enumerate(itertools.product(range(3), repeat=2)):
+        walk.append((flat, None, flat))
+        walk += [(flat, 0, flat + (d - d0) * 3) for d in range(3) if d != d0]
+        walk += [(flat, 1, flat + d - d1) for d in range(3) if d != d1]
+    stop = walk.index((found.flat, found.agent, found.other)) + 1
+    assert outcomes.reads == [read for *_, read in walk[:stop]]
+    assert len(outcomes.reads) < len(walk)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-2, 2), min_size=2, max_size=4).flatmap(
+        lambda before: st.tuples(
+            st.just(before),
+            st.lists(st.integers(-2, 2), min_size=len(before), max_size=len(before)),
+            st.integers(0, len(before) - 1),
+        )
+    )
+)
+def test_the_deviation_clauses_are_nested(case):
+    before, after, agent = case
+    clauses = [verifier.deviation_clause(prop, agent, before, after) for prop, _ in _DEVIATION_CHECKS]
+    # a deviation that breaks IC breaks SIC, and one that breaks SIC breaks ESIC
+    broken = [clause is not None for clause in clauses]
+    assert broken == sorted(broken)
+
+
 # --- exactness of the integer lattice ---------------------------------------
 
 _SINGLE_ITEM_CHECKS = (
