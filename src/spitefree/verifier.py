@@ -827,7 +827,8 @@ class _Sweep(_Walk):
         self.rivals = {}  # agent i's lines share one domain: hers, the others' singletons
         for line in _agent_lines(self.keyed.domains[0], n):
             self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
-            self.rivals.setdefault(line[0], _rivals(line[3]))
+            if line[0] not in self.rivals:
+                self.rivals[line[0]] = _rivals(line[3])
         self.line_verdicts: dict[tuple, bool] = {}
         self.spec_verdicts: dict[ThresholdSpec, tuple[bool, bool]] = {}  # anonymous, efficient
         self.sic_count = self.anonymous_count = self.efficient_count = 0
