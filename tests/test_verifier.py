@@ -339,7 +339,11 @@ def test_deviation_kernel_matches_the_definitions():
 
 # --- one walk for IC, SIC and ESIC -------------------------------------------
 
-_DEVIATION_CHECKS = ((Property.IC, check_ic), (Property.SIC, check_sic), (Property.ESIC, check_esic))
+_DEVIATION_CHECKS = (
+    (Property.IC, check_ic),
+    (Property.SIC, check_sic),
+    (Property.ESIC, check_esic),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -366,8 +370,11 @@ def _random_lookups(count, seed):
         rows = []
         for profile in enumerate_profiles(GRID012, n):
             winner = rng.randrange(n + 1)
-            price = rng.choice([b for b in GRID012.levels if b <= profile[winner - 1]]) if winner else 0
-            rows.append((profile, Outcome(winner, tuple(price if j == winner - 1 else F(0) for j in range(n)))))
+            payments = [F(0)] * n
+            if winner:
+                bid = profile[winner - 1]
+                payments[winner - 1] = rng.choice([b for b in GRID012.levels if b <= bid])
+            rows.append((profile, Outcome(winner, tuple(payments))))
         mechanisms.append(_Lookup(n, tuple(rows)))
     return mechanisms
 
@@ -390,7 +397,8 @@ def _order_cases():
     ]
     cases = [(spec, GRID012) for spec in specs]
     cases += [(spec, closure_for_thresholds(spec.thresholds)) for spec in specs]
-    cases += [(factory(n), GRID012) for factory in (FirstPriceMechanism, SecondPriceMechanism) for n in (2, 3)]
+    cases += [(factory(n), GRID012) for factory in (FirstPriceMechanism, SecondPriceMechanism)
+              for n in (2, 3)]
     cases += [(mechanism, GRID012) for mechanism in _random_lookups(16, seed=5)]
     kingmaker = tuple((p, Outcome(*_kingmaker(p))) for p in enumerate_profiles(GRID012, 3))
     cases.append((_Lookup(3, kingmaker), GRID012))
@@ -399,8 +407,9 @@ def _order_cases():
 
 def test_deviation_checks_agree_in_every_order():
     """Each check gives its lone report whichever checks ran before it on the cached lattice."""
-    failed = dict.fromkeys(_DEVIATION_CHECKS, 0)
-    earlier = {Property.ESIC: 0, Property.SIC: 0}  # fails before the next stricter clause does
+    failed = {prop: 0 for prop, _ in _DEVIATION_CHECKS}
+    # cases where ESIC first fails before SIC does, and SIC before IC
+    earlier = {Property.ESIC: 0, Property.SIC: 0}
     for mechanism, grid in _order_cases():
         alone, at = {}, {}
         for prop, check in _DEVIATION_CHECKS:
@@ -409,7 +418,7 @@ def test_deviation_checks_agree_in_every_order():
             first = _first_violation(prop, mechanism, grid)
             assert report.passed == (first is None), (prop, mechanism)
             if first is not None:
-                failed[prop, check] += 1
+                failed[prop] += 1
                 w = report.witness
                 assert (w.profile, w.agent, w.deviation) == first
                 assert confirm_witness(mechanism, report)
@@ -426,12 +435,12 @@ def test_deviation_checks_agree_in_every_order():
 
 def test_ic_sic_and_esic_share_one_walk(monkeypatch):
     walks = []
+    deviation_findings = verifier._deviation_findings
 
     def counting(stop, *args, **kwargs):
         walks.append(stop)
         return deviation_findings(stop, *args, **kwargs)
 
-    deviation_findings = verifier._deviation_findings
     monkeypatch.setattr(verifier, "_deviation_findings", counting)
     sp = SecondPriceMechanism(3)  # IC passes; SIC and ESIC first fail at one deviation
     kingmaker = _order_cases()[-1][0]  # IC passes; ESIC fails before SIC
@@ -490,9 +499,11 @@ def test_a_lone_check_stops_at_its_witness(prop):
 )
 def test_the_deviation_clauses_are_nested(case):
     before, after, agent = case
-    clauses = [verifier.deviation_clause(prop, agent, before, after) for prop, _ in _DEVIATION_CHECKS]
     # a deviation that breaks IC breaks SIC, and one that breaks SIC breaks ESIC
-    broken = [clause is not None for clause in clauses]
+    broken = [
+        verifier.deviation_clause(prop, agent, before, after) is not None
+        for prop, _ in _DEVIATION_CHECKS
+    ]
     assert broken == sorted(broken)
 
 
