@@ -10,7 +10,10 @@ contract: 0 all requested properties hold, 1 a property failed or an
 assertion tripped, 2 bad input (an empty ``--props`` list among it, or
 a `regions` price list that leaves a bundle out), 3 an enumeration
 budget was exceeded or the input's size, estimated before any work, is
-over a fixed cap: for `enumerate` a grid of more than 512 profiles or
+over a fixed cap: for `verify` the L^n x n x (1 + n(L - 1)) payoff
+reads of the deviation checks on L levels against `MAX_PAYOFF_READS`
+and, with ``anonymous``, the L^n x (n! - 1) relabeled profiles against
+the sweep's million, for `enumerate` a grid of more than 512 profiles or
 anonymity checks of more than a million relabeled profiles (see
 `verifier.characterization_experiment`), for `thresholds` the report
 bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the agents
@@ -33,7 +36,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, verifier
 from .core import DomainMismatchError, Grid, MechanismTable, closure_for_thresholds
 from .money import is_infinite, parse_amounts, parse_ext_money, parse_money, render_ext_money
 from .multiitem import (
@@ -210,6 +213,7 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     else:
         raise SpecFileError(f"kind {loaded.kind!r} needs an explicit --grid")
     props = _parse_props(args.props, _PROP_NAMES, ("ir", "ic", "sic", "esic"))
+    _check_verify_size(mechanism.n, len(grid), "anonymous" in props)
     reports = []
     for name in props:
         if name == "payments":
@@ -228,6 +232,42 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
         "reports": [_jsonable(r) for r in reports],
     }
     return config, results, EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
+
+
+def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
+    """Refuse, before any tabulation, a `verify` run over its caps.
+
+    The deviation checks read every agent's payoff at each of the
+    ``width^n`` profiles and at each single-agent deviation from it, as
+    `multi` counts them; anonymity reads each profile under all n! - 1
+    relabelings, as the sweep counts them.
+    """
+    size = f"a {width}-level grid at n={_count_text(n)}"
+    # 2^25 is over the cap, so a grid of two or more levels is never raised to a larger n
+    if width == 1 or n < MAX_PAYOFF_READS.bit_length():
+        reads = width**n * n * (1 + n * (width - 1))
+        count = f" = {_count_text(reads)}"
+    else:
+        reads, count = None, ""
+    if reads is None or reads > MAX_PAYOFF_READS:
+        raise BudgetExceededError(
+            f"the deviation checks on {size} read {width}^n x n x (1 + n x {width - 1})"
+            f"{count} payoffs, over the cap of {MAX_PAYOFF_READS}"
+        )
+    if not anonymous:
+        return
+    cap = verifier._MAX_RELABELING_READS
+    relabelings, k = 1, 1
+    while k < n and relabelings - 1 <= cap:  # n! is never taken past the cap
+        k += 1
+        relabelings *= k
+    reads = width**n * (relabelings - 1)
+    if reads > cap:
+        count = f" = {_count_text(reads)}" if k == n else ""
+        raise BudgetExceededError(
+            f"an anonymity check on {size} reads {width}^n x (n! - 1){count} "
+            f"relabeled profiles, over the cap of {cap}"
+        )
 
 
 def cmd_enumerate(args) -> tuple[dict, dict, int]:

@@ -17,6 +17,12 @@ each threshold with each grid level once and applies it to every profile of
 `recognize_threshold_form` reads a table's outcomes against the same sign
 columns to recover a spec, without tabulating one; its second pass,
 `recognize_on_signs`, reads only signs and winner codes.
+
+First and second price are one order rule, `_price_rule`: the first
+highest bid wins and pays the ``rank``-th highest bid (rank 1 and 2).  It
+reads bids only by their order, and a grid's levels are strictly
+increasing, so `tabulate_outcomes` applies it to level indices and builds
+one shared `Outcome` per (winner, price level).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import ClassVar
 
 from .core import DomainMismatchError, Grid, MechanismTable, Outcome, RankedSpec, enumerate_profiles
 from .money import ExtMoney, INFINITY, as_ext_money
@@ -92,10 +99,15 @@ def _threshold_winner(spec: ThresholdSpec, signs: tuple[int, ...]) -> int:
 
 def _threshold_result(spec: ThresholdSpec, winner: int) -> Outcome:
     """The outcome in which ``winner`` (a code, 0 = unsold) pays her threshold."""
-    payments = [Fraction(0)] * spec.n
+    price = spec.thresholds[winner - 1] if winner else Fraction(0)
+    assert isinstance(price, Fraction)  # a finite bid cannot meet INFINITY
+    return _sale(spec.n, winner, price)
+
+
+def _sale(n: int, winner: int, price: Fraction) -> Outcome:
+    """The outcome in which ``winner`` (a code, 0 = unsold) pays ``price`` and nobody else pays."""
+    payments = [Fraction(0)] * n
     if winner:
-        price = spec.thresholds[winner - 1]
-        assert isinstance(price, Fraction)  # a finite bid cannot meet INFINITY
         payments[winner - 1] = price
     return Outcome(winner, tuple(payments))
 
@@ -106,46 +118,58 @@ def null_spec(n: int) -> ThresholdSpec:
 
 
 def second_price_outcome(bids: tuple[Fraction, ...]) -> Outcome:
-    _require_benchmark_profile(bids)
-    winner = max(range(len(bids)), key=bids.__getitem__)  # first max: lowest index
-    price = max(bids[j] for j in range(len(bids)) if j != winner)
-    payments = [Fraction(0)] * len(bids)
-    payments[winner] = price
-    return Outcome(winner + 1, tuple(payments))
+    return _price_outcome(bids, SecondPriceMechanism.rank)
 
 
 def first_price_outcome(bids: tuple[Fraction, ...]) -> Outcome:
-    _require_benchmark_profile(bids)
-    winner = max(range(len(bids)), key=bids.__getitem__)
-    payments = [Fraction(0)] * len(bids)
-    payments[winner] = bids[winner]
-    return Outcome(winner + 1, tuple(payments))
+    return _price_outcome(bids, FirstPriceMechanism.rank)
 
 
-def _require_benchmark_profile(bids: tuple[Fraction, ...]) -> None:
+def _price_outcome(bids: tuple[Fraction, ...], rank: int) -> Outcome:
     if len(bids) < 2:
         raise ValueError("price benchmarks need at least two agents")
+    winner, at = _price_rule(bids, rank)
+    return _sale(len(bids), winner + 1, bids[at])
+
+
+def _price_rule(bids, rank: int) -> tuple[int, int]:
+    """(winner, price position): the first highest bid wins at the ``rank``-th highest.
+
+    The position is an agent whose bid is the price.  Only the order of
+    the bids is read, so any totally ordered values will do: the rule
+    gives the same answer on grid level indices as on the levels.
+    """
+    # a stable sort keeps equal bids in agent order, so the first of them leads
+    order = sorted(range(len(bids)), key=bids.__getitem__, reverse=True)
+    return order[0], order[rank - 1]
 
 
 @dataclass(frozen=True)
-class SecondPriceMechanism:
+class _PriceMechanism:
+    """Sells to the first highest bid at the `rank`-th highest bid."""
+
     n: int
+    rank: ClassVar[int]
+    label: ClassVar[str]
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("second price needs at least two agents")
+            raise ValueError(f"{self.label} needs at least two agents")
+
+
+@dataclass(frozen=True)
+class SecondPriceMechanism(_PriceMechanism):
+    rank = 2
+    label = "second price"
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
         return second_price_outcome(bids)
 
 
 @dataclass(frozen=True)
-class FirstPriceMechanism:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("first price needs at least two agents")
+class FirstPriceMechanism(_PriceMechanism):
+    rank = 1
+    label = "first price"
 
     def outcome(self, bids: tuple[Fraction, ...]) -> Outcome:
         return first_price_outcome(bids)
@@ -157,7 +181,9 @@ def tabulate_outcomes(mechanism, grid: Grid) -> tuple[Outcome, ...]:
     Equal outcomes are one shared object.  A `ThresholdSpec` is read off
     its sign columns: each threshold is compared with each grid level once,
     and each distinct tuple of signs, and each winner, is resolved once.
-    Any other mechanism is evaluated profile by profile.
+    First and second price read bids only by order, so their rule runs on
+    level indices, and each (winner, price level) is one `Outcome`.  Any
+    other mechanism is evaluated profile by profile.
     """
     if isinstance(mechanism, ThresholdSpec):
         columns = [[_sign(level, t) for level in grid.levels] for t in mechanism.thresholds]
@@ -172,6 +198,18 @@ def tabulate_outcomes(mechanism, grid: Grid) -> tuple[Outcome, ...]:
                 if out is None:
                     out = by_winner[winner] = _threshold_result(mechanism, winner)
                 by_signs[signs] = out
+            outcomes.append(out)
+        return tuple(outcomes)
+    if isinstance(mechanism, _PriceMechanism):
+        levels = grid.levels
+        by_sale: dict[tuple[int, int], Outcome] = {}
+        outcomes = []
+        for profile in itertools.product(range(len(levels)), repeat=mechanism.n):
+            winner, at = _price_rule(profile, mechanism.rank)
+            sale = (winner, profile[at])
+            out = by_sale.get(sale)
+            if out is None:
+                out = by_sale[sale] = _sale(mechanism.n, winner + 1, levels[sale[1]])
             outcomes.append(out)
         return tuple(outcomes)
     interned: dict[Outcome, Outcome] = {}

@@ -99,6 +99,30 @@ def test_verify_requires_a_grid_for_benchmarks(tmp_path):
     assert "grid" in err
 
 
+
+def test_an_oversized_verify_exits_3_before_any_tabulation(tmp_path, monkeypatch):
+    monkeypatch.setattr(verifier, "_cached_tabulation", _never)
+    monkeypatch.setattr(verifier, "_tabulation", _never)
+    second = write(tmp_path, "second40.spec", "kind: second_price\nn: 40\n")
+    code, out, err = run_cli("verify", "--spec", second, "--grid", "0,1")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "2^n x n x (1 + n x 1) payoffs, over the cap of 20000000" in err
+    # an n too large to raise a grid's width to is refused all the same
+    huge = write(tmp_path, "huge.spec", "kind: first_price\nn: 1000000000\n")
+    code, out, err = run_cli("verify", "--spec", huge, "--grid", "0,1,2")
+    assert (code, out) == (EXIT_BUDGET, "")
+    null = write(tmp_path, "null10.spec", "kind: null\nn: 10\n")
+    code, out, err = run_cli("verify", "--spec", null, "--grid", "0,1", "--props", "anonymous")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "2^n x (n! - 1) = 3715890176 relabeled profiles, over the cap of 1000000" in err
+
+
+def test_the_verify_caps_admit_the_null_spec_at_ten_agents(tmp_path):
+    null = write(tmp_path, "null10.spec", "kind: null\nn: 10\n")
+    code, out, _ = run_cli("verify", "--spec", null, "--grid", "0,1")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["all_passed"] is True
+
 def test_verify_rejects_malformed_spec_files(tmp_path):
     spec = write(tmp_path, "bad.spec", "kind: junk\n")
     code, _, err = run_cli("verify", "--spec", spec, "--grid", "0,1")

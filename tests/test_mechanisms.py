@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spitefree import mechanisms
 from spitefree.core import Grid, MechanismTable, Outcome, enumerate_profiles
 from spitefree.mechanisms import (
     BoundaryRule,
@@ -13,6 +14,7 @@ from spitefree.mechanisms import (
     null_spec,
     recognize_threshold_form,
     tabulate,
+    tabulate_outcomes,
     threshold_outcome,
 )
 from spitefree.money import INFINITY
@@ -148,6 +150,34 @@ def test_verifier_tabulates_through_tabulate():
     for mechanism in mechanisms:
         assert _cached_tabulation(mechanism, grid).originals == tabulate(mechanism, grid).outcomes
 
+
+
+def test_price_rules_tabulate_on_level_indices_as_they_evaluate():
+    """Index tabulation equals profile-by-profile evaluation, with one shared
+    outcome per (winner, price level)."""
+    rng = random.Random(17)
+    grids = [Grid.from_text("5/2"), Grid.from_text("0,1/3,1,7/4")]
+    for _ in range(12):
+        grids.append(Grid(F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(rng.randint(1, 5))))
+    for grid in grids:
+        for n in (2, 3, 4):
+            for mechanism in (FirstPriceMechanism(n), SecondPriceMechanism(n)):
+                outcomes = tabulate_outcomes(mechanism, grid)
+                assert outcomes == tuple(map(mechanism.outcome, enumerate_profiles(grid, n)))
+                distinct = {id(out) for out in outcomes}
+                assert len(distinct) == len(set(outcomes)) <= n * len(grid)
+    # on one level every bid ties: agent 1 always wins at that level
+    assert set(tabulate_outcomes(SecondPriceMechanism(3), grids[0])) == {
+        Outcome(1, (F(5, 2), F(0), F(0)))
+    }
+
+
+def test_price_outcome_functions_keep_their_module_names():
+    # perfbench/tracing.py wraps these names to count per-profile evaluations
+    for name in ("first_price_outcome", "second_price_outcome", "threshold_outcome"):
+        assert callable(getattr(mechanisms, name))
+    assert mechanisms.second_price_outcome((F(1), F(3), F(2))) == Outcome(2, (F(0), F(2), F(0)))
+    assert mechanisms.first_price_outcome((F(1), F(3), F(3))) == Outcome(2, (F(0), F(3), F(0)))
 
 # --- threshold-form recognition --------------------------------------------
 
