@@ -8,13 +8,14 @@ results, and the wall time.  Only `revenue` draws random numbers, so
 only it takes ``--seed``; the others refuse it.  Exit codes are a stable
 contract: 0 all requested properties hold, 1 a property failed or an
 assertion tripped, 2 bad input (an empty ``--props`` list among it, or
-a `regions` price list that leaves a bundle out), 3 an enumeration
-budget was exceeded or the input's size, estimated before any work, is
-over a fixed cap: for `verify` the L^n x n x (1 + n(L - 1)) payoff
-reads of the deviation checks on L levels against `MAX_PAYOFF_READS`
-and, with ``anonymous``, the L^n x (n! - 1) relabeled profiles against
-the sweep's million, for `enumerate` a grid of more than 512 profiles or
-anonymity checks of more than a million relabeled profiles (see
+a `regions` price list that leaves a bundle out), 3 the input's size,
+estimated or counted before any work, is over a cap: for `verify` the
+L^n x n x (1 + n(L - 1)) payoff reads of the deviation checks on L
+levels against `MAX_PAYOFF_READS` and, with ``anonymous``, the
+L^n x (n! - 1) relabeled profiles against the sweep's million, for
+`enumerate` a grid of more than 512 profiles, anonymity checks of more
+than a million relabeled profiles, or more IR+IC tables than
+``--budget``, counted exactly before the sweep walks any (see
 `verifier.characterization_experiment`), for `thresholds` the report
 bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the agents
 `MAX_REVENUE_AGENTS` and the n x samples uniform draws
@@ -237,15 +238,14 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
 def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
     """Refuse, before any tabulation, a `verify` run over its caps.
 
-    The deviation checks read every agent's payoff at each of the
-    ``width^n`` profiles and at each single-agent deviation from it, as
-    `multi` counts them; anonymity reads each profile under all n! - 1
-    relabelings, as the sweep counts them.
+    The deviation checks read `_payoff_reads` payoffs, as `multi`
+    counts them; anonymity reads each profile under all n! - 1
+    relabelings, as the sweep counts them (`verifier._relabeling_reads`).
     """
     size = f"a {width}-level grid at n={_count_text(n)}"
     # 2^25 is over the cap, so a grid of two or more levels is never raised to a larger n
     if width == 1 or n < MAX_PAYOFF_READS.bit_length():
-        reads = width**n * n * (1 + n * (width - 1))
+        reads = _payoff_reads(width, n)
         count = f" = {_count_text(reads)}"
     else:
         reads, count = None, ""
@@ -257,17 +257,22 @@ def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
     if not anonymous:
         return
     cap = verifier._MAX_RELABELING_READS
-    relabelings, k = 1, 1
-    while k < n and relabelings - 1 <= cap:  # n! is never taken past the cap
-        k += 1
-        relabelings *= k
-    reads = width**n * (relabelings - 1)
-    if reads > cap:
-        count = f" = {_count_text(reads)}" if k == n else ""
+    reads = verifier._relabeling_reads(width, n)
+    if reads is None or reads > cap:
+        count = "" if reads is None else f" = {_count_text(reads)}"
         raise BudgetExceededError(
             f"an anonymity check on {size} reads {width}^n x (n! - 1){count} "
             f"relabeled profiles, over the cap of {cap}"
         )
+
+
+def _payoff_reads(width: int, n: int) -> int:
+    """The payoffs the deviation checks read on ``width`` values per agent.
+
+    Every agent's payoff at each of the ``width^n`` profiles and at each of
+    its n x (width - 1) single-agent deviations: width^n x n x (1 + n(width - 1)).
+    """
+    return width**n * n * (1 + n * (width - 1))
 
 
 def cmd_enumerate(args) -> tuple[dict, dict, int]:
@@ -455,7 +460,7 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
     elif loaded.kind == "sequential":
         per_agent = marginal_vector_count(loaded.item_count, args.max_marginal)
         profiles = per_agent**spec.n
-        reads = profiles * spec.n * (1 + spec.n * (per_agent - 1))
+        reads = _payoff_reads(per_agent, spec.n)
         if reads > MAX_PAYOFF_READS:
             raise BudgetExceededError(
                 f"the built-in domain has C({args.max_marginal} + {loaded.item_count}, "

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -673,15 +674,27 @@ def _key_lattice(grid: Grid, n: int) -> _Lattice:
     return _grid_lattice(grid.levels, tuple(originals), n)
 
 
-# The sweep walks only the tables it recognizes and counts the rest (see
-# `characterization_experiment`), and counted tables count toward its
-# budget like walked ones.  The walk and the count recurse once per profile
-# between them, and Python stops them near 1 000 frames.
+# The sweep counts every IR+IC table before it walks any, then walks only
+# the tables it can recognize (see `characterization_experiment`).  The
+# count and the walk each recurse once per profile, and Python stops them
+# near 1 000 frames.
 _MAX_WALK_PROFILES = 512
 # The sweep checks anonymity on closure grids, which hold the grid and 0,
 # over all n! - 1 relabelings: at about 2 us a read, 1.2 s for the null
 # mechanism on {0,1} at n=7 (645 k reads) and 21 s at n=8 (10.3 M reads).
 _MAX_RELABELING_READS = 1_000_000
+
+
+def _relabeling_reads(width: int, n: int) -> int | None:
+    """The width^n x (n! - 1) relabeled profiles one anonymity check reads.
+
+    None when n! - 1 alone is over `_MAX_RELABELING_READS`: n! is never taken past it.
+    """
+    relabelings, k = 1, 1
+    while k < n and relabelings - 1 <= _MAX_RELABELING_READS:
+        k += 1
+        relabelings *= k
+    return width**n * (relabelings - 1) if k == n else None
 
 
 def _check_walk_size(grid: Grid, n: int) -> None:
@@ -707,8 +720,8 @@ class _Walk:
 
     ``keys[pad + flat]`` is profile ``flat``'s key, after ``pad`` zeros: the
     forcing rule, `choices`, reads back ``pad`` profiles at most, the
-    stride of agent 1's bid.  ``tables`` counts the tables walked or
-    counted; the one after ``max_tables`` raises `BudgetExceededError`.
+    stride of agent 1's bid.  ``ir_ic_count`` is counted before any table
+    is walked, by `count`, the one place that enforces ``max_tables``.
     """
 
     def __init__(self, grid: Grid, n: int, max_tables: int) -> None:
@@ -722,59 +735,63 @@ class _Walk:
         # unsold, or a winner who does not win one level lower pays her own bid
         self.free = [(0, *(i + 1 + base * d for i, d in enumerate(ds))) for ds in self.digits]
         self.keys = [0] * (self.pad + self.total)
-        self.tables = 0
-        self.counts: dict[tuple, int] = {}
+        self.keyed = _key_lattice(grid, n)
+        self.top = base ** (self.pad - 1)
+        self.counts: list[dict[int, int]] = [{} for _ in range(self.total)]
+        self.ir_ic_count = self.count()
 
-    def choices(self, flat: int, entries, end: int, free):
-        """The entries profile ``flat`` may take: ``free``, one forced entry, or none.
+    def choices(self, flat: int):
+        """The keys profile ``flat`` may take after the walk's keys before it: all, one, or none.
 
-        ``entries[end - stride]`` stands for the profile ``stride`` places
-        before ``flat``, as a key or a winner code: either way its winner
-        code is the entry modulo n + 1.  An agent who wins one level below
-        her own bid wins here too at the same price; two such agents leave
-        no IR + IC table.
+        An agent who wins one level below her own bid (see `_key_lattice`)
+        wins here too at the same price; two such agents leave no IR + IC table.
         """
         forced = ()
+        end = self.pad + flat
         for i, d in enumerate(self.digits[flat]):
             if d:
-                below = entries[end - self.strides[i]]
+                below = self.keys[end - self.strides[i]]
                 if below % self.base == i + 1:
                     if forced:
                         return ()
                     forced = (below,)
-        return forced or free
+        return forced or self.free[flat]
 
-    def add(self, count: int) -> None:
-        if self.tables + count > self.max_tables:
-            raise BudgetExceededError(
-                f"more than {self.max_tables} IR+IC tables on grid {self.grid.render()}"
-            )
-        self.tables += count
+    def table(self) -> MechanismTable:
+        """The table of the walk's keys."""
+        outcomes = tuple(map(self.keyed.originals.__getitem__, self.keys[self.pad :]))
+        return MechanismTable(self.grid, self.n, outcomes)
 
-    def key_tuples(self, flat: int = 0):
-        """Yield the keys of every table that extends the walk's profiles before ``flat``."""
+    def every_table(self, flat: int = 0):
+        """Yield every table that extends the walk's profiles before ``flat``."""
         if flat == self.total:
-            self.add(1)
-            yield tuple(self.keys[self.pad :])
+            yield self.table()
             return
-        end = self.pad + flat
-        for key in self.choices(flat, self.keys, end, self.free[flat]):
-            self.keys[end] = key
-            yield from self.key_tuples(flat + 1)
+        for key in self.choices(flat):
+            self.keys[self.pad + flat] = key
+            yield from self.every_table(flat + 1)
 
-    def count(self, flat: int, window: tuple[int, ...]) -> int:
-        """How many tables go on from profile ``flat`` after the ``pad`` winner codes ``window``.
+    def count(self, flat: int = 0, window: int = 0) -> int:
+        """How many tables extend the profiles before ``flat``; over ``max_tables`` raises.
 
-        Memoized per ``(flat, window)``: the codes are all `choices` reads.
+        Memoized per ``flat`` and ``window``: the winner codes of the last
+        ``pad`` keys, all `choices` reads, as one base-(n + 1) int, the
+        oldest lowest.  No node counts more tables than the root, so
+        raising at the first partial count over ``max_tables`` is exact.
         """
         if flat == self.total:
             return 1
-        counted = self.counts.get((flat, window))
+        counted = self.counts[flat].get(window)
         if counted is None:
-            counted = 0
-            for code in self.choices(flat, window, self.pad, range(self.base)):
-                counted += self.count(flat + 1, window[1:] + (code,))
-            self.counts[flat, window] = counted
+            counted, end, shifted = 0, self.pad + flat, window // self.base
+            for key in self.choices(flat):
+                self.keys[end] = key
+                counted += self.count(flat + 1, shifted + key % self.base * self.top)
+                if counted > self.max_tables:
+                    raise BudgetExceededError(
+                        f"more than {self.max_tables} IR+IC tables on grid {self.grid.render()}"
+                    )
+            self.counts[flat][window] = counted
         return counted
 
 
@@ -786,14 +803,12 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     payments are the induced ones (losers pay nothing, the winner pays the
     lowest grid bid that still wins against the same opponents).  Any other
     payment choice would break IC off the grid, so this family is exactly
-    the IR + IC search space.  Raises `BudgetExceededError` after
-    ``max_tables`` yields, and before any work when ``grid^n`` has more
-    than `_MAX_WALK_PROFILES` profiles.
+    the IR + IC search space.  Raises `BudgetExceededError` before any
+    work when ``grid^n`` has more than `_MAX_WALK_PROFILES` profiles, and
+    before the first yield when there are more than ``max_tables`` tables.
     """
     _check_walk_size(grid, n)
-    originals = _key_lattice(grid, n).originals
-    for keys in _Walk(grid, n, max_tables).key_tuples():
-        yield MechanismTable(grid, n, tuple(map(originals.__getitem__, keys)))
+    yield from _Walk(grid, n, max_tables).every_table()
 
 
 def _agent_lines(levels, n: int):
@@ -818,23 +833,22 @@ def _agent_lines(levels, n: int):
 
 
 class _Sweep(_Walk):
-    """The walk of `characterization_experiment`, with its line verdicts and counts."""
+    """The walk of `characterization_experiment`, with its line verdicts and SIC specs."""
 
     def __init__(self, grid: Grid, n: int, max_tables: int) -> None:
         super().__init__(grid, n, max_tables)
-        self.keyed = _key_lattice(grid, n)
+        lines = _agent_lines(self.keyed.domains[0], n)
+        # agent i's lines share one domain, hers and the others' singletons; her first starts at 0
+        self.rivals = {i: _rivals(domains) for i, start, _, domains in lines if start == 0}
         self.lines_at = [[] for _ in range(self.total)]  # by the line's last profile
-        self.rivals = {}  # agent i's lines share one domain: hers, the others' singletons
-        for line in _agent_lines(self.keyed.domains[0], n):
+        for line in lines:
             self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
-            if line[0] not in self.rivals:
-                self.rivals[line[0]] = _rivals(line[3])
         self.line_verdicts: dict[tuple, bool] = {}
-        self.spec_verdicts: dict[ThresholdSpec, tuple[bool, bool]] = {}  # anonymous, efficient
-        self.sic_count = self.anonymous_count = self.efficient_count = 0
+        # the SIC tables per recognized spec: tables that differ only at boundary profiles share one
+        self.sic_specs: Counter[ThresholdSpec] = Counter()
 
     def walk(self, flat: int, sic: bool, prices) -> None:
-        """Walk on from profile ``flat``, counting the subtrees where nothing is recognized.
+        """Walk on from profile ``flat``, pruning the subtrees where nothing is recognized.
 
         ``sic`` holds while every finished line passes SIC; ``prices[i]``
         is the level index agent i pays (``width`` while she never wins),
@@ -843,7 +857,7 @@ class _Sweep(_Walk):
         if flat == self.total:
             return self.judge(sic, prices)
         keys, end, base = self.keys, self.pad + flat, self.base
-        for key in self.choices(flat, keys, end, self.free[flat]):
+        for key in self.choices(flat):
             keys[end] = key
             now = prices
             if key and prices is not None:
@@ -855,8 +869,6 @@ class _Sweep(_Walk):
             passes = sic and all(map(self.line_passes, self.lines_at[flat]))
             if passes or now is not None:
                 self.walk(flat + 1, passes, now)
-            else:
-                self.add(self.count(flat + 1, tuple([k % base for k in keys[flat + 1 : end + 1]])))
 
     def line_passes(self, line) -> bool:
         """Whether the finished line passes SIC, judged once per distinct line."""
@@ -872,8 +884,7 @@ class _Sweep(_Walk):
         return verdict
 
     def judge(self, sic: bool, prices) -> None:
-        """Count the finished table and check that SIC and threshold form agree on it."""
-        self.add(1)
+        """Check that SIC and threshold form agree on the finished table."""
         spec = None
         if prices is not None:  # a table that charges some agent two prices is not threshold form
             levels = self.grid.levels
@@ -883,18 +894,9 @@ class _Sweep(_Walk):
             winners = [key % self.base for key in self.keys[self.pad :]]
             spec = recognize_on_signs(columns, winners, thresholds)
         if sic != (spec is not None):
-            outcomes = tuple(map(self.keyed.originals.__getitem__, self.keys[self.pad :]))
-            table = MechanismTable(self.grid, self.n, outcomes)
-            raise CharacterizationMismatchError(table, sic, spec)
+            raise CharacterizationMismatchError(self.table(), sic, spec)
         if sic:
-            self.sic_count += 1
-            verdicts = self.spec_verdicts.get(spec)
-            if verdicts is None:  # tables that differ only at boundary profiles share a spec
-                closure = closure_for_thresholds(spec.thresholds, base=self.grid.levels)
-                verdicts = check_anonymous(spec, closure).passed, check_efficient(spec, closure).passed
-                self.spec_verdicts[spec] = verdicts
-            self.anonymous_count += verdicts[0]
-            self.efficient_count += verdicts[1]
+            self.sic_specs[spec] += 1
 
 
 def characterization_experiment(
@@ -916,21 +918,20 @@ def characterization_experiment(
     agent's bid, so a table is SIC exactly when each of its lines is; each
     distinct line is judged by `deviation_check` once per sweep, on the
     grid's integer lattice.  A table that charges some agent two prices is
-    not threshold form, so below a walk node that has failed SIC and has
-    such an agent no table can be recognized or mismatch: `_Walk.count`
-    counts those tables without walking them, and they count toward
-    ``max_tables`` all the same.  Every walked table that charges each
-    winner one price is recognized from level indices by
-    `recognize_on_signs`; a walked SIC table that does not is a mismatch
-    at once.  A `MechanismTable` is built only to report a mismatch.
-    Like `enumerate_ir_ic_mechanisms`, it raises `BudgetExceededError`
-    before any work on more than `_MAX_WALK_PROFILES` profiles, or when
-    one anonymity check may read more than `_MAX_RELABELING_READS`
-    relabeled profiles.
+    not threshold form, so the walk prunes a node that has failed SIC and
+    has such an agent.  Every walked table that charges each winner one
+    price is recognized from level indices by `recognize_on_signs`; a
+    walked SIC table that does not is a mismatch at once.  A
+    `MechanismTable` is built only to report a mismatch.  It raises
+    `BudgetExceededError` before any work on more than `_MAX_WALK_PROFILES`
+    profiles or when one anonymity check may read more than
+    `_MAX_RELABELING_READS` relabeled profiles, and, like
+    `enumerate_ir_ic_mechanisms`, before it walks any table when
+    `_Walk.count` finds more than ``max_tables``.
     """
     _check_walk_size(grid, n)
     closure_width = len(set(grid.levels) | {0})
-    reads = closure_width**n * (math.factorial(n) - 1)
+    reads = _relabeling_reads(closure_width, n)  # exact: the walk cap keeps n <= 9
     if reads > _MAX_RELABELING_READS:
         raise BudgetExceededError(
             f"an anonymity check on a {closure_width}-level closure at n={n} reads up to "
@@ -939,13 +940,19 @@ def characterization_experiment(
         )
     sweep = _Sweep(grid, n, max_tables)
     sweep.walk(0, True, (len(grid),) * n)
+    anonymous = efficient = 0
+    for spec, tables in sweep.sic_specs.items():
+        closure = closure_for_thresholds(spec.thresholds, base=grid.levels)
+        anonymous += tables * check_anonymous(spec, closure).passed
+        efficient += tables * check_efficient(spec, closure).passed
+    sic_count = sweep.sic_specs.total()
     return EnumerationSummary(
         grid=grid,
         n=n,
         total_candidates=(n + 1) ** (len(grid) ** n),
-        ir_ic_count=sweep.tables,
-        sic_count=sweep.sic_count,
-        threshold_form_count=sweep.sic_count,  # every SIC table, and no other, was recognized
-        anonymous_sic_count=sweep.anonymous_count,
-        efficient_sic_count=sweep.efficient_count,
+        ir_ic_count=sweep.ir_ic_count,
+        sic_count=sic_count,
+        threshold_form_count=sic_count,  # every SIC table, and no other, was recognized
+        anonymous_sic_count=anonymous,
+        efficient_sic_count=efficient,
     )

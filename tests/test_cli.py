@@ -25,6 +25,8 @@ from spitefree.cli import (
     EXIT_PROPERTY_FAIL,
     main,
 )
+from spitefree.core import Grid
+from spitefree.mechanisms import ThresholdSpec, tabulate
 from spitefree.multiitem import sequential_allocate_general
 
 THRESHOLD_SPEC = "kind: threshold\nranking: 1,2\nthresholds: 1,2\n"
@@ -80,6 +82,32 @@ def test_verify_reports_a_witness_on_failure(tmp_path):
     assert entry["passed"] is False
     assert entry["witness"]["profile"] == ["0", "2"]
     assert entry["witness"]["deviation_profile"] == ["1", "2"]
+
+
+def test_verify_renders_an_anonymity_witness_with_agents_from_1(tmp_path):
+    spec = write(tmp_path, "sp3.spec", "kind: second_price\nn: 3\n")
+    code, out, _ = run_cli("verify", "--spec", spec, "--grid", "0,1,2", "--props", "anonymous")
+    assert code == EXIT_PROPERTY_FAIL
+    entry = json.loads(out)["results"]["reports"][0]
+    assert (entry["property"], entry["passed"]) == ("ANON", False)
+    # the witness swaps agents 1 and 2: (1, 0, 2) counted from 0
+    assert entry["witness"]["permutation"] == [2, 1, 3]
+    assert entry["witness"]["agent"] is None
+
+
+def test_verify_checks_a_table_on_its_own_grid(tmp_path):
+    table = tabulate(ThresholdSpec((1, 2), (Fraction(1), Fraction(1))), Grid.from_text("0,1"))
+    rows = [
+        f"row: {','.join(map(str, profile))} -> {out.winner} ; {','.join(map(str, out.payments))}"
+        for profile, out in table.rows
+    ]
+    spec = write(tmp_path, "table.spec", "kind: table\ngrid: 0,1\nn: 2\n" + "\n".join(rows) + "\n")
+    code, out, _ = run_cli("verify", "--spec", spec)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["config"]["grid"] == "0,1"
+    assert [r["property"] for r in report["results"]["reports"]] == ["IR", "IC", "SIC", "ESIC"]
+    assert report["results"]["all_passed"] is True
 
 
 def test_verify_is_deterministic(tmp_path):
@@ -165,6 +193,17 @@ def test_enumerate_budget_exhaustion():
     assert "more than 29" in err
 
 
+def test_enumerate_budget_is_decided_by_the_table_count_alone():
+    # {0,1} at n=3 has 5 075 IR+IC tables, and its mismatch is table 2 368:
+    # a budget under the count exits 3 before the walk reaches the mismatch
+    code, out, err = run_cli("enumerate", "--grid", "0,1", "--n", "3", "--budget", "5074")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "more than 5074 IR+IC tables on grid 0,1" in err
+    code, out, _ = run_cli("enumerate", "--grid", "0,1", "--n", "3", "--budget", "5075")
+    assert code == EXIT_PROPERTY_FAIL
+    assert "violation" in json.loads(out)["results"]
+
+
 def test_enumerate_rejects_a_non_positive_budget():
     for budget in ("-1", "0"):
         code, out, err = run_cli("enumerate", "--grid", "0,1", "--budget", budget)
@@ -198,7 +237,7 @@ def _levels(count):
 
 
 def test_enumerate_at_the_walk_cap_runs_to_its_budget():
-    # 512 levels at n=1: 512 profiles, walked until the sixth table
+    # 512 levels at n=1: 512 profiles, counted until the sixth table
     code, out, err = run_cli("enumerate", "--grid", _levels(512), "--n", "1", "--budget", "5")
     assert (code, out) == (EXIT_BUDGET, "")
     assert "more than 5 IR+IC tables" in err

@@ -152,6 +152,37 @@ def test_incomplete_table_is_rejected():
         parse_spec_text("kind: table\ngrid: 0,1\nn: 2\nrow: 0,0 -> 0 ; 0,0\n")
 
 
+_CLUSTER = "kind: cluster\nitems: 1\nranking: 1,2\nthresholds[1]: 1=1\nthresholds[2]: 1=1\n"
+_TABLE = "kind: table\ngrid: 0,1\nn: 1\nrow: 1 -> 1 ; 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "kind: threshold\nranking: 1,2\nthresholds: 1,2\nboundary_rule: sideways\n",
+            "line 4: unknown boundary rule 'sideways'",
+        ),
+        (_CLUSTER + "tie: coin_flip\n", "line 6: unknown tie rule 'coin_flip'"),
+        ("kind: null\nn: 2\nn: 3\n", "line 3: duplicate field 'n'"),
+        (_TABLE + "row: 0 ; 0\n", "line 5: row must read 'bids -> winner ; payments'"),
+        (_TABLE + "row: 0 -> 0\n", "line 5: row must read 'bids -> winner ; payments'"),
+        (_TABLE + "row: 1 -> 0 ; 0\n", "line 5: duplicate row for profile '1'"),
+        (
+            "kind: sequential\nitems: 1\nranking: 1,2\nthresholds: 1,1\n"
+            "candidate[1]: 1=1\ncandidate[2]: 1=1\ncandidate[3]: 1=1\n",
+            "candidate[3] does not match any agent (n=2)",
+        ),
+        (_CLUSTER + "thresholds[1]: 1=2\n", "line 6: duplicate thresholds[1] line"),
+        ("kind: second_price\nn: two\n", "line 2: expected an integer, got 'two'"),
+    ],
+)
+def test_spec_file_errors_name_their_cause(text, message):
+    with pytest.raises(SpecFileError) as caught:
+        parse_spec_text(text)
+    assert str(caught.value) == message
+
+
 def test_cluster_rows_must_price_every_nonempty_bundle():
     with pytest.raises(SpecFileError, match="must price every nonempty bundle"):
         parse_spec_text(

@@ -936,10 +936,12 @@ def test_the_sweep_refuses_unbounded_anonymity_work_before_any_work(monkeypatch)
         cap = f"{reads} relabeled profiles, over the sweep's cap of 1000000"
         with pytest.raises(BudgetExceededError, match=re.escape(cap)):
             characterization_experiment(Grid.from_text(grid), n)
-    # 2^7 x (7! - 1) = 644 992 reads is under the cap: the sweep starts its walk
+    # 2^7 x (7! - 1) = 644 992 reads is under the cap: the sweep counts its
+    # tables, and stops at its table budget before it walks
     monkeypatch.undo()
-    monkeypatch.setattr(verifier._Sweep, "walk", lambda *args: None)
-    assert characterization_experiment(Grid.from_text("0,1"), 7).ir_ic_count == 0
+    monkeypatch.setattr(verifier._Sweep, "walk", never)
+    with pytest.raises(BudgetExceededError, match="more than 5 IR[+]IC tables on grid 0,1"):
+        characterization_experiment(Grid.from_text("0,1"), 7, max_tables=5)
 
 
 def _ir_ic_tables_by_brute_force(grid, n):
@@ -983,8 +985,7 @@ def test_enumeration_matches_the_brute_force_slow_path(text, count):
 )
 def test_the_frontier_count_matches_the_walk(text, n, count):
     grid = Grid.from_text(text)
-    walk = verifier._Walk(grid, n, max_tables=0)
-    assert walk.count(0, (0,) * walk.pad) == count
+    assert verifier._Walk(grid, n, max_tables=count).ir_ic_count == count
     assert len(list(enumerate_ir_ic_mechanisms(grid, n))) == count
     if (text, n) == ("0,1", 2):
         assert len(_ir_ic_tables_by_brute_force(grid, n)) == count
@@ -1100,27 +1101,36 @@ def test_sweep_budget_counts_tables():
     assert characterization_experiment(grid, 2, max_tables=30).ir_ic_count == 30
 
 
-def test_sweep_budget_cut_inside_a_counted_subtree(monkeypatch):
-    added = []
-    add = verifier._Walk.add
+def test_sweep_budget_is_decided_before_any_table_is_judged(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a table was judged over the budget")
 
-    def recording(walk, count):
-        added.append((walk.tables, count))
-        add(walk, count)
-
-    monkeypatch.setattr(verifier._Walk, "add", recording)
-    assert characterization_experiment(GRID012, 2).ir_ic_count == 594
-    # the largest batch of tables counted at once, not walked
-    before, count = max(added, key=lambda a: a[1])
-    assert count > 2
-    for budget in range(before, before + count):
-        added.clear()
+    # the count from the root decides the budget: no table is walked to a verdict
+    monkeypatch.setattr(verifier._Sweep, "judge", never)
+    for budget in range(1, 594):
         with pytest.raises(BudgetExceededError, match=f"more than {budget} IR[+]IC tables"):
             characterization_experiment(GRID012, 2, max_tables=budget)
-        assert added[-1] == (before, count)
+    monkeypatch.undo()
     with pytest.raises(BudgetExceededError, match="more than 593 IR[+]IC tables"):
         characterization_experiment(GRID012, 2, max_tables=593)
     assert characterization_experiment(GRID012, 2, max_tables=594).ir_ic_count == 594
+
+
+def test_the_count_stops_at_its_first_partial_count_over_the_budget(monkeypatch):
+    calls = []
+    count = verifier._Walk.count
+
+    def recording(walk, *args):
+        calls.append(args)
+        return count(walk, *args)
+
+    monkeypatch.setattr(verifier._Walk, "count", recording)
+    # {0,1,2,3} at n=2 has 16 profiles and 19 246 tables, which a whole
+    # count reaches in 882 calls: this one goes down one path and stops a
+    # few nodes after its sixth table
+    with pytest.raises(BudgetExceededError, match="more than 5 IR[+]IC tables"):
+        verifier._Walk(Grid.from_text("0,1,2,3"), 2, max_tables=5)
+    assert len(calls) < 2 * 16
 
 
 def test_the_sweep_leaves_no_reference_cycles():
