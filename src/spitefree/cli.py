@@ -11,8 +11,9 @@ assertion tripped, 2 bad input (an empty ``--props`` list among it, or
 a `regions` price list that leaves a bundle out), 3 the input's size,
 estimated or counted before any work, is over a cap: for `verify` the
 L^n x n x (1 + n(L - 1)) payoff reads of the deviation checks on L
-levels against `MAX_PAYOFF_READS` and, with ``anonymous``, the
-L^n x (n! - 1) relabeled profiles against the sweep's million, for
+levels against `MAX_PAYOFF_READS`, with ``anonymous`` the
+L^n x (n! - 1) relabeled profiles against the sweep's million, and the
+L^n x n tabulated amounts against `MAX_TABULATED_AMOUNTS`, for
 `enumerate` a grid of more than 512 profiles, anonymity checks of more
 than a million relabeled profiles, or more IR+IC tables than
 ``--budget``, counted exactly before the sweep walks any (see
@@ -87,11 +88,16 @@ EXIT_BUDGET = 3
 # runs timed take about 3 s and 180 MB.  A `multi` run on the built-in
 # domain reads every agent's payoff at every profile and at each
 # single-agent deviation from it; at the cap the slowest runs timed take
-# about 10 s.  A `thresholds` report spends about 100 bytes per agent on
-# three lists of 25-digit decimals (exact fractions, n <= 16, stay under
-# 240 KB); at the cap a run takes 0.2 s and 24 MB.  A `revenue` run draws
+# about 10 s.  A `verify` tabulation holds n bids and n payments per
+# profile, about 300 bytes and 10 us per agent on a one-level grid; at
+# that cap (2^20, where two levels at n = 16 also sit) a null spec
+# checked for all but anonymity takes about 10.5 s and 315 MB, and for
+# the default four checks about 7 s.  A `thresholds` report spends about
+# 100 bytes per agent on three lists of 25-digit decimals (exact
+# fractions, n <= 16, stay under 240 KB); at the cap a run takes 0.2 s
+# and 24 MB.  A `revenue` run draws
 # one uniform per agent per sample and keeps 16 bytes per sample plus one
-# batch of draws; at the draw cap a run takes about 0.7 s and 190 MB
+# batch of draws; at the draw cap a run takes about 0.5 s and 189 MB
 # (n = 1).  Its exact recursion and prices take one 61-digit decimal step
 # per agent, whatever the samples; at the agent cap a run takes at most
 # 4 s and 200 MB.  (2-core Xeon, Python 3.11.)  Region systems and spec
@@ -100,6 +106,7 @@ EXIT_BUDGET = 3
 MAX_LATTICE_POINTS = 100_000
 MAX_LATTICE_CLASSIFICATIONS = 2_000_000
 MAX_PAYOFF_READS = 20_000_000
+MAX_TABULATED_AMOUNTS = 1 << 20
 MAX_THRESHOLDS_REPORT_BYTES = 1_000_000
 MAX_SAMPLE_DRAWS = 10_000_000
 MAX_REVENUE_AGENTS = 1_000_000
@@ -199,7 +206,16 @@ def _parse_props(text: str | None, allowed, default):
 
 
 def cmd_verify(args) -> tuple[dict, dict, int]:
-    loaded = load_spec(args.spec)
+    def parsed_props():
+        return _parse_props(args.props, _PROP_NAMES, ("ir", "ic", "sic", "esic"))
+
+    def check_agents(n: int) -> None:
+        # a null, second- or first-price file is sized on --grid before its
+        # mechanism is built; an n below 1 is left to the file's own error
+        if args.grid and n >= 1:
+            _check_verify_size(n, len(Grid.from_text(args.grid)), "anonymous" in parsed_props())
+
+    loaded = load_spec(args.spec, check_agents)
     if loaded.kind in ("sequential", "cluster"):
         raise SpecFileError(
             f"kind {loaded.kind!r} is multi-item; use the 'multi' command"
@@ -213,7 +229,7 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
         grid = closure_for_thresholds(mechanism.thresholds)
     else:
         raise SpecFileError(f"kind {loaded.kind!r} needs an explicit --grid")
-    props = _parse_props(args.props, _PROP_NAMES, ("ir", "ic", "sic", "esic"))
+    props = parsed_props()
     _check_verify_size(mechanism.n, len(grid), "anonymous" in props)
     reports = []
     for name in props:
@@ -240,7 +256,10 @@ def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
 
     The deviation checks read `_payoff_reads` payoffs, as `multi`
     counts them; anonymity reads each profile under all n! - 1
-    relabelings, as the sweep counts them (`verifier._relabeling_reads`).
+    relabelings, as the sweep counts them (`verifier._relabeling_reads`);
+    and the tabulation holds n bids and n payments at each of the
+    width^n profiles.  On a one-level grid the payoff reads are only n,
+    so there the tabulated amounts are the cap that binds.
     """
     size = f"a {width}-level grid at n={_count_text(n)}"
     # 2^25 is over the cap, so a grid of two or more levels is never raised to a larger n
@@ -254,15 +273,21 @@ def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
             f"the deviation checks on {size} read {width}^n x n x (1 + n x {width - 1})"
             f"{count} payoffs, over the cap of {MAX_PAYOFF_READS}"
         )
-    if not anonymous:
-        return
-    cap = verifier._MAX_RELABELING_READS
-    reads = verifier._relabeling_reads(width, n)
-    if reads is None or reads > cap:
-        count = "" if reads is None else f" = {_count_text(reads)}"
+    if anonymous:
+        cap = verifier._MAX_RELABELING_READS
+        reads = verifier._relabeling_reads(width, n)
+        if reads is None or reads > cap:
+            count = "" if reads is None else f" = {_count_text(reads)}"
+            raise BudgetExceededError(
+                f"an anonymity check on {size} reads {width}^n x (n! - 1){count} "
+                f"relabeled profiles, over the cap of {cap}"
+            )
+    # past the payoff check, width is 1 or n is below 25
+    amounts = width**n * n
+    if amounts > MAX_TABULATED_AMOUNTS:
         raise BudgetExceededError(
-            f"an anonymity check on {size} reads {width}^n x (n! - 1){count} "
-            f"relabeled profiles, over the cap of {cap}"
+            f"the tabulation on {size} holds {width}^n x n = {_count_text(amounts)} "
+            f"profile amounts, over the cap of {MAX_TABULATED_AMOUNTS}"
         )
 
 

@@ -21,6 +21,13 @@ step rounds once and scales earlier errors by a factor below 1, so the
 drift stays far below the 25 digits a report prints: at n = 10 000 every
 value is within 10^-59 of a 150-digit run.  Only the sampler imports
 numpy, and only when called.
+
+The sampler compares each batch of draws with the prices as one flat
+array and finds each sample's buyer through a table of 2^n revenues
+(by argmax past `_TABLE_AGENTS` agents).  Every sample's revenue is a
+copy of one price or 0.0, so the estimate has the bits of a
+sample-by-sample walk of the same Philox stream (see
+`monte_carlo_revenue`).
 """
 
 from __future__ import annotations
@@ -156,9 +163,15 @@ class RevenueEstimate:
 
 
 # About 2^16 draws per batch (half a megabyte of floats): a batch's
-# temporaries stay small and cache-sized, and only the revenue array grows
+# buffers stay small and cache-sized, and only the revenue array grows
 # with the samples.
 _BATCH_ELEMENTS = 1 << 16
+# Lines of at most this many agents find their buyer through a table of
+# 2^n prices, indexed by the row's bits of "meets her price" read as one
+# byte (so 8 is also where the code would overflow uint8).  Longer lines
+# use argmax: a row of 9 or more draws spreads its per-row overhead thin,
+# and the table would double with every agent.
+_TABLE_AGENTS = 8
 
 
 def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
@@ -176,6 +189,19 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     not folded into running sums, because numpy's `mean()` and
     `std(ddof=1)` over it define the reported bits: a fixed seed gives
     the same estimate whatever the batch size.
+
+    Each batch's draws fill one flat buffer, row by row, and are compared
+    with the line's prices tiled once per call, so numpy runs one inner
+    loop per batch rather than one per n-long row.  A line of at most
+    `_TABLE_AGENTS` agents reads each row's comparisons as a code whose
+    k-th agent in line has weight 2^(n-1-k); the buyer is the code's
+    highest set bit, so code c sells at the price of agent
+    n - c.bit_length() and code 0 sells nothing.  The code is read
+    through a table of those 2^n revenues.  Longer lines take the first
+    buyer by argmax.  Either way every sample's revenue is the buyer's
+    price, copied, or 0.0.  The flat buffer takes the stream's draws in
+    the order an array of rows would, so the revenue array and the
+    estimate are the bits of a sample-by-sample walk of the line.
     """
     line = tuple(reversed(_checked_values(thresholds)))
     if samples < 1:
@@ -185,16 +211,34 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     prices = np.array([float(t) for t in line], dtype=np.float64)
     n = len(prices)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    batch = max(1, _BATCH_ELEMENTS // n)
+    batch = min(max(1, _BATCH_ELEMENTS // n), samples)
     revenue = np.empty(samples, dtype=np.float64)
+    tiled = np.tile(prices, batch)
+    draws = np.empty(batch * n, dtype=np.float64)
+    meets = np.empty(batch * n, dtype=np.bool_)
+    if n <= _TABLE_AGENTS:
+        weights = np.array([1 << (n - 1 - k) for k in range(n)], dtype=np.uint8)
+        table = np.array(
+            [0.0] + [prices[n - code.bit_length()] for code in range(1, 1 << n)]
+        )
     for start in range(0, samples, batch):
         rows = min(batch, samples - start)
-        meets = rng.random((rows, n)) >= prices
-        first = meets.argmax(axis=1)
-        # argmax is 0 both when the first in line buys and when nobody does;
-        # a price times True or False is exact
-        sold = meets[:, 0] | (first != 0)
-        np.multiply(prices[first], sold, out=revenue[start : start + rows])
+        sold_at = revenue[start : start + rows]
+        flat = rows * n
+        rng.random(out=draws[:flat])
+        np.greater_equal(draws[:flat], tiled[:flat], out=meets[:flat])
+        by_row = meets[:flat].reshape(rows, n)
+        if n <= _TABLE_AGENTS:
+            # every code is in range; mode "clip" writes straight into
+            # sold_at, where "raise" would buffer the output
+            np.take(table, by_row.view(np.uint8) @ weights, out=sold_at, mode="clip")
+        else:
+            first = by_row.argmax(axis=1)
+            # argmax is 0 both when the first in line buys and when nobody
+            # does; a price times True or False is exact
+            sold = by_row[:, 0] | (first != 0)
+            np.multiply(prices[first], sold, out=sold_at)
+    del tiled, draws, meets  # only the revenue array is held through mean and std
     std_error = float(revenue.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return RevenueEstimate(
         mean=float(revenue.mean()), std_error=std_error, samples=samples, seed=seed

@@ -147,7 +147,14 @@ def _indexed_key(key: str):
     return key, None
 
 
-def parse_spec_text(text: str) -> LoadedSpec:
+def parse_spec_text(text: str, check_agents=None) -> LoadedSpec:
+    """Parse a mechanism file's text.
+
+    ``check_agents``, if given, is called with the n of a null, second- or
+    first-price file before its mechanism is built.  Those files state n
+    in one line, so a caller can refuse a size there before n-long tuples
+    are built (a null spec of 20 million agents takes about 10 s and 2 GB).
+    """
     fields: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, str]] = []
     indexed: dict[str, dict[int, list[tuple[int, str]]]] = {}
@@ -169,6 +176,8 @@ def parse_spec_text(text: str) -> LoadedSpec:
             fields[key] = (lineno, value)
     if kind is None:
         raise SpecFileError("empty mechanism file")
+    if kind in _SIZED_FACTORIES:
+        return _build_sized(kind, fields, rows, indexed, check_agents)
     builder = _BUILDERS.get(kind)
     if builder is None:
         known = ", ".join(SINGLE_ITEM_KINDS + MULTI_ITEM_KINDS)
@@ -176,13 +185,13 @@ def parse_spec_text(text: str) -> LoadedSpec:
     return builder(fields, rows, indexed)
 
 
-def load_spec(path) -> LoadedSpec:
+def load_spec(path, check_agents=None) -> LoadedSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
-    return parse_spec_text(text)
+    return parse_spec_text(text, check_agents)
 
 
 def _take(fields, key, kind):
@@ -229,19 +238,18 @@ def _build_threshold(fields, rows, indexed) -> LoadedSpec:
     return LoadedSpec(kind="threshold", mechanism=spec, source=source)
 
 
-def _build_sized(kind, factory):
-    def build(fields, rows, indexed) -> LoadedSpec:
-        lineno, n_text = _take(fields, "n", kind)
-        n = _int_field(n_text, lineno)
-        _reject_leftovers(fields, rows, indexed, kind)
-        try:
-            mechanism = factory(n)
-        except ValueError as exc:
-            raise SpecFileError(str(exc)) from None
-        source = f"kind: {kind}\nn: {n}"
-        return LoadedSpec(kind=kind, mechanism=mechanism, source=source)
-
-    return build
+def _build_sized(kind, fields, rows, indexed, check_agents) -> LoadedSpec:
+    lineno, n_text = _take(fields, "n", kind)
+    n = _int_field(n_text, lineno)
+    _reject_leftovers(fields, rows, indexed, kind)
+    if check_agents is not None:
+        check_agents(n)
+    try:
+        mechanism = _SIZED_FACTORIES[kind](n)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
+    source = f"kind: {kind}\nn: {n}"
+    return LoadedSpec(kind=kind, mechanism=mechanism, source=source)
 
 
 def _build_table(fields, rows, indexed) -> LoadedSpec:
@@ -434,11 +442,13 @@ def _render_candidates(candidates, item_count):
     return lines
 
 
+_SIZED_FACTORIES = {
+    "null": null_spec,
+    "second_price": SecondPriceMechanism,
+    "first_price": FirstPriceMechanism,
+}
 _BUILDERS = {
     "threshold": _build_threshold,
-    "null": _build_sized("null", null_spec),
-    "second_price": _build_sized("second_price", SecondPriceMechanism),
-    "first_price": _build_sized("first_price", FirstPriceMechanism),
     "table": _build_table,
     "sequential": _build_sequential,
     "cluster": _build_cluster,

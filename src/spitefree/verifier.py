@@ -23,7 +23,7 @@ as ints and the outcomes with every amount times a common denominator
 D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 (see `multiitem`).  The checks read the outcomes by flat index (see
 `domain_strides`), profile by profile or line by line (see
-`_agent_lines`).  Ints compare exactly as the fractions do, so
+`_line_starts`).  Ints compare exactly as the fractions do, so
 verdicts, checked counts and first witnesses are those of the
 fractions.  A check returns only where it failed, as flat indices (a
 `_Finding`); `_Lattice.report` names each profile by the positions the
@@ -532,7 +532,7 @@ def _payment_checks(domains, outcomes) -> tuple[_Finding, _Finding, _Finding]:
             checked1 += 1
             if out.winner != i + 1 and out.payments[i] != 0 and part1 is None:
                 part1 = (flat, i)
-    for i, start, stride, _ in _agent_lines(levels, n):
+    for i, start, stride in _line_starts(len(levels), n):
         column = outcomes[start : start + len(levels) * stride : stride]
         for d1, d2 in itertools.combinations(range(len(levels)), 2):
             o1, o2 = column[d1], column[d2]
@@ -811,25 +811,36 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     yield from _Walk(grid, n, max_tables).every_table()
 
 
+def _line_starts(width: int, n: int):
+    """(agent, first flat index, stride) of every line of a ``width^n`` lattice.
+
+    A line lets one agent's bid run over the ``width`` levels while the
+    others' bids stay fixed; it starts where her level index is 0.  Lines
+    come agent by agent, the others' levels in flat order.  The
+    payment-structure checks read each agent's payments along them, at
+    one step per line, so a one-level grid costs n steps, not n^2.
+    """
+    total = width**n
+    for i, stride in enumerate(domain_strides((range(width),) * n)):
+        for block in range(0, total, stride * width):
+            for start in range(block, block + stride):
+                yield i, start, stride
+
+
 def _agent_lines(levels, n: int):
     """(agent, first flat index, stride, domains) of every line of ``levels^n``.
 
-    A line lets one agent's bid run over the levels while the others' bids
-    stay fixed; its domains give the others their fixed level alone.
-    Lines come agent by agent, the others' levels in flat order.  The
-    sweep judges SIC on them, and the payment-structure checks read each
-    agent's payments along them.
+    The lines of `_line_starts`, each with domains that give the others
+    their fixed level alone.  The sweep judges SIC on them.
     """
+    width = len(levels)
     strides = domain_strides((levels,) * n)
-    lines = []
-    for i in range(n):
-        for digits in itertools.product(range(len(levels)), repeat=n - 1):
-            others = digits[:i] + (0,) + digits[i:]
-            domains = tuple(
-                levels if j == i else (levels[k],) for j, k in enumerate(others)
-            )
-            lines.append((i, sum(k * s for k, s in zip(others, strides)), strides[i], domains))
-    return lines
+    return [
+        (i, start, stride, tuple(
+            levels if j == i else (levels[start // s % width],) for j, s in enumerate(strides)
+        ))
+        for i, start, stride in _line_starts(width, n)
+    ]
 
 
 class _Sweep(_Walk):

@@ -9,6 +9,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from spitefree.cli import (
 from spitefree.core import Grid
 from spitefree.mechanisms import ThresholdSpec, tabulate
 from spitefree.multiitem import sequential_allocate_general
+from spitefree.verifier import BudgetExceededError
 
 THRESHOLD_SPEC = "kind: threshold\nranking: 1,2\nthresholds: 1,2\n"
 SECOND_PRICE_SPEC = "kind: second_price\nn: 2\n"
@@ -143,6 +145,46 @@ def test_an_oversized_verify_exits_3_before_any_tabulation(tmp_path, monkeypatch
     code, out, err = run_cli("verify", "--spec", null, "--grid", "0,1", "--props", "anonymous")
     assert (code, out) == (EXIT_BUDGET, "")
     assert "2^n x (n! - 1) = 3715890176 relabeled profiles, over the cap of 1000000" in err
+
+
+def test_verify_is_sized_by_the_amounts_it_tabulates():
+    cap = cli.MAX_TABULATED_AMOUNTS
+    # on one level the deviation checks read only n payoffs, so n up to
+    # MAX_PAYOFF_READS passes that cap; two levels at n = 16 sit at this one
+    assert 16 * 2**16 == cap < cli.MAX_PAYOFF_READS
+    for n, width in ((cap, 1), (16, 2), (10, 3), (2, 150)):
+        cli._check_verify_size(n, width, False)
+    for n, width, anonymous, message in (
+        (cap + 1, 1, False, "the tabulation on a 1-level grid at n=1048577 holds "
+         "1^n x n = 1048577 profile amounts, over the cap of 1048576"),
+        (17, 2, False, "the deviation checks on a 2-level grid at n=17 read "
+         "2^n x n x (1 + n x 1) = 40108032 payoffs, over the cap of 20000000"),
+        (20_000_001, 1, False, "the deviation checks on a 1-level grid at n=20000001 read "
+         "1^n x n x (1 + n x 0) = 20000001 payoffs, over the cap of 20000000"),
+        (cap + 1, 1, True, "an anonymity check on a 1-level grid at n=1048577 reads "
+         "1^n x (n! - 1) relabeled profiles, over the cap of 1000000"),
+        (10, 2, True, "an anonymity check on a 2-level grid at n=10 reads "
+         "2^n x (n! - 1) = 3715890176 relabeled profiles, over the cap of 1000000"),
+    ):
+        with pytest.raises(BudgetExceededError) as caught:
+            cli._check_verify_size(n, width, anonymous)
+        assert str(caught.value) == message
+
+
+def test_a_verify_of_twenty_million_agents_exits_3_before_building_them(tmp_path, monkeypatch):
+    # an n below 1 is left to the file's own error, not to the size check
+    spec = write(tmp_path, "null0.spec", "kind: null\nn: 0\n")
+    code, _, err = run_cli("verify", "--spec", spec, "--grid", "5", "--props", "anonymous")
+    assert code == EXIT_INPUT_ERROR
+    assert "need at least one agent" in err
+    # the file states n in one line; a null spec of that size would take
+    # seconds and gigabytes to build before any check could refuse it
+    monkeypatch.setitem(specfile._SIZED_FACTORIES, "null", _never)
+    monkeypatch.setattr(verifier, "_tabulation", _never)
+    spec = write(tmp_path, "null20m.spec", "kind: null\nn: 20000000\n")
+    code, out, err = run_cli("verify", "--spec", spec, "--grid", "5")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "1^n x n = 20000000 profile amounts, over the cap of 1048576" in err
 
 
 def test_the_verify_caps_admit_the_null_spec_at_ten_agents(tmp_path):
@@ -398,6 +440,18 @@ def test_revenue_estimate_is_seeded():
     assert results["estimate"]["mean"] == 0.2497875
     assert results["estimate"]["seed"] == 3
     assert results["abs_error"] < 0.005
+
+
+def test_revenue_estimate_has_the_bits_of_a_sample_by_sample_walk():
+    from test_optimal import _slow_revenue
+
+    code, out, _ = run_cli("revenue", "--n", "3", "--samples", "100000", "--seed", "42")
+    assert code == EXIT_OK
+    estimate = json.loads(out)["results"]["estimate"]
+    line = [float(t) for t in cli.optimal_thresholds_uniform(3).in_line_order()]
+    ref = _slow_revenue(line, 100_000, 42)
+    assert estimate["mean"] == float(ref.mean())
+    assert estimate["std_error"] == float(ref.std(ddof=1) / math.sqrt(100_000))
 
 
 def test_only_revenue_takes_a_seed(tmp_path):

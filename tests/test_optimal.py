@@ -177,12 +177,16 @@ def _slow_revenue(line, samples, seed):
     return np.array(revenue)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
 @pytest.mark.parametrize("samples", [1, 2, 1000])
 def test_monte_carlo_matches_a_sample_by_sample_walk(monkeypatch, n, samples):
-    # batches of 27 draws hold 27, 13, 9 and 3 rows for n = 1, 2, 3, 7, so
-    # 1000 samples take many batches and end in a short one at every n;
-    # prices 0 and 1 are the two lines where argmax reads 0
+    # batches of 27 draws hold 27, 13, 9, 3, 3 and 3 rows for n = 1, 2, 3,
+    # 7, 8, 9, so 1000 samples take many batches and end in a short one at
+    # every n; n = 8 is the longest line read through the price table and
+    # n = 9 the shortest read by argmax.  Prices 0 and 1 are the lines
+    # where every agent or none buys: table codes all ones and zero,
+    # argmax 0 either way.
+    assert optimal._TABLE_AGENTS == 8
     monkeypatch.setattr(optimal, "_BATCH_ELEMENTS", 27)
     optimal_line = [float(t) for t in optimal_thresholds_uniform(n).in_line_order()]
     for line in (optimal_line, [0.0] * n, [1.0] * n, [1.0] * (n - 1) + [0.0]):
