@@ -20,11 +20,14 @@ than a million relabeled profiles, or more IR+IC tables than
 `verifier.characterization_experiment`), for `thresholds` the report
 bytes `MAX_THRESHOLDS_REPORT_BYTES`, for `revenue` the agents
 `MAX_REVENUE_AGENTS` and the n x samples uniform draws
-`MAX_SAMPLE_DRAWS`, for `regions` `MAX_LATTICE_POINTS`,
-`MAX_LATTICE_CLASSIFICATIONS` (points x attainable bundles) and
-`multiitem.MAX_REGION_INEQUALITIES`, for `multi` `MAX_PAYOFF_READS` on
-the built-in domain and, for any multi-item spec file,
-`specfile.MAX_BUNDLE_TABLE_ENTRIES`.
+`MAX_SAMPLE_DRAWS` (between the two it refuses a ``--samples`` below 1,
+exit 2, so that error too comes before the recursion runs), for
+`regions` `MAX_LATTICE_POINTS`, `MAX_LATTICE_CLASSIFICATIONS` (points x
+attainable bundles) and `multiitem.MAX_REGION_INEQUALITIES`, for `multi`
+`MAX_PAYOFF_READS` on the built-in domain and, for any multi-item spec
+file, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.  A `verify` run on ``--grid``
+sizes a single-item spec file by its n before the file's n-long lists
+are read, so a file over a cap exits 3 even if those lists are malformed.
 """
 
 from __future__ import annotations
@@ -191,10 +194,7 @@ def _scalar_text(value) -> str:
 
 
 def _parse_props(text: str | None, allowed, default):
-    if text is None:
-        names = list(default)
-    else:
-        names = [part.strip().lower() for part in text.split(",") if part.strip()]
+    names = list(default) if text is None else list(parse_amounts(text, str.lower))
     if not names:
         raise SpecFileError(f"--props names no property (expected some of: {', '.join(allowed)})")
     for name in names:
@@ -210,8 +210,8 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
         return _parse_props(args.props, _PROP_NAMES, ("ir", "ic", "sic", "esic"))
 
     def check_agents(n: int) -> None:
-        # a null, second- or first-price file is sized on --grid before its
-        # mechanism is built; an n below 1 is left to the file's own error
+        # a single-item file is sized on --grid before its n-long lists are
+        # read or its mechanism built; an n below 1 is left to the file's own error
         if args.grid and n >= 1:
             _check_verify_size(n, len(Grid.from_text(args.grid)), "anonymous" in parsed_props())
 
@@ -355,6 +355,9 @@ def cmd_revenue(args) -> tuple[dict, dict, int]:
             f"--n {_count_text(args.n)} agents, over the cap of {MAX_REVENUE_AGENTS} "
             "for the exact revenue recursion"
         )
+    # an --n below 1 is left to the recursion's own error
+    if args.n > 0 and args.samples < 1:
+        raise SpecFileError("need at least one sample")
     draws = args.n * args.samples
     if args.n > 0 and draws > MAX_SAMPLE_DRAWS:
         raise BudgetExceededError(

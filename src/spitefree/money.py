@@ -66,7 +66,10 @@ def parse_ext_money(text: str) -> ExtMoney:
 def parse_amounts(text: str, parse_amount) -> tuple:
     """Read a comma list like ``"0, 1/2, 2"``, skipping blank parts.
 
-    ``parse_amount`` (`parse_money` or `parse_ext_money`) reads each part.
+    ``parse_amount`` reads each stripped part: `parse_money` or
+    `parse_ext_money` for amounts, ``int`` for a ranking, ``str`` or
+    ``str.lower`` for bundle=amount pairs and property names.  Every comma
+    list the package reads goes through here.
     """
     return tuple([parse_amount(part.strip()) for part in text.split(",") if part.strip()])
 

@@ -36,7 +36,7 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .core import RankedSpec
-from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite
+from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite, parse_amounts
 from .reports import Property, PropertyReport
 from .verifier import (
     BudgetExceededError,
@@ -123,10 +123,7 @@ def parse_bundle_amounts(text: str, parse_amount, item_count: int | None = None)
     A bundle listed twice is an error.  `parse_amount` reads each amount.
     """
     amounts = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in parse_amounts(text, str):
         if "=" not in part:
             raise ValueError(f"expected bundle=amount, got {part!r}")
         bundle_text, _, amount_text = part.partition("=")

@@ -28,11 +28,20 @@ adding one bundle valuation ("10=1, 11=5/2"; omitted bundles are worth 0)
 to agent i's bid domain; the first candidate listed per agent is taken as
 her true valuation.  A `row:` line reads "bids -> winner ; payments"
 with winner 0 meaning no sale.
+
+Each literal has one reader: comma lists go through `money.parse_amounts`,
+bundle lists through `multiitem.parse_bundle_amounts`, and a field's
+error names its line.  A caller can size a file before it is built: the
+n of every single-item file (the count of a threshold file's ranking
+entries, a table's `n:` line, read before any row) goes to the
+`check_agents` hook first, and the 2^K tables of a multi-item file are
+counted against `MAX_BUNDLE_TABLE_ENTRIES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import Grid, MechanismTable, Outcome
 from .mechanisms import (
@@ -103,37 +112,49 @@ def _split_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
-def _money_list(value: str, lineno: int, parse_amount):
+def _at_line(lineno: int, parse, text: str, *args):
+    """``parse(text, *args)``, its ValueError raised as a SpecFileError naming the line."""
     try:
-        amounts = parse_amounts(value, parse_amount)
+        return parse(text, *args)
     except ValueError as exc:
         raise _fail(lineno, str(exc)) from None
+
+
+def _built(factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its ValueError raised as a SpecFileError."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
+
+
+def _expecting(parse, message: str):
+    """``parse``, its ValueError replaced by ``message`` and the text read."""
+
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"{message} {text!r}") from None
+
+    return read
+
+
+_integer = _expecting(int, "expected an integer, got")
+_integers = _expecting(partial(parse_amounts, parse_amount=int), "expected integers, got")
+_boundary_rule = _expecting(BoundaryRule, "unknown boundary rule")
+_tie_rule = _expecting(ClusterTieRule, "unknown tie rule")
+
+
+def _amount_list(text: str, parse_amount=parse_money) -> tuple:
+    amounts = parse_amounts(text, parse_amount)
     if not amounts:
-        raise _fail(lineno, "expected a comma-separated list of amounts")
+        raise ValueError("expected a comma-separated list of amounts")
     return amounts
 
 
-def _int_list(value: str, lineno: int):
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise _fail(lineno, f"expected integers, got {value!r}") from None
-
-
-def _int_field(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise _fail(lineno, f"expected an integer, got {value!r}") from None
-
-
-def _bundle_pairs(value: str, lineno: int, item_count: int):
-    """Parse "10=1, 01=3/2" into {mask: amount}."""
-    try:
-        return parse_bundle_amounts(value, parse_money, item_count)[0]
-    except ValueError as exc:
-        raise _fail(lineno, str(exc)) from None
+def _bundle_amounts(text: str, item_count: int) -> dict:
+    return parse_bundle_amounts(text, parse_money, item_count)[0]
 
 
 def _indexed_key(key: str):
@@ -147,42 +168,108 @@ def _indexed_key(key: str):
     return key, None
 
 
+_REQUIRED = object()
+
+
+class _FileLines:
+    """One file's lines by key; its kind's builder takes them field by field.
+
+    `fields` maps a key to its (line, value), `rows` lists the `row:`
+    lines, and `indexed` maps "thresholds" to {2: [(line, value), ...]}
+    for "thresholds[2]:" lines.  Whatever the builder leaves is an error.
+    """
+
+    def __init__(self, kind: str, check_agents) -> None:
+        self.kind = kind
+        self.check_agents = check_agents or (lambda n: None)
+        self.fields: dict[str, tuple[int, str]] = {}
+        self.rows: list[tuple[int, str]] = []
+        self.indexed: dict[str, dict[int, list[tuple[int, str]]]] = {}
+
+    def field(self, key: str, parse, default=_REQUIRED):
+        """Take the ``key:`` field and read it with ``parse``."""
+        if key not in self.fields:
+            if default is _REQUIRED:
+                raise SpecFileError(f"kind {self.kind!r} requires a {key!r} field")
+            return default
+        lineno, value = self.fields.pop(key)
+        return _at_line(lineno, parse, value)
+
+    def agent_lines(self, base: str, n: int, missing: str):
+        """Yield (agent, lines) of each agent's ``base[agent]:`` lines, 1 to n.
+
+        An agent without one raises ``missing`` formatted with the agent;
+        an index past the agents raises once all n are read.
+        """
+        declared = self.indexed.pop(base, {})
+        for agent in range(1, n + 1):
+            entries = declared.pop(agent, None)
+            if not entries:
+                raise SpecFileError(missing.format(agent))
+            yield agent, entries
+        if declared:
+            raise SpecFileError(f"{base}[{min(declared)}] does not match any agent (n={n})")
+
+    def check_tables(self, item_count: int, price_lists: int) -> None:
+        """Refuse a negative item count, then size the 2^K bundle tables.
+
+        There is one table per price list and per candidate line.
+        """
+        if item_count < 0:
+            raise SpecFileError("item count must be nonnegative")
+        tables = price_lists + sum(map(len, self.indexed.get("candidate", {}).values()))
+        cap = MAX_BUNDLE_TABLE_ENTRIES
+        if tables and (item_count >= cap.bit_length() or tables << item_count > cap):
+            raise BudgetExceededError(
+                f"{tables} x 2^{item_count} bundle-table entries (one table per price list "
+                f"and candidate line), over the cap of {cap}"
+            )
+
+    def reject_leftovers(self) -> None:
+        for key, (lineno, _) in self.fields.items():
+            raise _fail(lineno, f"field {key!r} does not belong to kind {self.kind!r}")
+        if self.rows:
+            raise _fail(self.rows[0][0], f"kind {self.kind!r} takes no 'row:' lines")
+        for base, per_index in self.indexed.items():
+            for entries in per_index.values():
+                raise _fail(
+                    entries[0][0], f"field {base!r}[..] does not belong to kind {self.kind!r}"
+                )
+
+
 def parse_spec_text(text: str, check_agents=None) -> LoadedSpec:
     """Parse a mechanism file's text.
 
-    ``check_agents``, if given, is called with the n of a null, second- or
-    first-price file before its mechanism is built.  Those files state n
-    in one line, so a caller can refuse a size there before n-long tuples
-    are built (a null spec of 20 million agents takes about 10 s and 2 GB).
+    ``check_agents``, if given, is called with the n of a single-item
+    file before anything n long is read or built: a threshold file's n is
+    the count of its ranking entries, and a table's n is its `n:` line,
+    read before any row.  A caller can thus refuse a size before n-long
+    tuples are built (a null spec of 20 million agents takes about 10 s
+    and 2 GB, a 2^20-agent threshold file 5 s and 280 MB).
     """
-    fields: dict[str, tuple[int, str]] = {}
-    rows: list[tuple[int, str]] = []
-    indexed: dict[str, dict[int, list[tuple[int, str]]]] = {}
-    kind = None
+    lines = None
     for lineno, key, value in _split_lines(text):
-        if kind is None:
+        if lines is None:
             if key != "kind":
                 raise _fail(lineno, "file must start with a 'kind:' line")
-            kind = value
+            lines = _FileLines(value, check_agents)
             continue
         base, index = _indexed_key(key)
         if index is not None:
-            indexed.setdefault(base, {}).setdefault(index, []).append((lineno, value))
+            lines.indexed.setdefault(base, {}).setdefault(index, []).append((lineno, value))
         elif key == "row":
-            rows.append((lineno, value))
-        elif key in fields:
+            lines.rows.append((lineno, value))
+        elif key in lines.fields:
             raise _fail(lineno, f"duplicate field {key!r}")
         else:
-            fields[key] = (lineno, value)
-    if kind is None:
+            lines.fields[key] = (lineno, value)
+    if lines is None:
         raise SpecFileError("empty mechanism file")
-    if kind in _SIZED_FACTORIES:
-        return _build_sized(kind, fields, rows, indexed, check_agents)
-    builder = _BUILDERS.get(kind)
+    builder = _BUILDERS.get(lines.kind)
     if builder is None:
         known = ", ".join(SINGLE_ITEM_KINDS + MULTI_ITEM_KINDS)
-        raise SpecFileError(f"unknown kind {kind!r} (expected one of: {known})")
-    return builder(fields, rows, indexed)
+        raise SpecFileError(f"unknown kind {lines.kind!r} (expected one of: {known})")
+    return builder(lines)
 
 
 def load_spec(path, check_agents=None) -> LoadedSpec:
@@ -194,43 +281,30 @@ def load_spec(path, check_agents=None) -> LoadedSpec:
     return parse_spec_text(text, check_agents)
 
 
-def _take(fields, key, kind):
-    if key not in fields:
-        raise SpecFileError(f"kind {kind!r} requires a {key!r} field")
-    return fields.pop(key)
+def _ranking_line(ranking) -> str:
+    return "ranking: " + ",".join(str(r) for r in ranking)
 
 
-def _reject_leftovers(fields, rows, indexed, kind):
-    for key, (lineno, _) in fields.items():
-        raise _fail(lineno, f"field {key!r} does not belong to kind {kind!r}")
-    if rows:
-        raise _fail(rows[0][0], f"kind {kind!r} takes no 'row:' lines")
-    for base, per_index in indexed.items():
-        for entries in per_index.values():
-            raise _fail(entries[0][0], f"field {base!r}[..] does not belong to kind {kind!r}")
+def _bundle_list(item_count: int, pairs) -> str:
+    """Render (mask, amount) pairs as "10=1, 01=3/2"."""
+    return ", ".join(
+        f"{render_bundle_key(mask, item_count)}={render_money(amount)}" for mask, amount in pairs
+    )
 
 
-def _build_threshold(fields, rows, indexed) -> LoadedSpec:
-    lineno, ranking_text = _take(fields, "ranking", "threshold")
-    ranking = _int_list(ranking_text, lineno)
-    lineno, thresholds_text = _take(fields, "thresholds", "threshold")
-    thresholds = _money_list(thresholds_text, lineno, parse_ext_money)
-    rule = BoundaryRule.HIGHEST_RANK_AT_THRESHOLD
-    if "boundary_rule" in fields:
-        lineno, rule_text = fields.pop("boundary_rule")
-        try:
-            rule = BoundaryRule(rule_text)
-        except ValueError:
-            raise _fail(lineno, f"unknown boundary rule {rule_text!r}") from None
-    _reject_leftovers(fields, rows, indexed, "threshold")
-    try:
-        spec = ThresholdSpec(ranking=ranking, thresholds=thresholds, boundary_rule=rule)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
+def _build_threshold(lines: _FileLines) -> LoadedSpec:
+    if "ranking" in lines.fields:
+        # sized on the count of its entries, before any of them is read
+        lines.check_agents(len(parse_amounts(lines.fields["ranking"][1], len)))
+    ranking = lines.field("ranking", _integers)
+    thresholds = lines.field("thresholds", partial(_amount_list, parse_amount=parse_ext_money))
+    rule = lines.field("boundary_rule", _boundary_rule, BoundaryRule.HIGHEST_RANK_AT_THRESHOLD)
+    lines.reject_leftovers()
+    spec = _built(ThresholdSpec, ranking=ranking, thresholds=thresholds, boundary_rule=rule)
     source = "\n".join(
         [
             "kind: threshold",
-            "ranking: " + ",".join(str(r) for r in spec.ranking),
+            _ranking_line(spec.ranking),
             "thresholds: " + ",".join(render_ext_money(t) for t in spec.thresholds),
             f"boundary_rule: {spec.boundary_rule.value}",
         ]
@@ -238,217 +312,121 @@ def _build_threshold(fields, rows, indexed) -> LoadedSpec:
     return LoadedSpec(kind="threshold", mechanism=spec, source=source)
 
 
-def _build_sized(kind, fields, rows, indexed, check_agents) -> LoadedSpec:
-    lineno, n_text = _take(fields, "n", kind)
-    n = _int_field(n_text, lineno)
-    _reject_leftovers(fields, rows, indexed, kind)
-    if check_agents is not None:
-        check_agents(n)
-    try:
-        mechanism = _SIZED_FACTORIES[kind](n)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
-    source = f"kind: {kind}\nn: {n}"
-    return LoadedSpec(kind=kind, mechanism=mechanism, source=source)
+def _build_sized(factory, lines: _FileLines) -> LoadedSpec:
+    n = lines.field("n", _integer)
+    lines.reject_leftovers()
+    lines.check_agents(n)
+    mechanism = _built(factory, n)
+    return LoadedSpec(kind=lines.kind, mechanism=mechanism, source=f"kind: {lines.kind}\nn: {n}")
 
 
-def _build_table(fields, rows, indexed) -> LoadedSpec:
-    lineno, grid_text = _take(fields, "grid", "table")
-    try:
-        grid = Grid.from_text(grid_text)
-    except ValueError as exc:
-        raise _fail(lineno, str(exc)) from None
-    lineno, n_text = _take(fields, "n", "table")
-    n = _int_field(n_text, lineno)
-    _reject_leftovers(fields, [], indexed, "table")
+def _build_table(lines: _FileLines) -> LoadedSpec:
+    grid = lines.field("grid", Grid.from_text)
+    n = lines.field("n", _integer)
+    rows, lines.rows = lines.rows, []
+    lines.reject_leftovers()
+    lines.check_agents(n)
     outcome_for = {}
     for lineno, value in rows:
-        if "->" not in value:
-            raise _fail(lineno, "row must read 'bids -> winner ; payments'")
-        bids_text, _, rest = value.partition("->")
-        if ";" not in rest:
-            raise _fail(lineno, "row must read 'bids -> winner ; payments'")
-        winner_text, _, payments_text = rest.partition(";")
-        profile = _money_list(bids_text, lineno, parse_money)
-        winner = _int_field(winner_text.strip(), lineno)
-        payments = _money_list(payments_text, lineno, parse_money)
-        if profile in outcome_for:
-            raise _fail(lineno, f"duplicate row for profile {bids_text.strip()!r}")
+        bids_text, arrow, rest = value.partition("->")
+        winner_text, semicolon, payments_text = rest.partition(";")
         try:
+            if not (arrow and semicolon):
+                raise ValueError("row must read 'bids -> winner ; payments'")
+            profile = _amount_list(bids_text)
+            winner = _integer(winner_text.strip())
+            payments = _amount_list(payments_text)
+            if profile in outcome_for:
+                raise ValueError(f"duplicate row for profile {bids_text.strip()!r}")
             outcome_for[profile] = Outcome(winner, payments)
         except ValueError as exc:
             raise _fail(lineno, str(exc)) from None
-    try:
-        table = MechanismTable.from_outcomes(grid, n, outcome_for)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
-    lines = [f"kind: table", f"grid: {grid.render()}", f"n: {n}"]
+    table = _built(MechanismTable.from_outcomes, grid, n, outcome_for)
+    source = [f"kind: table", f"grid: {grid.render()}", f"n: {n}"]
     for profile, out in table.rows:
         bids = ",".join(render_money(b) for b in profile)
         pays = ",".join(render_money(p) for p in out.payments)
-        lines.append(f"row: {bids} -> {out.winner} ; {pays}")
-    return LoadedSpec(kind="table", mechanism=table, source="\n".join(lines))
+        source.append(f"row: {bids} -> {out.winner} ; {pays}")
+    return LoadedSpec(kind="table", mechanism=table, source="\n".join(source))
 
 
-def _check_table_entries(item_count: int, tables: int) -> None:
-    if item_count < 0:
-        raise SpecFileError("item count must be nonnegative")
-    cap = MAX_BUNDLE_TABLE_ENTRIES
-    if tables and (item_count >= cap.bit_length() or tables << item_count > cap):
-        raise BudgetExceededError(
-            f"{tables} x 2^{item_count} bundle-table entries (one table per price list "
-            f"and candidate line), over the cap of {cap}"
-        )
-
-
-def _candidates_from(indexed, n, item_count):
-    declared = indexed.pop("candidate", None)
-    if declared is None:
+def _candidates_from(lines: _FileLines, n: int, item_count: int):
+    if "candidate" not in lines.indexed:
         return None
-    _check_table_entries(item_count, sum(map(len, declared.values())))
-    domains = []
-    for agent in range(1, n + 1):
-        entries = declared.pop(agent, None)
-        if not entries:
-            raise SpecFileError(
-                f"candidate lines must cover every agent; agent {agent} has none"
-            )
-        bids = []
-        for lineno, value in entries:
-            pairs = _bundle_pairs(value, lineno, item_count)
-            try:
-                bids.append(BundleValuation.from_map(item_count, pairs))
-            except ValueError as exc:
-                raise _fail(lineno, str(exc)) from None
-        domains.append(tuple(bids))
-    if declared:
-        stray = sorted(declared)[0]
-        raise SpecFileError(f"candidate[{stray}] does not match any agent (n={n})")
-    return tuple(domains)
 
+    def valuation(text: str) -> BundleValuation:
+        return BundleValuation.from_map(item_count, _bundle_amounts(text, item_count))
 
-def _build_sequential(fields, rows, indexed) -> LoadedSpec:
-    lineno, items_text = _take(fields, "items", "sequential")
-    item_count = _int_field(items_text, lineno)
-    lineno, ranking_text = _take(fields, "ranking", "sequential")
-    ranking = _int_list(ranking_text, lineno)
-    lineno, thresholds_text = _take(fields, "thresholds", "sequential")
-    thresholds = _money_list(thresholds_text, lineno, parse_money)
-    try:
-        spec = SequentialSpec(ranking=ranking, thresholds=thresholds)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
-    candidates = _candidates_from(indexed, spec.n, item_count)
-    _reject_leftovers(fields, rows, indexed, "sequential")
-    lines = [
-        "kind: sequential",
-        f"items: {item_count}",
-        "ranking: " + ",".join(str(r) for r in spec.ranking),
-        "thresholds: " + ",".join(render_money(t) for t in spec.thresholds),
-    ]
-    lines.extend(_render_candidates(candidates, item_count))
-    return LoadedSpec(
-        kind="sequential",
-        mechanism=spec,
-        item_count=item_count,
-        candidates=candidates,
-        source="\n".join(lines),
+    missing = "candidate lines must cover every agent; agent {} has none"
+    return tuple(
+        tuple(_at_line(lineno, valuation, value) for lineno, value in entries)
+        for _, entries in lines.agent_lines("candidate", n, missing)
     )
 
 
-def _build_cluster(fields, rows, indexed) -> LoadedSpec:
-    lineno, items_text = _take(fields, "items", "cluster")
-    item_count = _int_field(items_text, lineno)
-    lineno, ranking_text = _take(fields, "ranking", "cluster")
-    ranking = _int_list(ranking_text, lineno)
-    tie = ClusterTieRule.LARGEST_THEN_LOWEST_MASK
-    if "tie" in fields:
-        lineno, tie_text = fields.pop("tie")
-        try:
-            tie = ClusterTieRule(tie_text)
-        except ValueError:
-            raise _fail(lineno, f"unknown tie rule {tie_text!r}") from None
+def _multi_item(lines: _FileLines, spec, item_count: int, priced: list[str]) -> LoadedSpec:
+    """Read the candidates, then render the file under its ranking and prices."""
+    candidates = _candidates_from(lines, spec.n, item_count)
+    lines.reject_leftovers()
+    source = [f"kind: {lines.kind}", f"items: {item_count}", _ranking_line(spec.ranking), *priced]
+    for agent, bids in enumerate(candidates or (), start=1):
+        for bid in bids:
+            pairs = _bundle_list(item_count, ((m, v) for m, v in enumerate(bid.values) if v))
+            source.append(f"candidate[{agent}]: {pairs}".rstrip())
+    return LoadedSpec(
+        kind=lines.kind,
+        mechanism=spec,
+        item_count=item_count,
+        candidates=candidates,
+        source="\n".join(source),
+    )
+
+
+def _build_sequential(lines: _FileLines) -> LoadedSpec:
+    item_count = lines.field("items", _integer)
+    ranking = lines.field("ranking", _integers)
+    thresholds = lines.field("thresholds", _amount_list)
+    spec = _built(SequentialSpec, ranking=ranking, thresholds=thresholds)
+    lines.check_tables(item_count, 0)
+    priced = ["thresholds: " + ",".join(render_money(t) for t in spec.thresholds)]
+    return _multi_item(lines, spec, item_count, priced)
+
+
+def _build_cluster(lines: _FileLines) -> LoadedSpec:
+    item_count = lines.field("items", _integer)
+    ranking = lines.field("ranking", _integers)
+    tie = lines.field("tie", _tie_rule, ClusterTieRule.LARGEST_THEN_LOWEST_MASK)
     n = len(ranking)
-    _check_table_entries(item_count, n + sum(map(len, indexed.get("candidate", {}).values())))
-    declared = indexed.pop("thresholds", None) or {}
+    lines.check_tables(item_count, n)
+    size = 1 << item_count
     tables = []
-    for agent in range(1, n + 1):
-        entries = declared.pop(agent, None)
-        if not entries:
-            raise SpecFileError(f"cluster spec needs a thresholds[{agent}] line")
+    missing = "cluster spec needs a thresholds[{}] line"
+    for agent, entries in lines.agent_lines("thresholds", n, missing):
         if len(entries) > 1:
             raise _fail(entries[1][0], f"duplicate thresholds[{agent}] line")
         lineno, value = entries[0]
-        pairs = _bundle_pairs(value, lineno, item_count)
-        size = 1 << item_count
-        missing = [m for m in range(1, size) if m not in pairs]
-        if missing:
+        pairs = _at_line(lineno, _bundle_amounts, value, item_count)
+        unpriced = sum(mask not in pairs for mask in range(1, size))
+        if unpriced:
             raise _fail(
-                lineno,
-                f"thresholds[{agent}] must price every nonempty bundle; "
-                f"{len(missing)} missing",
+                lineno, f"thresholds[{agent}] must price every nonempty bundle; {unpriced} missing"
             )
-        dense = [pairs.get(m, parse_money("0")) for m in range(size)]
-        tables.append(tuple(dense))
-    if declared:
-        stray = sorted(declared)[0]
-        raise SpecFileError(f"thresholds[{stray}] does not match any agent (n={n})")
-    try:
-        spec = ClusterSpec(
-            item_count=item_count,
-            ranking=ranking,
-            thresholds=tuple(tables),
-            tie_rule=tie,
-        )
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
-    candidates = _candidates_from(indexed, spec.n, item_count)
-    _reject_leftovers(fields, rows, indexed, "cluster")
-    lines = [
-        "kind: cluster",
-        f"items: {item_count}",
-        "ranking: " + ",".join(str(r) for r in spec.ranking),
-    ]
-    for agent in range(n):
-        pairs = ", ".join(
-            f"{render_bundle_key(mask, item_count)}={render_money(price)}"
-            for mask, price in enumerate(spec.thresholds[agent])
-            if mask
-        )
-        lines.append(f"thresholds[{agent + 1}]: {pairs}")
-    lines.append(f"tie: {spec.tie_rule.value}")
-    lines.extend(_render_candidates(candidates, item_count))
-    return LoadedSpec(
-        kind="cluster",
-        mechanism=spec,
-        item_count=item_count,
-        candidates=candidates,
-        source="\n".join(lines),
+        tables.append(tuple(pairs.get(mask, 0) for mask in range(size)))
+    spec = _built(
+        ClusterSpec, item_count=item_count, ranking=ranking, thresholds=tuple(tables), tie_rule=tie
     )
+    priced = [
+        f"thresholds[{agent}]: " + _bundle_list(item_count, enumerate(prices[1:], start=1))
+        for agent, prices in enumerate(spec.thresholds, start=1)
+    ]
+    return _multi_item(lines, spec, item_count, priced + [f"tie: {spec.tie_rule.value}"])
 
 
-def _render_candidates(candidates, item_count):
-    lines = []
-    if candidates is None:
-        return lines
-    for agent, bids in enumerate(candidates, start=1):
-        for bid in bids:
-            pairs = ", ".join(
-                f"{render_bundle_key(mask, item_count)}={render_money(value)}"
-                for mask, value in enumerate(bid.values)
-                if mask and value != 0
-            )
-            lines.append(f"candidate[{agent}]: {pairs}" if pairs else f"candidate[{agent}]:")
-    return lines
-
-
-_SIZED_FACTORIES = {
-    "null": null_spec,
-    "second_price": SecondPriceMechanism,
-    "first_price": FirstPriceMechanism,
-}
 _BUILDERS = {
     "threshold": _build_threshold,
+    "null": partial(_build_sized, null_spec),
+    "second_price": partial(_build_sized, SecondPriceMechanism),
+    "first_price": partial(_build_sized, FirstPriceMechanism),
     "table": _build_table,
     "sequential": _build_sequential,
     "cluster": _build_cluster,

@@ -6,6 +6,7 @@ surface the tool promises.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -179,12 +180,37 @@ def test_a_verify_of_twenty_million_agents_exits_3_before_building_them(tmp_path
     assert "need at least one agent" in err
     # the file states n in one line; a null spec of that size would take
     # seconds and gigabytes to build before any check could refuse it
-    monkeypatch.setitem(specfile._SIZED_FACTORIES, "null", _never)
+    monkeypatch.setitem(specfile._BUILDERS, "null", functools.partial(specfile._build_sized, _never))
     monkeypatch.setattr(verifier, "_tabulation", _never)
     spec = write(tmp_path, "null20m.spec", "kind: null\nn: 20000000\n")
     code, out, err = run_cli("verify", "--spec", spec, "--grid", "5")
     assert (code, out) == (EXIT_BUDGET, "")
     assert "1^n x n = 20000000 profile amounts, over the cap of 1048576" in err
+
+
+def test_single_item_files_of_2_to_the_20_agents_exit_3_before_their_lists_are_read(
+    tmp_path, monkeypatch
+):
+    # sized on --grid by n alone (a threshold file's ranking entries counted,
+    # a table's n: line); reading their lists took 5 to 10 s and 300 MB
+    monkeypatch.setattr(specfile, "parse_ext_money", _never)
+    monkeypatch.setattr(specfile, "Outcome", _never)
+    n = 1 << 20
+    agents = ",".join(map(str, range(1, n + 1)))
+    texts = [
+        f"kind: threshold\nranking: {agents}\nthresholds: {','.join(['1'] * n)}\n",
+        f"kind: table\ngrid: 5\nn: {n}\nrow: {','.join(['5'] * n)} -> 0 ; {','.join(['0'] * n)}\n",
+        # over the cap, a malformed list is not read either: exit 3, not 2
+        f"kind: threshold\nranking: x,{agents.partition(',')[2]}\nthresholds: 1\n",
+    ]
+    for k, text in enumerate(texts):
+        spec = write(tmp_path, f"big{k}.spec", text)
+        code, out, err = run_cli("verify", "--spec", spec, "--grid", "5", "--props", "anonymous")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (
+            "error: an anonymity check on a 1-level grid at n=1048576 reads 1^n x (n! - 1) "
+            "relabeled profiles, over the cap of 1000000\n"
+        )
 
 
 def test_the_verify_caps_admit_the_null_spec_at_ten_agents(tmp_path):
@@ -432,6 +458,15 @@ def test_a_revenue_run_over_the_agent_cap_exits_3_before_any_work(monkeypatch):
     assert str(cli.MAX_REVENUE_AGENTS) in err
 
 
+def test_a_revenue_run_of_no_samples_is_refused_before_any_work(monkeypatch):
+    # at the agent cap the exact recursion alone takes seconds
+    for name in ("optimal_thresholds_uniform", "expected_revenue_recursive"):
+        monkeypatch.setattr(cli, name, _never)
+    for samples in ("0", "-3"):
+        code, out, err = run_cli("revenue", "--n", "1000000", "--samples", samples)
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", "error: need at least one sample\n")
+
+
 def test_revenue_estimate_is_seeded():
     code, out, _ = run_cli("revenue", "--n", "1", "--samples", "1000000", "--seed", "3")
     assert code == EXIT_OK
@@ -569,7 +604,7 @@ def test_a_multi_run_allocates_each_profile_once(tmp_path, monkeypatch):
 def test_a_spec_file_over_the_bundle_table_cap_exits_3_before_any_table(
     tmp_path, monkeypatch, spec_text, estimate
 ):
-    monkeypatch.setattr(specfile, "_bundle_pairs", _never)
+    monkeypatch.setattr(specfile, "parse_bundle_amounts", _never)
     monkeypatch.setattr(specfile.BundleValuation, "from_map", _never)
     spec = write(tmp_path, "big.spec", spec_text)
     code, out, err = run_cli("multi", "--spec", spec)

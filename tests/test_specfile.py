@@ -89,6 +89,12 @@ def test_cluster_kind_with_candidates():
     assert loaded.candidates[1][0].of_bundle(0b11) == F(3, 2)
 
 
+_FREE_BUNDLE = (
+    "kind: cluster\nitems: 2\nranking: 1\nthresholds[1]: 10=1, 01=0, 11=1\n"
+    "candidate[1]: 10=1, 01=0\ncandidate[1]: 11=0\n"
+)
+
+
 def test_canonical_source_reparses_identically():
     texts = [
         "kind: threshold\nranking: 1,2\nthresholds: 1,2\n",
@@ -103,6 +109,8 @@ def test_canonical_source_reparses_identically():
         candidate[1]: 10=1
         candidate[2]: 01=3/2
         """,
+        # a free bundle stays in a cluster price list; a candidate's zero is dropped
+        _FREE_BUNDLE,
     ]
     for text in texts:
         loaded = parse_spec_text(text)
@@ -110,6 +118,13 @@ def test_canonical_source_reparses_identically():
         assert again.mechanism == loaded.mechanism
         assert again.candidates == loaded.candidates
         assert again.source == loaded.source
+
+
+def test_canonical_source_keeps_cluster_zeros_and_drops_candidate_zeros():
+    assert parse_spec_text(_FREE_BUNDLE).source == (
+        "kind: cluster\nitems: 2\nranking: 1\nthresholds[1]: 10=1, 01=0, 11=1\n"
+        "tie: largest_then_lowest_mask\ncandidate[1]: 10=1\ncandidate[1]:"
+    )
 
 
 def test_load_spec_reads_files(tmp_path):
@@ -175,6 +190,35 @@ _TABLE = "kind: table\ngrid: 0,1\nn: 1\nrow: 1 -> 1 ; 1\n"
         ),
         (_CLUSTER + "thresholds[1]: 1=2\n", "line 6: duplicate thresholds[1] line"),
         ("kind: second_price\nn: two\n", "line 2: expected an integer, got 'two'"),
+        ("nonsense line\n", "line 1: expected 'key: value', got 'nonsense line'"),
+        (
+            "kind: threshold\nranking: 1\nthresholds: ,\n",
+            "line 3: expected a comma-separated list of amounts",
+        ),
+        ("kind: threshold\nranking: 1,x\nthresholds: 1,2\n", "line 2: expected integers, got '1,x'"),
+        ("n: 2\n", "line 1: file must start with a 'kind:' line"),
+        ("# nothing\n\n", "empty mechanism file"),
+        ("kind: threshold\nranking: 1,2\n", "kind 'threshold' requires a 'thresholds' field"),
+        ("kind: null\nn: 2\nrow: 0,0 -> 0 ; 0,0\n", "line 3: kind 'null' takes no 'row:' lines"),
+        (
+            "kind: threshold\nranking: 1\nthresholds: 1\ncandidate[1]: 1=1\n",
+            "line 4: field 'candidate'[..] does not belong to kind 'threshold'",
+        ),
+        (_CLUSTER + "candidate[1]: 1=1\n", "candidate lines must cover every agent; agent 2 has none"),
+        (
+            "kind: cluster\nitems: 1\nranking: 1,2\nthresholds[1]: 1=1\n",
+            "cluster spec needs a thresholds[2] line",
+        ),
+        (_CLUSTER + "thresholds[3]: 1=1\n", "thresholds[3] does not match any agent (n=2)"),
+        (
+            "kind: cluster\nitems: 2\nranking: 1\nthresholds[1]: 10=1\n",
+            "line 4: thresholds[1] must price every nonempty bundle; 2 missing",
+        ),
+        ("kind: table\ngrid: 0,1\nn: 1\nrow: 1 -> 1 ; 1\n", "table is missing profile (Fraction(0, 1),)"),
+        (_TABLE + "row: 0 -> 2 ; 0\n", "line 5: winner code 2 out of range for 1 agents"),
+        # both multi-item kinds refuse a negative item count, candidates or not
+        ("kind: sequential\nitems: -1\nranking: 1\nthresholds: 1\n", "item count must be nonnegative"),
+        (_CLUSTER.replace("items: 1", "items: -1"), "item count must be nonnegative"),
     ],
 )
 def test_spec_file_errors_name_their_cause(text, message):
