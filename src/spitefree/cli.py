@@ -25,9 +25,14 @@ exit 2, so that error too comes before the recursion runs), for
 `regions` `MAX_LATTICE_POINTS`, `MAX_LATTICE_CLASSIFICATIONS` (points x
 attainable bundles) and `multiitem.MAX_REGION_INEQUALITIES`, for `multi`
 `MAX_PAYOFF_READS` on the built-in domain and, for any multi-item spec
-file, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.  A `verify` run on ``--grid``
-sizes a single-item spec file by its n before the file's n-long lists
-are read, so a file over a cap exits 3 even if those lists are malformed.
+file, `specfile.MAX_BUNDLE_TABLE_ENTRIES`.  A `verify` run sizes a
+single-item spec file by its n before the file's n-long lists are read,
+with or without ``--grid``: on ``--grid``, else on a table's own grid,
+else on the one level a threshold file's closure has at least.  A `multi`
+run sizes a sequential file without candidates the same way, on the
+built-in domain, by its n and its item count.  So a file over a cap exits
+3 even if those lists are malformed.  Every report's config ends with the
+output format, which `main` adds.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .optimal import (
     optimal_thresholds_uniform,
 )
 from .reports import Witness
-from .specfile import SpecFileError, load_spec
+from .specfile import MULTI_ITEM_KINDS, SINGLE_ITEM_KINDS, SpecFileError, load_spec
 from .verifier import (
     BudgetExceededError,
     CharacterizationMismatchError,
@@ -205,30 +210,54 @@ def _parse_props(text: str | None, allowed, default):
     return names
 
 
+def _over_cap(estimate: str, cap: int) -> BudgetExceededError:
+    """The refusal of an input whose ``estimate`` of its size is over ``cap`` (exit 3)."""
+    return BudgetExceededError(f"{estimate}, over the cap of {cap}")
+
+
+def _check_report(args, loaded, settings: dict, fields: dict, reports) -> tuple[dict, dict, int]:
+    """The config, results and exit code of a `verify` or `multi` run.
+
+    The config echoes the spec file and its normalized mechanism, then the
+    command's ``settings``; the results put ``fields`` between the overall
+    verdict and the reports.  Exit 0 when every report passed, 1 otherwise.
+    """
+    config = {"spec": args.spec, "mechanism": loaded.source.split("\n"), **settings}
+    passed = all(r.passed for r in reports)
+    results = {"all_passed": passed, **fields, "reports": [_jsonable(r) for r in reports]}
+    return config, results, EXIT_OK if passed else EXIT_PROPERTY_FAIL
+
+
 def cmd_verify(args) -> tuple[dict, dict, int]:
     def parsed_props():
         return _parse_props(args.props, _PROP_NAMES, ("ir", "ic", "sic", "esic"))
 
-    def check_agents(n: int) -> None:
-        # a single-item file is sized on --grid before its n-long lists are
-        # read or its mechanism built; an n below 1 is left to the file's own error
-        if args.grid and n >= 1:
-            _check_verify_size(n, len(Grid.from_text(args.grid)), "anonymous" in parsed_props())
+    def grid_for(kind: str, own: Grid | None) -> Grid | None:
+        # --grid, else a table's own grid, else None for a threshold file's closure
+        if args.grid:
+            return Grid.from_text(args.grid)
+        if own is None and kind != "threshold":
+            raise SpecFileError(f"kind {kind!r} needs an explicit --grid")
+        return own
+
+    def check_agents(kind: str, n: int, own: Grid | None) -> None:
+        # a single-item file is sized before its n-long lists are read or its
+        # mechanism built, a threshold file without --grid on the one level
+        # its closure has at least; an n below 1 is left to the file's own error
+        if n >= 1 and kind in SINGLE_ITEM_KINDS:
+            grid = grid_for(kind, own)
+            anonymous = "anonymous" in parsed_props()
+            _check_verify_size(n, 1 if grid is None else len(grid), anonymous, at_least=grid is None)
 
     loaded = load_spec(args.spec, check_agents)
-    if loaded.kind in ("sequential", "cluster"):
+    if loaded.kind in MULTI_ITEM_KINDS:
         raise SpecFileError(
             f"kind {loaded.kind!r} is multi-item; use the 'multi' command"
         )
     mechanism = loaded.mechanism
-    if isinstance(mechanism, MechanismTable):
-        grid = Grid.from_text(args.grid) if args.grid else mechanism.grid
-    elif args.grid:
-        grid = Grid.from_text(args.grid)
-    elif loaded.kind == "threshold":
+    grid = grid_for(loaded.kind, mechanism.grid if isinstance(mechanism, MechanismTable) else None)
+    if grid is None:
         grid = closure_for_thresholds(mechanism.thresholds)
-    else:
-        raise SpecFileError(f"kind {loaded.kind!r} needs an explicit --grid")
     props = parsed_props()
     _check_verify_size(mechanism.n, len(grid), "anonymous" in props)
     reports = []
@@ -237,21 +266,11 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
             reports.extend(check_payment_structure(mechanism, grid))
         else:
             reports.append(_SIMPLE_CHECKS[name](mechanism, grid))
-    config = {
-        "spec": args.spec,
-        "mechanism": loaded.source.split("\n"),
-        "grid": grid.render(),
-        "props": ",".join(props),
-        "format": args.format,
-    }
-    results = {
-        "all_passed": all(r.passed for r in reports),
-        "reports": [_jsonable(r) for r in reports],
-    }
-    return config, results, EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
+    settings = {"grid": grid.render(), "props": ",".join(props)}
+    return _check_report(args, loaded, settings, {}, reports)
 
 
-def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
+def _check_verify_size(n: int, width: int, anonymous: bool, at_least: bool = False) -> None:
     """Refuse, before any tabulation, a `verify` run over its caps.
 
     The deviation checks read `_payoff_reads` payoffs, as `multi`
@@ -259,44 +278,48 @@ def _check_verify_size(n: int, width: int, anonymous: bool) -> None:
     relabelings, as the sweep counts them (`verifier._relabeling_reads`);
     and the tabulation holds n bids and n payments at each of the
     width^n profiles.  On a one-level grid the payoff reads are only n,
-    so there the tabulated amounts are the cap that binds.
+    so there the tabulated amounts are the cap that binds.  With
+    ``at_least``, the grid has L >= width levels, L not yet known, and
+    each count is the lower bound that width gives, so named.
     """
-    size = f"a {width}-level grid at n={_count_text(n)}"
-    # 2^25 is over the cap, so a grid of two or more levels is never raised to a larger n
-    if width == 1 or n < MAX_PAYOFF_READS.bit_length():
-        reads = _payoff_reads(width, n)
-        count = f" = {_count_text(reads)}"
-    else:
-        reads, count = None, ""
+    w, step, equals = ("L", "(L - 1)", ">=") if at_least else (width, width - 1, "=")
+    levels = f"a grid of L >= {width} levels" if at_least else f"a {width}-level grid"
+    size = f"{levels} at n={_count_text(n)}"
+    reads = _payoff_reads(width, n)
     if reads is None or reads > MAX_PAYOFF_READS:
-        raise BudgetExceededError(
-            f"the deviation checks on {size} read {width}^n x n x (1 + n x {width - 1})"
-            f"{count} payoffs, over the cap of {MAX_PAYOFF_READS}"
+        count = "" if reads is None else f" {equals} {_count_text(reads)}"
+        raise _over_cap(
+            f"the deviation checks on {size} read {w}^n x n x (1 + n x {step}){count} "
+            "payoffs", MAX_PAYOFF_READS
         )
     if anonymous:
         cap = verifier._MAX_RELABELING_READS
         reads = verifier._relabeling_reads(width, n)
         if reads is None or reads > cap:
-            count = "" if reads is None else f" = {_count_text(reads)}"
-            raise BudgetExceededError(
-                f"an anonymity check on {size} reads {width}^n x (n! - 1){count} "
-                f"relabeled profiles, over the cap of {cap}"
+            count = "" if reads is None else f" {equals} {_count_text(reads)}"
+            raise _over_cap(
+                f"an anonymity check on {size} reads {w}^n x (n! - 1){count} "
+                "relabeled profiles", cap
             )
     # past the payoff check, width is 1 or n is below 25
     amounts = width**n * n
     if amounts > MAX_TABULATED_AMOUNTS:
-        raise BudgetExceededError(
-            f"the tabulation on {size} holds {width}^n x n = {_count_text(amounts)} "
-            f"profile amounts, over the cap of {MAX_TABULATED_AMOUNTS}"
+        raise _over_cap(
+            f"the tabulation on {size} holds {w}^n x n {equals} {_count_text(amounts)} "
+            "profile amounts", MAX_TABULATED_AMOUNTS
         )
 
 
-def _payoff_reads(width: int, n: int) -> int:
+def _payoff_reads(width: int, n: int) -> int | None:
     """The payoffs the deviation checks read on ``width`` values per agent.
 
     Every agent's payoff at each of the ``width^n`` profiles and at each of
     its n x (width - 1) single-agent deviations: width^n x n x (1 + n(width - 1)).
+    None for two or more values at n >= 25, where the count is over
+    `MAX_PAYOFF_READS` and can have too many digits to render quickly.
     """
+    if width > 1 and n >= MAX_PAYOFF_READS.bit_length():
+        return None
     return width**n * n * (1 + n * (width - 1))
 
 
@@ -306,12 +329,7 @@ def cmd_enumerate(args) -> tuple[dict, dict, int]:
     if args.budget < 1:
         raise SpecFileError(f"--budget must be a positive number of tables, got {args.budget}")
     grid = Grid.from_text(args.grid)
-    config = {
-        "grid": grid.render(),
-        "n": args.n,
-        "budget": args.budget,
-        "format": args.format,
-    }
+    config = {"grid": grid.render(), "n": args.n, "budget": args.budget}
     try:
         summary = characterization_experiment(grid, args.n, max_tables=args.budget)
     except CharacterizationMismatchError as exc:
@@ -330,14 +348,12 @@ def cmd_enumerate(args) -> tuple[dict, dict, int]:
 def cmd_thresholds(args) -> tuple[dict, dict, int]:
     estimate = args.n * _THRESHOLDS_BYTES_PER_AGENT
     if estimate > MAX_THRESHOLDS_REPORT_BYTES:
-        raise BudgetExceededError(
+        raise _over_cap(
             f"a report for --n {_count_text(args.n)} holds about {_count_text(estimate)} "
-            f"bytes ({_THRESHOLDS_BYTES_PER_AGENT} per agent), "
-            f"over the cap of {MAX_THRESHOLDS_REPORT_BYTES}"
+            f"bytes ({_THRESHOLDS_BYTES_PER_AGENT} per agent)", MAX_THRESHOLDS_REPORT_BYTES
         )
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
-    config = {"n": args.n, "format": args.format}
     results = {
         "exact": seq.exact,
         "values_last_to_first": [_jsonable(t) for t in seq.values],
@@ -346,7 +362,7 @@ def cmd_thresholds(args) -> tuple[dict, dict, int]:
         "expected_revenue": _jsonable(gamma),
         "expected_revenue_decimal": f"{float(gamma):.12g}",
     }
-    return config, results, EXIT_OK
+    return {"n": args.n}, results, EXIT_OK
 
 
 def cmd_revenue(args) -> tuple[dict, dict, int]:
@@ -360,19 +376,14 @@ def cmd_revenue(args) -> tuple[dict, dict, int]:
         raise SpecFileError("need at least one sample")
     draws = args.n * args.samples
     if args.n > 0 and draws > MAX_SAMPLE_DRAWS:
-        raise BudgetExceededError(
+        raise _over_cap(
             f"--n {_count_text(args.n)} x --samples {_count_text(args.samples)} = "
-            f"{_count_text(draws)} uniform draws, over the cap of {MAX_SAMPLE_DRAWS}"
+            f"{_count_text(draws)} uniform draws", MAX_SAMPLE_DRAWS
         )
     seq = optimal_thresholds_uniform(args.n)
     gamma = expected_revenue_recursive(args.n)
     estimate = monte_carlo_revenue(seq, samples=args.samples, seed=args.seed)
-    config = {
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    config = {"n": args.n, "samples": args.samples, "seed": args.seed}
     results = {
         "exact": _jsonable(gamma),
         "exact_decimal": f"{float(gamma):.12g}",
@@ -390,12 +401,7 @@ def cmd_regions(args) -> tuple[dict, dict, int]:
         raise SpecFileError("no payments given")
     system = region_partition(payments, item_count)
     axis = _lattice_axis(args, system) if args.box or args.step else None
-    config = {
-        "payments": args.payments,
-        "box": args.box,
-        "step": args.step,
-        "format": args.format,
-    }
+    config = {"payments": args.payments, "box": args.box, "step": args.step}
     bundles = []
     for mask, region in enumerate(system.regions):
         entry = {
@@ -444,16 +450,15 @@ def _lattice_axis(args, system) -> list:
     width = (high - low) // step + 1
     points = width**system.item_count
     if points > MAX_LATTICE_POINTS:
-        raise BudgetExceededError(
+        raise _over_cap(
             f"the lattice has ({_count_text(width)} values per axis)^{system.item_count} = "
-            f"{_count_text(points)} points, over the cap of {MAX_LATTICE_POINTS}"
+            f"{_count_text(points)} points", MAX_LATTICE_POINTS
         )
     attainable = sum(region is not None for region in system.regions)
     if points * attainable > MAX_LATTICE_CLASSIFICATIONS:
-        raise BudgetExceededError(
+        raise _over_cap(
             f"classifying {points} lattice points against {attainable} attainable bundles "
-            f"takes {points * attainable} comparisons, over the cap of "
-            f"{MAX_LATTICE_CLASSIFICATIONS}"
+            f"takes {points * attainable} comparisons", MAX_LATTICE_CLASSIFICATIONS
         )
     return [low + k * step for k in range(width)]
 
@@ -464,19 +469,32 @@ def _count_text(count: int) -> str:
 
 
 def cmd_multi(args) -> tuple[dict, dict, int]:
-    loaded = load_spec(args.spec)
-    if loaded.kind not in ("sequential", "cluster"):
-        raise SpecFileError(
-            f"kind {loaded.kind!r} is single-item; use the 'verify' command"
-        )
-    spec = loaded.mechanism
     checks = {
         "ir": check_multi_ir,
         "ic": check_multi_ic,
         "sic": check_multi_sic,
         "esic": check_multi_esic,
     }
-    props = _parse_props(args.props, checks, ("ir", "ic", "sic"))
+
+    def parsed_props():
+        return _parse_props(args.props, checks, ("ir", "ic", "sic"))
+
+    def check_agents(kind: str, n: int, items: int | None) -> None:
+        # a sequential file without candidate lines is sized on the built-in
+        # domain before its lists are read, after --props, whose error comes
+        # first as it does for a file read in full; a negative count is left
+        # to the file's own error or to the domain's
+        if kind == "sequential" and items is not None and min(items, args.max_marginal) >= 0:
+            parsed_props()
+            _check_builtin_domain(n, items, args.max_marginal)
+
+    loaded = load_spec(args.spec, check_agents)
+    if loaded.kind not in MULTI_ITEM_KINDS:
+        raise SpecFileError(
+            f"kind {loaded.kind!r} is single-item; use the 'verify' command"
+        )
+    spec = loaded.mechanism
+    props = parsed_props()
     if loaded.kind == "sequential":
         mechanism = lambda bids: sequential_allocate_general(spec, bids)
     else:
@@ -486,16 +504,7 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
         truths = tuple(domain[0] for domain in domains)
         domain_note = "candidates from spec file; first candidate per agent is the truth"
     elif loaded.kind == "sequential":
-        per_agent = marginal_vector_count(loaded.item_count, args.max_marginal)
-        profiles = per_agent**spec.n
-        reads = _payoff_reads(per_agent, spec.n)
-        if reads > MAX_PAYOFF_READS:
-            raise BudgetExceededError(
-                f"the built-in domain has C({args.max_marginal} + {loaded.item_count}, "
-                f"{loaded.item_count}) = {_count_text(per_agent)} valuations per agent, "
-                f"so {_count_text(profiles)} profiles and {_count_text(reads)} payoff reads, "
-                f"over the cap of {MAX_PAYOFF_READS}"
-            )
+        # sized by check_agents as the file was read
         pool = tuple(nonincreasing_marginal_vectors(loaded.item_count, args.max_marginal))
         domains = tuple(pool for _ in range(spec.n))
         truths = None
@@ -505,20 +514,27 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
     else:
         raise SpecFileError("cluster verification needs candidate[...] lines in the spec")
     reports = [checks[name](mechanism, domains, truths) for name in props]
-    config = {
-        "spec": args.spec,
-        "mechanism": loaded.source.split("\n"),
-        "props": ",".join(props),
-        "max_marginal": args.max_marginal,
-        "format": args.format,
-    }
-    results = {
-        "all_passed": all(r.passed for r in reports),
-        "domain": domain_note,
-        "domain_sizes": [len(d) for d in domains],
-        "reports": [_jsonable(r) for r in reports],
-    }
-    return config, results, EXIT_OK if results["all_passed"] else EXIT_PROPERTY_FAIL
+    settings = {"props": ",".join(props), "max_marginal": args.max_marginal}
+    fields = {"domain": domain_note, "domain_sizes": [len(d) for d in domains]}
+    return _check_report(args, loaded, settings, fields, reports)
+
+
+def _check_builtin_domain(n: int, item_count: int, max_marginal: int) -> None:
+    """Refuse a `multi` run whose built-in domain reads over `MAX_PAYOFF_READS` payoffs."""
+    per_agent = marginal_vector_count(item_count, max_marginal)
+    reads = _payoff_reads(per_agent, n)
+    if reads is None:
+        m, step = _count_text(per_agent), _count_text(per_agent - 1)
+        counts = f"{m}^n profiles and {m}^n x n x (1 + n x {step}) payoff reads"
+        counts += f" at n={_count_text(n)}"
+    elif reads > MAX_PAYOFF_READS:
+        counts = f"{_count_text(per_agent**n)} profiles and {_count_text(reads)} payoff reads"
+    else:
+        return
+    raise _over_cap(
+        f"the built-in domain has C({max_marginal} + {item_count}, {item_count}) = "
+        f"{_count_text(per_agent)} valuations per agent, so {counts}", MAX_PAYOFF_READS
+    )
 
 
 def _add_common(parser) -> None:
@@ -589,6 +605,7 @@ def main(argv=None) -> int:
     except (SpecFileError, DomainMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    config["format"] = args.format
     report = {
         "version": __version__,
         "command": args.command,

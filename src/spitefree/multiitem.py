@@ -259,12 +259,6 @@ def multi_utility(outcome: MultiOutcome, agent: int, valuation) -> Fraction:
     return valuation.of_bundle(outcome.bundles[agent]) - outcome.payments[agent]
 
 
-def multi_utility_vector(outcome: MultiOutcome, valuations) -> tuple[Fraction, ...]:
-    return tuple(
-        multi_utility(outcome, i, v) for i, v in enumerate(valuations)
-    )
-
-
 @dataclass(frozen=True)
 class SequentialSpec(RankedSpec):
     """Priority order plus one per-item price per agent.

@@ -32,10 +32,11 @@ with winner 0 meaning no sale.
 Each literal has one reader: comma lists go through `money.parse_amounts`,
 bundle lists through `multiitem.parse_bundle_amounts`, and a field's
 error names its line.  A caller can size a file before it is built: the
-n of every single-item file (the count of a threshold file's ranking
-entries, a table's `n:` line, read before any row) goes to the
-`check_agents` hook first, and the 2^K tables of a multi-item file are
-counted against `MAX_BUNDLE_TABLE_ENTRIES`.
+n of every single-item file and of a sequential one (the count of the
+ranking's entries, or a table's `n:` line, read before any row) goes to
+the `check_agents` hook first, with the table's grid or the sequential
+file's item count, and the 2^K tables of a multi-item file are counted
+against `MAX_BUNDLE_TABLE_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class _FileLines:
 
     def __init__(self, kind: str, check_agents) -> None:
         self.kind = kind
-        self.check_agents = check_agents or (lambda n: None)
+        self.check_agents = check_agents or (lambda kind, n, domain: None)
         self.fields: dict[str, tuple[int, str]] = {}
         self.rows: list[tuple[int, str]] = []
         self.indexed: dict[str, dict[int, list[tuple[int, str]]]] = {}
@@ -194,6 +195,15 @@ class _FileLines:
             return default
         lineno, value = self.fields.pop(key)
         return _at_line(lineno, parse, value)
+
+    def size(self, n: int, domain=None) -> None:
+        """Give ``check_agents`` the kind, its n and its ``domain``."""
+        self.check_agents(self.kind, n, domain)
+
+    def size_by_ranking(self, domain=None) -> None:
+        """`size` on the count of the ranking's entries, before any of them is read."""
+        if "ranking" in self.fields:
+            self.size(len(parse_amounts(self.fields["ranking"][1], len)), domain)
 
     def agent_lines(self, base: str, n: int, missing: str):
         """Yield (agent, lines) of each agent's ``base[agent]:`` lines, 1 to n.
@@ -240,12 +250,16 @@ class _FileLines:
 def parse_spec_text(text: str, check_agents=None) -> LoadedSpec:
     """Parse a mechanism file's text.
 
-    ``check_agents``, if given, is called with the n of a single-item
-    file before anything n long is read or built: a threshold file's n is
-    the count of its ranking entries, and a table's n is its `n:` line,
-    read before any row.  A caller can thus refuse a size before n-long
-    tuples are built (a null spec of 20 million agents takes about 10 s
-    and 2 GB, a 2^20-agent threshold file 5 s and 280 MB).
+    ``check_agents``, if given, is called as ``check_agents(kind, n,
+    domain)`` before anything n long is read or built, once for every
+    single-item file and every sequential one that has a ranking and no
+    other error before it.  A file's n is the count of its ranking
+    entries, or a table's `n:` line, read before any row.  ``domain`` is
+    what a file's bids are drawn from when the file states it before its
+    lists: a table's `Grid`, or the item count of a sequential file
+    without `candidate` lines; else None.  A caller can thus refuse a size
+    before n-long tuples are built (a null spec of 20 million agents takes
+    about 10 s and 2 GB, a 2^20-agent threshold file 5 s and 280 MB).
     """
     lines = None
     for lineno, key, value in _split_lines(text):
@@ -293,9 +307,7 @@ def _bundle_list(item_count: int, pairs) -> str:
 
 
 def _build_threshold(lines: _FileLines) -> LoadedSpec:
-    if "ranking" in lines.fields:
-        # sized on the count of its entries, before any of them is read
-        lines.check_agents(len(parse_amounts(lines.fields["ranking"][1], len)))
+    lines.size_by_ranking()
     ranking = lines.field("ranking", _integers)
     thresholds = lines.field("thresholds", partial(_amount_list, parse_amount=parse_ext_money))
     rule = lines.field("boundary_rule", _boundary_rule, BoundaryRule.HIGHEST_RANK_AT_THRESHOLD)
@@ -315,7 +327,7 @@ def _build_threshold(lines: _FileLines) -> LoadedSpec:
 def _build_sized(factory, lines: _FileLines) -> LoadedSpec:
     n = lines.field("n", _integer)
     lines.reject_leftovers()
-    lines.check_agents(n)
+    lines.size(n)
     mechanism = _built(factory, n)
     return LoadedSpec(kind=lines.kind, mechanism=mechanism, source=f"kind: {lines.kind}\nn: {n}")
 
@@ -325,7 +337,7 @@ def _build_table(lines: _FileLines) -> LoadedSpec:
     n = lines.field("n", _integer)
     rows, lines.rows = lines.rows, []
     lines.reject_leftovers()
-    lines.check_agents(n)
+    lines.size(n, grid)
     outcome_for = {}
     for lineno, value in rows:
         bids_text, arrow, rest = value.partition("->")
@@ -384,6 +396,7 @@ def _multi_item(lines: _FileLines, spec, item_count: int, priced: list[str]) -> 
 
 def _build_sequential(lines: _FileLines) -> LoadedSpec:
     item_count = lines.field("items", _integer)
+    lines.size_by_ranking(None if "candidate" in lines.indexed else item_count)
     ranking = lines.field("ranking", _integers)
     thresholds = lines.field("thresholds", _amount_list)
     spec = _built(SequentialSpec, ranking=ranking, thresholds=thresholds)

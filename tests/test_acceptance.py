@@ -32,7 +32,6 @@ from spitefree.multiitem import (
     cluster_allocate,
     cluster_spite_counterexample,
     multi_utility,
-    multi_utility_vector,
     nonincreasing_marginal_vectors,
     payment_range_cardinality,
     region_partition,
@@ -288,7 +287,7 @@ def test_criterion_09_bundle_bids_break_the_single_item_guarantees():
 
     spec3, truths3, domains3 = cluster_spite_counterexample(epsilon)
     mech3 = lambda bids: cluster_allocate(spec3, bids)
-    before = multi_utility_vector(mech3(truths3), truths3)
+    before = tuple(multi_utility(mech3(truths3), i, v) for i, v in enumerate(truths3))
     report3 = check_multi_sic(mech3, domains3, truths3)
     cluster_ok = (
         before == (F(0), epsilon)

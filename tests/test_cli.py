@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -170,6 +171,19 @@ def test_verify_is_sized_by_the_amounts_it_tabulates():
         with pytest.raises(BudgetExceededError) as caught:
             cli._check_verify_size(n, width, anonymous)
         assert str(caught.value) == message
+    # on L >= 1 levels, L not yet known, the counts are lower bounds and say so
+    cli._check_verify_size(9, 1, True, at_least=True)
+    for n, anonymous, message in (
+        (cap + 1, False, "the tabulation on a grid of L >= 1 levels at n=1048577 holds "
+         "L^n x n >= 1048577 profile amounts, over the cap of 1048576"),
+        (20_000_001, False, "the deviation checks on a grid of L >= 1 levels at n=20000001 read "
+         "L^n x n x (1 + n x (L - 1)) >= 20000001 payoffs, over the cap of 20000000"),
+        (10, True, "an anonymity check on a grid of L >= 1 levels at n=10 reads "
+         "L^n x (n! - 1) >= 3628799 relabeled profiles, over the cap of 1000000"),
+    ):
+        with pytest.raises(BudgetExceededError) as caught:
+            cli._check_verify_size(n, 1, anonymous, at_least=True)
+        assert str(caught.value) == message
 
 
 def test_a_verify_of_twenty_million_agents_exits_3_before_building_them(tmp_path, monkeypatch):
@@ -186,31 +200,64 @@ def test_a_verify_of_twenty_million_agents_exits_3_before_building_them(tmp_path
     code, out, err = run_cli("verify", "--spec", spec, "--grid", "5")
     assert (code, out) == (EXIT_BUDGET, "")
     assert "1^n x n = 20000000 profile amounts, over the cap of 1048576" in err
+    # without --grid it needs one, and says so before the mechanism is built
+    code, out, err = run_cli("verify", "--spec", spec)
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", "error: kind 'null' needs an explicit --grid\n")
 
 
 def test_single_item_files_of_2_to_the_20_agents_exit_3_before_their_lists_are_read(
     tmp_path, monkeypatch
 ):
-    # sized on --grid by n alone (a threshold file's ranking entries counted,
-    # a table's n: line); reading their lists took 5 to 10 s and 300 MB
-    monkeypatch.setattr(specfile, "parse_ext_money", _never)
-    monkeypatch.setattr(specfile, "Outcome", _never)
+    # sized by n alone (a threshold file's ranking entries counted, a
+    # table's n: line) on --grid, else on a table's own grid or on the one
+    # level a threshold file's closure has at least; reading their lists
+    # took 5 to 13 s and 300 MB
+    for name in ("_integers", "parse_ext_money", "Outcome"):
+        monkeypatch.setattr(specfile, name, _never)
     n = 1 << 20
     agents = ",".join(map(str, range(1, n + 1)))
-    texts = [
-        f"kind: threshold\nranking: {agents}\nthresholds: {','.join(['1'] * n)}\n",
-        f"kind: table\ngrid: 5\nn: {n}\nrow: {','.join(['5'] * n)} -> 0 ; {','.join(['0'] * n)}\n",
-        # over the cap, a malformed list is not read either: exit 3, not 2
-        f"kind: threshold\nranking: x,{agents.partition(',')[2]}\nthresholds: 1\n",
-    ]
-    for k, text in enumerate(texts):
+    threshold = f"kind: threshold\nranking: {agents}\nthresholds: {','.join(['1'] * n)}\n"
+    table = f"kind: table\ngrid: 5\nn: {n}\nrow: {','.join(['5'] * n)} -> 0 ; {','.join(['0'] * n)}\n"
+    # over the cap, a malformed list is not read either: exit 3, not 2
+    malformed = f"kind: threshold\nranking: x,{agents.partition(',')[2]}\nthresholds: 1\n"
+    one_level = "a 1-level grid at n=1048576 reads 1^n x (n! - 1)"
+    at_least_one = "a grid of L >= 1 levels at n=1048576 reads L^n x (n! - 1)"
+    for k, (text, grid, size) in enumerate((
+        (threshold, ["--grid", "5"], one_level),
+        (table, ["--grid", "5"], one_level),
+        (malformed, ["--grid", "5"], one_level),
+        (threshold, [], at_least_one),
+        (table, [], one_level),
+        (malformed, [], at_least_one),
+    )):
         spec = write(tmp_path, f"big{k}.spec", text)
-        code, out, err = run_cli("verify", "--spec", spec, "--grid", "5", "--props", "anonymous")
+        code, out, err = run_cli("verify", "--spec", spec, *grid, "--props", "anonymous")
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == (
-            "error: an anonymity check on a 1-level grid at n=1048576 reads 1^n x (n! - 1) "
-            "relabeled profiles, over the cap of 1000000\n"
+            f"error: an anonymity check on {size} relabeled profiles, over the cap of 1000000\n"
         )
+
+
+def test_a_sequential_file_of_2_to_the_20_agents_exits_3_before_its_lists_are_read(
+    tmp_path, monkeypatch
+):
+    # sized on the built-in domain by its ranking entries and items: alone,
+    # its counts named as powers; reading the file and rendering the counts
+    # in full took 48 s
+    for name in ("_integers", "_amount_list", "SequentialSpec"):
+        monkeypatch.setattr(specfile, name, _never)
+    monkeypatch.setattr(cli, "Decimal", _never)
+    n = 1 << 20
+    agents = ",".join(map(str, range(1, n + 1)))
+    spec = write(
+        tmp_path, "seq.spec", f"kind: sequential\nitems: 2\nranking: {agents}\nthresholds: 1\n"
+    )
+    code, out, err = run_cli("multi", "--spec", spec)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == (
+        "error: the built-in domain has C(3 + 2, 2) = 10 valuations per agent, so 10^n profiles "
+        "and 10^n x n x (1 + n x 9) payoff reads at n=1048576, over the cap of 20000000\n"
+    )
 
 
 def test_the_verify_caps_admit_the_null_spec_at_ten_agents(tmp_path):
@@ -760,3 +807,48 @@ def test_every_command_but_revenue_runs_on_the_standard_library_alone(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
+# One run of each command on a fixed input, with the whole report less its
+# wall time, stderr and the exit code pinned in tests/cli_golden.txt: the
+# order of the config keys, the report's layout and every message.
+_GOLDEN_SPECS = {
+    "threshold.spec": "kind: threshold\nranking: 2,1\nthresholds: 1,inf\n",
+    "second.spec": SECOND_PRICE_SPEC,
+    "null10.spec": "kind: null\nn: 10\n",
+    "cluster.spec": CLUSTER_SPITE_SPEC,
+    "sequential.spec": "kind: sequential\nitems: 2\nranking: 1,2\nthresholds: 2,1\n",
+}
+_GOLDEN_RUNS = (
+    "verify --spec threshold.spec",
+    "verify --spec second.spec --grid 0,1 --props ir,ic,sic,esic,anonymous,efficient,winner_price,payments",
+    "verify --spec threshold.spec --format text",
+    "enumerate --grid 0,1,2",
+    "thresholds --n 3",
+    "revenue --n 2 --samples 1000 --seed 7",
+    "regions --payments 10=4,01=3,11=6 --box 0,2 --step 2",
+    "multi --spec cluster.spec",
+    "multi --spec sequential.spec --max-marginal 1",
+    "verify --spec second.spec",
+    "verify --spec null10.spec --grid 0,1 --props anonymous",
+)
+
+
+def _golden_blocks():
+    with open(os.path.join(os.path.dirname(__file__), "cli_golden.txt"), encoding="utf-8") as handle:
+        blocks = handle.read().split("\n=== ")
+    return dict(block.lstrip("= ").split("\n", 1) for block in blocks)
+
+
+def _golden_block(command):
+    code, out, err = run_cli(*command.split())
+    out = re.sub(r'("?wall_time_s"?: )[0-9.e-]+', r"\g<1>~", out)
+    return f"exit: {code}\nstderr:\n{err}stdout:\n{out}"
+
+
+@pytest.mark.parametrize("command", _GOLDEN_RUNS)
+def test_reports_match_their_golden_text(tmp_path, monkeypatch, command):
+    for name, text in _GOLDEN_SPECS.items():
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert _golden_block(command) == _golden_blocks()[command]

@@ -28,7 +28,6 @@ from spitefree.multiitem import (
     cluster_spite_counterexample,
     full_bundle,
     multi_utility,
-    multi_utility_vector,
     nonincreasing_marginal_vectors,
     parse_bundle,
     payment_range_cardinality,
@@ -126,11 +125,16 @@ def test_multi_outcome_rejects_overlapping_bundles():
     assert out.bundles == (0b01, 0b10)
 
 
+def _utilities(outcome, valuations):
+    """Every agent's `multi_utility` at her valuation in ``valuations``."""
+    return tuple(multi_utility(outcome, i, v) for i, v in enumerate(valuations))
+
+
 def test_multi_utility():
     v = BundleValuation.from_map(2, {0b01: F(3)})
     out = MultiOutcome((0b01, EMPTY_BUNDLE), (F(1), F(0)))
     assert multi_utility(out, 0, v) == 2
-    assert multi_utility_vector(out, (v, v)) == (F(2), F(0))
+    assert _utilities(out, (v, v)) == (F(2), F(0))
 
 
 # --- interchangeable-item sales --------------------------------------------
@@ -331,7 +335,7 @@ def test_item_order_interacts_with_bundle_bids():
 def test_cluster_sale_admits_a_pure_spite_swap():
     spec, truths, domains = cluster_spite_counterexample()
     mech = lambda bids: cluster_allocate(spec, bids)
-    assert multi_utility_vector(mech(truths), truths) == (F(0), F(1, 2))
+    assert _utilities(mech(truths), truths) == (F(0), F(1, 2))
     assert check_multi_ir(mech, domains, truths).passed
     assert check_multi_ic(mech, domains, truths).passed
     report = check_multi_sic(mech, domains, truths)
@@ -348,8 +352,8 @@ def test_cluster_spite_swap_fails_esic_with_a_replayable_witness():
     report = check_multi_esic(mech, domains, truths)
     assert not report.passed
     w = report.witness
-    before = multi_utility_vector(mech(w.profile), w.profile)
-    after = multi_utility_vector(mech(w.deviation_profile), w.profile)
+    before = _utilities(mech(w.profile), w.profile)
+    after = _utilities(mech(w.deviation_profile), w.profile)
     assert (before, after) == (w.utilities_before, w.utilities_after)
     assert deviation_clause(Property.ESIC, w.agent, before, after) == w.note
 
@@ -358,11 +362,11 @@ def _esic_by_definition(mech, domain):
     """Two-agent ESIC read straight off the definition, by brute force."""
     outcomes = {bids: mech(bids) for bids in itertools.product(domain, repeat=2)}
     for truth, out in outcomes.items():
-        before = multi_utility_vector(out, truth)
+        before = _utilities(out, truth)
         for i in (0, 1):
             for bid in domain:
                 report = (bid, truth[1]) if i == 0 else (truth[0], bid)
-                after = multi_utility_vector(outcomes[report], truth)
+                after = _utilities(outcomes[report], truth)
                 if after[i] > before[i]:
                     return False
                 if after[i] == before[i] and after[1 - i] < before[1 - i]:
