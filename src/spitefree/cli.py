@@ -240,14 +240,16 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
             raise SpecFileError(f"kind {kind!r} needs an explicit --grid")
         return own
 
-    def check_agents(kind: str, n: int, own: Grid | None) -> None:
+    def check_agents(kind: str, n: int, domain) -> None:
         # a single-item file is sized before its n-long lists are read or its
-        # mechanism built, a threshold file without --grid on the one level
-        # its closure has at least; an n below 1 is left to the file's own error
+        # mechanism built, a threshold file without --grid on the fewest
+        # levels its closure can have (``domain``); an n below 1 is left to
+        # the file's own error
         if n >= 1 and kind in SINGLE_ITEM_KINDS:
-            grid = grid_for(kind, own)
+            grid = grid_for(kind, domain if isinstance(domain, Grid) else None)
             anonymous = "anonymous" in parsed_props()
-            _check_verify_size(n, 1 if grid is None else len(grid), anonymous, at_least=grid is None)
+            width = domain if grid is None else len(grid)
+            _check_verify_size(n, width, anonymous, at_least=grid is None)
 
     loaded = load_spec(args.spec, check_agents)
     if loaded.kind in MULTI_ITEM_KINDS:
@@ -520,7 +522,21 @@ def cmd_multi(args) -> tuple[dict, dict, int]:
 
 
 def _check_builtin_domain(n: int, item_count: int, max_marginal: int) -> None:
-    """Refuse a `multi` run whose built-in domain reads over `MAX_PAYOFF_READS` payoffs."""
+    """Refuse a `multi` run whose built-in domain reads over `MAX_PAYOFF_READS` payoffs.
+
+    Its M = C(m + k, k) valuations per agent are at least C(2j, j) >= 2^j,
+    j = min(m, k), and n >= 1 agents read at least M payoffs.  Once 2^j
+    alone is over the cap, M is named by that bound and not computed: its
+    digits grow with j (C(200000, 100000) has 60 204).
+    """
+    choose = f"C({max_marginal} + {item_count}, {item_count})"
+    j = min(max_marginal, item_count)
+    if n >= 1 and j >= MAX_PAYOFF_READS.bit_length():
+        raise _over_cap(
+            f"the built-in domain has M = {choose} >= 2^{j} valuations per agent, so M^n "
+            f"profiles and M^n x n x (1 + n x (M - 1)) payoff reads at n={_count_text(n)}",
+            MAX_PAYOFF_READS,
+        )
     per_agent = marginal_vector_count(item_count, max_marginal)
     reads = _payoff_reads(per_agent, n)
     if reads is None:
@@ -532,8 +548,8 @@ def _check_builtin_domain(n: int, item_count: int, max_marginal: int) -> None:
     else:
         return
     raise _over_cap(
-        f"the built-in domain has C({max_marginal} + {item_count}, {item_count}) = "
-        f"{_count_text(per_agent)} valuations per agent, so {counts}", MAX_PAYOFF_READS
+        f"the built-in domain has {choose} = {_count_text(per_agent)} valuations per agent, "
+        f"so {counts}", MAX_PAYOFF_READS
     )
 
 

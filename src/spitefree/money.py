@@ -27,11 +27,11 @@ def is_infinite(value: ExtMoney) -> bool:
 
 
 def as_money(value: int | Fraction) -> Fraction:
-    """Coerce to a nonnegative exact amount; floats are rejected."""
+    """Coerce to a nonnegative exact amount; floats are rejected, a `Fraction` is returned as is."""
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"money must be an int or Fraction, got {value!r}")
-    amount = Fraction(value)
-    if amount < 0:
+    amount = value if type(value) is Fraction else Fraction(value)
+    if amount.numerator < 0:
         raise ValueError(f"money must be nonnegative, got {value}")
     return amount
 
@@ -57,8 +57,13 @@ def parse_money(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def names_infinity(text: str) -> bool:
+    """Whether `parse_ext_money` reads ``text`` as INFINITY."""
+    return text.strip().lower() in ("inf", "infinity")
+
+
 def parse_ext_money(text: str) -> ExtMoney:
-    if text.strip().lower() in ("inf", "infinity"):
+    if names_infinity(text):
         return INFINITY
     return parse_money(text)
 

@@ -42,10 +42,10 @@ from .verifier import (
     BudgetExceededError,
     _Lattice,
     _lcm_of_denominators,
-    _rivals,
+    _Rows,
     _scaled,
+    _steps,
     domain_strides,
-    ir_check,
 )
 
 Bundle = int
@@ -429,8 +429,8 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
         strides = domain_strides(domains)
         flat = sum(k * s for k, s in zip(truth, strides))
         flats = [flat]
-        for rivals, k, s in zip(_rivals(kinds), truth, strides):
-            flats += [flat + (d - k) * s for d in rivals[k]]
+        for steps, k in zip(_steps(kinds), truth):
+            flats += [flat + step for step in steps[k]]
         profiles = [
             (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
             for f in flats
@@ -461,7 +461,9 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     def utility(out, i, kind):
         return values[kind][out.bundles[i]] - out.payments[i]
 
-    return _Lattice(d, kinds, outcomes, originals, utility, truth)
+    # a deviator's kind has no values with a truth, so every row is at the truth
+    at = kinds if truth is None else tuple((ints[k],) * len(ints) for ints, k in zip(kinds, truth))
+    return _Lattice(d, kinds, outcomes, originals, _Rows(at, outcomes, utility), utility, truth)
 
 
 # One `multi` run checks one (mechanism, domains, truth) up to four times,
@@ -493,10 +495,6 @@ def _multi_check(check, mechanism, bid_domain, true_values) -> PropertyReport:
     return lattice.report(check(lattice), domains)
 
 
-def _ir(lattice: _Lattice):
-    return ir_check(lattice.domains, lattice.outcomes, lattice.utility, lattice.truth)
-
-
 def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
     """Truthful reporting never buys a loss, over the given domain.
 
@@ -512,7 +510,7 @@ def check_multi_ir(mechanism, bid_domain, true_values=None) -> PropertyReport:
     valuations of the call's own domains and the outcomes of the first
     such call.
     """
-    return _multi_check(_ir, mechanism, bid_domain, true_values)
+    return _multi_check(methodcaller("ir"), mechanism, bid_domain, true_values)
 
 
 def check_multi_ic(mechanism, bid_domain, true_values=None) -> PropertyReport:

@@ -52,7 +52,14 @@ from .mechanisms import (
     ThresholdSpec,
     null_spec,
 )
-from .money import parse_amounts, parse_ext_money, parse_money, render_ext_money, render_money
+from .money import (
+    names_infinity,
+    parse_amounts,
+    parse_ext_money,
+    parse_money,
+    render_ext_money,
+    render_money,
+)
 from .multiitem import (
     BundleValuation,
     ClusterSpec,
@@ -257,7 +264,10 @@ def parse_spec_text(text: str, check_agents=None) -> LoadedSpec:
     entries, or a table's `n:` line, read before any row.  ``domain`` is
     what a file's bids are drawn from when the file states it before its
     lists: a table's `Grid`, or the item count of a sequential file
-    without `candidate` lines; else None.  A caller can thus refuse a size
+    without `candidate` lines; for a threshold file, the fewest levels
+    its closure can have, 2 once any threshold is finite, else 1 (its
+    `thresholds:` line is scanned for a literal other than ``inf``, and
+    none is parsed); else None.  A caller can thus refuse a size
     before n-long tuples are built (a null spec of 20 million agents takes
     about 10 s and 2 GB, a 2^20-agent threshold file 5 s and 280 MB).
     """
@@ -307,7 +317,9 @@ def _bundle_list(item_count: int, pairs) -> str:
 
 
 def _build_threshold(lines: _FileLines) -> LoadedSpec:
-    lines.size_by_ranking()
+    # a finite threshold puts 0 and a level above it in the closure
+    thresholds = lines.fields.get("thresholds", (0, ""))[1]
+    lines.size_by_ranking(1 if all(parse_amounts(thresholds, names_infinity)) else 2)
     ranking = lines.field("ranking", _integers)
     thresholds = lines.field("thresholds", partial(_amount_list, parse_amount=parse_ext_money))
     rule = lines.field("boundary_rule", _boundary_rule, BoundaryRule.HIGHEST_RANK_AT_THRESHOLD)

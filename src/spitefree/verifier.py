@@ -23,7 +23,16 @@ as ints and the outcomes with every amount times a common denominator
 D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 (see `multiitem`).  The checks read the outcomes by flat index (see
 `domain_strides`), profile by profile or line by line (see
-`_line_starts`).  Ints compare exactly as the fractions do, so
+`_line_starts`).  A lattice also holds each profile's payoff row,
+everyone's payoff times D there (`_Lattice.rows`): at each agent's bid
+on a grid, where one tuple is shared by every profile with the same
+outcome and winner's bid, and on a bundle lattice at each agent's bid
+or, given a truth, at everyone's truth.  IR reads the truthful rows,
+and the deviation walk the truthful row and the others' entries of the
+moved profile's row, so a deviation that changes the outcome costs one
+`utility` call, the deviator's payoff at her truth.  The public
+`ir_check` and `deviation_check` build rows from ``utility`` for the
+profiles they read.  Ints compare exactly as the fractions do, so
 verdicts, checked counts and first witnesses are those of the
 fractions.  A check returns only where it failed, as flat indices (a
 `_Finding`); `_Lattice.report` names each profile by the positions the
@@ -39,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import methodcaller
@@ -140,18 +149,27 @@ class _Lattice:
     are equal.  ``outcomes[flat]`` is the outcome at the profile with that
     flat index (see `domain_strides`), its payments times D, and
     ``originals[flat]`` the mechanism's own outcome there.
-    ``utility(outcome, i, value)`` is agent i's payoff times D.  A grid
-    lattice (`_grid_lattice`) holds each level times D, every profile in a
-    tuple, and uses `payoff`; a bundle lattice (see `multiitem`) holds one
-    int per distinct valuation and, in a dict, the profiles its checks
-    read: those of every truthful profile, or of ``truth`` alone, as
-    per-agent domain indices.
+    ``utility(outcome, i, value)`` is agent i's payoff times D, and
+    ``rows[flat][j]`` is agent j's payoff times D at that profile: IR and
+    the deviation walk read everyone's payoffs there, and call
+    ``utility`` only for a deviator's payoff at her truth.  A grid lattice
+    (`_grid_lattice`) holds each level times D, every profile in a tuple,
+    uses `payoff` and values each agent at her bid; its rows are interned,
+    one tuple per distinct outcome and winner's bid.  A bundle lattice
+    (see `multiitem`) holds one int per distinct valuation and, in a dict,
+    the profiles its checks read: those of every truthful profile, or of
+    ``truth`` alone, as per-agent domain indices.  Its rows are filled as
+    the checks first read them (`_Rows`), at each agent's bid, or, with a
+    ``truth``, at everyone's truth.  The two readings agree on what the
+    walks read: the truthful profile's row, and the others' entries where
+    one agent deviates.
     """
 
     denominator: int
     domains: tuple[tuple[int, ...], ...]
     outcomes: tuple | dict
     originals: tuple | dict
+    rows: tuple | dict
     utility: Callable = payoff
     truth: tuple[int, ...] | None = None
     # the findings of ESIC, SIC and IC known so far (see `deviations`)
@@ -167,9 +185,15 @@ class _Lattice:
         """
         if prop not in self._found:
             self._found.update(
-                _deviation_findings(prop, self.domains, self.outcomes, self.utility, self.truth)
+                _deviation_findings(
+                    prop, self.domains, self.outcomes, self.rows, self.utility, self.truth
+                )
             )
         return self._found[prop]
+
+    def ir(self) -> _Finding:
+        """The finding of IR, read off the truthful profiles' rows."""
+        return _ir_findings(self.domains, self.rows, self.truth)
 
     def report(self, found: _Finding, domains) -> PropertyReport:
         """``found`` as a report, its witness named in ``domains``.
@@ -217,7 +241,8 @@ def _grid_lattice(levels, originals: tuple[Outcome, ...], n: int) -> _Lattice:
 
     D is the least common denominator of the levels and of every payment.
     Each outcome object is scaled once; equal outcomes that are one object
-    (interned, or shared by a table) share one scaled outcome.
+    (interned, or shared by a table) share one scaled outcome, and each
+    scaled outcome one row per bid of its winner.
     """
     distinct = {id(out): out for out in originals}
     d = _lcm_of_denominators([*levels, *(p for out in distinct.values() for p in out.payments)])
@@ -225,7 +250,17 @@ def _grid_lattice(levels, originals: tuple[Outcome, ...], n: int) -> _Lattice:
         key: _ScaledOutcome(out.winner, _scaled(out.payments, d)) for key, out in distinct.items()
     }
     outcomes = tuple([scaled[id(out)] for out in originals])
-    return _Lattice(d, (_scaled(levels, d),) * n, outcomes, originals)
+    ints = _scaled(levels, d)
+    strides, width, interned, rows = domain_strides((ints,) * n), len(ints), {}, []
+    for flat, out in enumerate(outcomes):
+        key = id(out), (ints[flat // strides[out.winner - 1] % width] if out.winner else 0)
+        rows.append(interned.get(key) or interned.setdefault(key, _payoff_row(out, key[1])))
+    return _Lattice(d, (ints,) * n, outcomes, originals, tuple(rows))
+
+
+def _payoff_row(out, bid: int) -> tuple[int, ...]:
+    """Everyone's payoff in the scaled outcome ``out`` when its winner bids ``bid``."""
+    return tuple([bid - p if j == out.winner - 1 else -p for j, p in enumerate(out.payments)])
 
 
 # One verify checks one (mechanism, grid) pair up to eight times, and the
@@ -255,17 +290,20 @@ _SPITE = {
 }
 
 
-def _broken(agent: int, before, after) -> int:
+def _broken(agent: int, before, own, after) -> int:
     """How many of ESIC, SIC and IC, in that order, ``agent``'s deviation breaks.
 
-    IC forbids own gain (all three break); SIC also forbids a
-    payoff-neutral deviation that harms someone while helping nobody
-    (two); ESIC also forbids one that harms someone at all (one).
+    ``own`` is her payoff after it, and ``after`` the others' (her own
+    entry is not read).  IC forbids own gain (all three break); SIC also
+    forbids a payoff-neutral deviation that harms someone while helping
+    nobody (two); ESIC also forbids one that harms someone at all (one).
     """
-    if after[agent] != before[agent]:
-        return 3 if after[agent] > before[agent] else 0
-    harmed = helped = False  # the deviator's own payoff is neither
-    for u_before, u_after in zip(before, after):
+    if own != before[agent]:
+        return 3 if own > before[agent] else 0
+    harmed = helped = False
+    for j, (u_before, u_after) in enumerate(zip(before, after)):
+        if j == agent:
+            continue
         if u_after < u_before:
             harmed = True
         elif u_after > u_before:
@@ -288,7 +326,7 @@ def deviation_clause(prop: Property, agent: int, before, after) -> str | None:
     wherever SIC does, and SIC wherever IC does: the verdict is read off
     one classification of the deviation, the one `deviation_check` makes.
     """
-    broken = _broken(agent, before, after)
+    broken = _broken(agent, before, after[agent], after)
     return _clause(prop, broken) if broken > _NESTED.index(prop) else None
 
 
@@ -322,28 +360,66 @@ def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
     per-agent domain indices, makes one profile the truth; by default
     every profile takes its turn.
     """
-    n = len(domains)
+    return _ir_findings(domains, _Rows(domains, outcomes, utility), truth)
+
+
+def _ir_findings(domains, rows, truth) -> _Finding:
+    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent."""
     checked = 0
-    for flat, _, values in _truthful_points(domains, domain_strides(domains), truth):
-        out = outcomes[flat]
-        for i in range(n):
+    for flat, _, _ in _truthful_points(domains, domain_strides(domains), truth):
+        for i, u in enumerate(rows[flat]):
             checked += 1
-            if utility(out, i, values[i]) < 0:
+            if u < 0:
                 return _Finding(Property.IR, checked, flat, i, note="truthful payoff is negative")
     return _Finding(Property.IR, checked)
 
 
-def _rivals(domains) -> list[list[list[int]]]:
-    """``[i][v]``: agent i's reports that differ in value from her v-th value."""
-    by_domain = {}
-    for dom in domains:
-        if id(dom) not in by_domain:
-            first: dict = {}
-            kinds = [first.setdefault(value, k) for k, value in enumerate(dom)]
-            by_domain[id(dom)] = [
-                [d for d, kind in enumerate(kinds) if kind != truth] for truth in kinds
-            ]
-    return [by_domain[id(dom)] for dom in domains]
+class _Rows(dict):
+    """Payoff rows (see `_Lattice`), each built with ``utility`` when a check first reads it.
+
+    Row ``flat`` values each agent at her entry of ``domains`` at that
+    profile, and reads its outcome from ``outcomes``.
+    """
+
+    def __init__(self, domains, outcomes, utility) -> None:
+        super().__init__()
+        self.domains, self.outcomes, self.utility = domains, outcomes, utility
+        self.strides = domain_strides(domains)
+
+    def __missing__(self, flat: int) -> tuple:
+        out, places = self.outcomes[flat], zip(self.domains, self.strides)
+        row = self[flat] = tuple([
+            self.utility(out, j, dom[flat // s % len(dom)]) for j, (dom, s) in enumerate(places)
+        ])
+        return row
+
+
+class _Seen:
+    """``outcomes``, read through at every read, each outcome read kept in ``kept``.
+
+    `deviation_check` builds its rows from ``kept``, so they read no
+    outcome the walk did not.
+    """
+
+    def __init__(self, outcomes) -> None:
+        self.outcomes, self.kept = outcomes, {}
+
+    def __getitem__(self, flat: int):
+        self.kept[flat] = out = self.outcomes[flat]
+        return out
+
+
+def _steps(domains) -> list[list[list[int]]]:
+    """``[i][v]``: flat-index steps from agent i's v-th value to her reports of other values."""
+    steps = []
+    for dom, stride in zip(domains, domain_strides(domains)):
+        first: dict = {}
+        kinds = [first.setdefault(value, k) for k, value in enumerate(dom)]
+        steps.append([
+            [(d - v) * stride for d, kind in enumerate(kinds) if kind != truth]
+            for v, truth in enumerate(kinds)
+        ])
+    return steps
 
 
 def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _Finding:
@@ -352,56 +428,52 @@ def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _
     Inputs are those of `ir_check`.  Every agent may report any value of
     her domain that differs from her truth; profiles, then agents, then
     deviations are taken in order, and the walk stops at the first one
-    that breaks ``prop`` (see `_deviation_findings`).
+    that breaks ``prop`` (see `_deviation_findings`).  Each outcome is
+    read once per visit, and payoff rows are built only for the
+    profiles the walk compares.
     """
-    return _deviation_findings(prop, domains, outcomes, utility, truth)[prop]
+    seen = _Seen(outcomes)
+    rows = _Rows(domains, seen.kept, utility)
+    return _deviation_findings(prop, domains, seen, rows, utility, truth)[prop]
 
 
-def _deviation_findings(stop, domains, outcomes, utility, truth=None, rivals=None) -> dict:
+def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None, steps=None) -> dict:
     """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
 
-    Each deviation that changes the outcome without lowering the
-    deviator's payoff is classified once (`_broken`), and the first to
-    break each property is kept with the count of deviations so far.
-    The failures are nested, so they come in the order ESIC, SIC, IC,
-    and the walk stops once ``stop`` has failed; a property it did not
-    reach is missing.  If the walk ends, every property still standing
-    passes with the total count.  ``rivals`` is `_rivals` of ``domains``.
+    ``rows`` are the payoff rows of ``outcomes`` (see `_Lattice`).  Each
+    deviation that changes the outcome without lowering the deviator's
+    payoff is classified once (`_broken`), from her payoff at her truth
+    and the rows of the two profiles, and the first to break each
+    property is kept with the count of deviations so far.  The failures
+    are nested, so they come in the order ESIC, SIC, IC, and the walk
+    stops once ``stop`` has failed; a property it did not reach is
+    missing.  If the walk ends, every property still standing passes
+    with the total count.  ``steps`` is `_steps` of ``domains``.
     """
     n = len(domains)
     strides = domain_strides(domains)
-    if rivals is None:
-        rivals = _rivals(domains)
+    if steps is None:
+        steps = _steps(domains)
     goal = _NESTED.index(stop) + 1
     failed = 0  # the first ``failed`` of `_NESTED` have failed
     found = {}
     checked = 0
     for flat, digits, values in _truthful_points(domains, strides, truth):
         out_v = outcomes[flat]
-        before = [None] * n  # payoffs at the truth, filled in as needed
-        filled = False
+        before = None  # the truthful row, read once some deviation changes the outcome
         for i in range(n):
-            vi = digits[i]
-            stride = strides[i]
-            for d in rivals[i][vi]:
+            for step in steps[i][digits[i]]:
                 checked += 1
-                moved = flat + (d - vi) * stride
+                moved = flat + step
                 out_b = outcomes[moved]
                 if out_b is out_v or out_b == out_v:
                     continue
-                if before[i] is None:
-                    before[i] = utility(out_v, i, values[i])
-                own_after = utility(out_b, i, values[i])
-                if own_after < before[i] or (failed >= 2 and own_after == before[i]):
-                    continue  # it breaks nothing still standing; spare filling in the vectors
-                if not filled:
-                    before = [
-                        utility(out_v, j, values[j]) if b is None else b
-                        for j, b in enumerate(before)
-                    ]
-                    filled = True
-                after = [own_after if j == i else utility(out_b, j, values[j]) for j in range(n)]
-                broken = _broken(i, before, after)
+                if before is None:
+                    before = rows[flat]
+                own = utility(out_b, i, values[i])
+                if own < before[i] or (failed >= 2 and own == before[i]):
+                    continue  # it breaks nothing still standing
+                broken = _broken(i, before, own, rows[moved])
                 if broken > failed:
                     for prop in _NESTED[failed:broken]:
                         note = _clause(prop, broken)
@@ -422,9 +494,7 @@ def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
 
 def check_ir(mechanism, grid: Grid) -> PropertyReport:
     """Truthful bidding never yields a negative payoff."""
-    return _on_lattice(
-        lambda lattice: ir_check(lattice.domains, lattice.outcomes, payoff), mechanism, grid
-    )
+    return _on_lattice(methodcaller("ir"), mechanism, grid)
 
 
 def check_ic(mechanism, grid: Grid) -> PropertyReport:
@@ -664,14 +734,19 @@ def _key_lattice(grid: Grid, n: int) -> _Lattice:
     A key is 0 when the item stays unsold, otherwise ``code + (n + 1) * k``:
     the agent with winner code ``code`` wins and pays the grid's ``k``-th
     level.  ``originals[key]`` is that `Outcome` and ``outcomes[key]`` its
-    scaled form; every table of one walk shares them.
+    scaled form; every table of one walk shares them.  ``rows[key][b]``
+    is everyone's payoff row (see `_Lattice`) there when the winner bids
+    the ``b``-th level.
     """
     originals = [
         Outcome(code, tuple([level if j == code - 1 else 0 for j in range(n)]))
         for level in grid.levels
         for code in range(n + 1)
     ]
-    return _grid_lattice(grid.levels, tuple(originals), n)
+    lattice = _grid_lattice(grid.levels, tuple(originals), n)
+    bids = lattice.domains[0]
+    rows = tuple([tuple([_payoff_row(out, bid) for bid in bids]) for out in lattice.outcomes])
+    return replace(lattice, rows=rows)
 
 
 # The sweep counts every IR+IC table before it walks any, then walks only
@@ -850,7 +925,7 @@ class _Sweep(_Walk):
         super().__init__(grid, n, max_tables)
         lines = _agent_lines(self.keyed.domains[0], n)
         # agent i's lines share one domain, hers and the others' singletons; her first starts at 0
-        self.rivals = {i: _rivals(domains) for i, start, _, domains in lines if start == 0}
+        self.steps = {i: _steps(domains) for i, start, _, domains in lines if start == 0}
         self.lines_at = [[] for _ in range(self.total)]  # by the line's last profile
         for line in lines:
             self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
@@ -888,8 +963,13 @@ class _Sweep(_Walk):
         verdict = self.line_verdicts.get((i, start, keys))
         if verdict is None:
             outcomes = [self.keyed.outcomes[key] for key in keys]
-            rivals = self.rivals[i]
-            found = _deviation_findings(Property.SIC, domains, outcomes, payoff, None, rivals)
+            # each position's row at its winner's bid, a digit of the full profile
+            flats = range(start, start + self.width * stride, stride)
+            table, base = self.keyed.rows, self.base
+            rows = [table[key][self.digits[f][key % base - 1]] for f, key in zip(flats, keys)]
+            found = _deviation_findings(
+                Property.SIC, domains, outcomes, rows, payoff, None, self.steps[i]
+            )
             verdict = found[Property.SIC].flat is None
             self.line_verdicts[i, start, keys] = verdict
         return verdict

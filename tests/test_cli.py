@@ -209,33 +209,42 @@ def test_single_item_files_of_2_to_the_20_agents_exit_3_before_their_lists_are_r
     tmp_path, monkeypatch
 ):
     # sized by n alone (a threshold file's ranking entries counted, a
-    # table's n: line) on --grid, else on a table's own grid or on the one
-    # level a threshold file's closure has at least; reading their lists
+    # table's n: line) on --grid, else on a table's own grid or on the
+    # fewest levels a threshold file's closure can have: 2 once a threshold
+    # is finite, found without parsing one, else 1; reading their lists
     # took 5 to 13 s and 300 MB
     for name in ("_integers", "parse_ext_money", "Outcome"):
         monkeypatch.setattr(specfile, name, _never)
     n = 1 << 20
     agents = ",".join(map(str, range(1, n + 1)))
     threshold = f"kind: threshold\nranking: {agents}\nthresholds: {','.join(['1'] * n)}\n"
+    infinite = f"kind: threshold\nranking: {agents}\nthresholds: {','.join(['inf'] * n)}\n"
     table = f"kind: table\ngrid: 5\nn: {n}\nrow: {','.join(['5'] * n)} -> 0 ; {','.join(['0'] * n)}\n"
     # over the cap, a malformed list is not read either: exit 3, not 2
     malformed = f"kind: threshold\nranking: x,{agents.partition(',')[2]}\nthresholds: 1\n"
-    one_level = "a 1-level grid at n=1048576 reads 1^n x (n! - 1)"
-    at_least_one = "a grid of L >= 1 levels at n=1048576 reads L^n x (n! - 1)"
-    for k, (text, grid, size) in enumerate((
-        (threshold, ["--grid", "5"], one_level),
-        (table, ["--grid", "5"], one_level),
-        (malformed, ["--grid", "5"], one_level),
-        (threshold, [], at_least_one),
-        (table, [], one_level),
-        (malformed, [], at_least_one),
+    one_level = "an anonymity check on a 1-level grid at n=1048576 reads 1^n x (n! - 1)"
+    anonymity = f"{one_level} relabeled profiles, over the cap of 1000000"
+    at_least_one = (
+        "an anonymity check on a grid of L >= 1 levels at n=1048576 reads L^n x (n! - 1) "
+        "relabeled profiles, over the cap of 1000000"
+    )
+    at_least_two = (
+        "the deviation checks on a grid of L >= 2 levels at n=1048576 read "
+        "L^n x n x (1 + n x (L - 1)) payoffs, over the cap of 20000000"
+    )
+    for k, (text, options, message) in enumerate((
+        (threshold, ["--grid", "5", "--props", "anonymous"], anonymity),
+        (table, ["--grid", "5", "--props", "anonymous"], anonymity),
+        (malformed, ["--grid", "5", "--props", "anonymous"], anonymity),
+        (threshold, ["--props", "anonymous"], at_least_two),
+        (threshold, [], at_least_two),
+        (infinite, ["--props", "anonymous"], at_least_one),
+        (table, ["--props", "anonymous"], anonymity),
+        (malformed, ["--props", "anonymous"], at_least_two),
     )):
         spec = write(tmp_path, f"big{k}.spec", text)
-        code, out, err = run_cli("verify", "--spec", spec, *grid, "--props", "anonymous")
-        assert (code, out) == (EXIT_BUDGET, "")
-        assert err == (
-            f"error: an anonymity check on {size} relabeled profiles, over the cap of 1000000\n"
-        )
+        code, out, err = run_cli("verify", "--spec", spec, *options)
+        assert (code, out, err) == (EXIT_BUDGET, "", f"error: {message}\n"), k
 
 
 def test_a_sequential_file_of_2_to_the_20_agents_exits_3_before_its_lists_are_read(
@@ -605,6 +614,34 @@ def test_an_oversized_builtin_domain_exits_3_before_any_work(tmp_path, monkeypat
     reads = 1576963521 * 2 * (1 + 2 * 39710)
     assert f"C(60 + 3, 3) = 39711 valuations per agent, so 1576963521 profiles and {reads:.3e} payoff reads" in err
     assert str(cli.MAX_PAYOFF_READS) in err
+
+
+def test_a_builtin_domain_past_2_to_the_25_valuations_is_refused_on_a_bound(tmp_path, monkeypatch):
+    # C(m + k, k) >= 2^min(m, k), so from min(m, k) = 25 on the bound alone is
+    # over the cap and the count, whose digits grow with min(m, k), is not
+    # taken: at m = k = 10^6 taking it ran past 120 s
+    exact = (
+        "C(24 + 24, 24) = 3.225e+13 valuations per agent, so 1.040e+27 profiles and "
+        "1.341e+41 payoff reads"
+    )
+    bound = (
+        "M = C({0} + {1}, {1}) >= 2^{2} valuations per agent, so M^n profiles and "
+        "M^n x n x (1 + n x (M - 1)) payoff reads at n=2"
+    )
+    for items, max_marginal, counts in (
+        (24, 24, exact),
+        (25, 25, bound.format(25, 25, 25)),
+        (10**6, 10**6, bound.format(10**6, 10**6, 10**6)),
+        (10**6, 30, bound.format(30, 10**6, 30)),
+    ):
+        if counts is not exact:
+            monkeypatch.setattr(cli, "marginal_vector_count", _never)
+        spec = write(tmp_path, f"seq{items}.spec",
+                     f"kind: sequential\nitems: {items}\nranking: 1,2\nthresholds: 1,1\n")
+        code, out, err = run_cli("multi", "--spec", spec, "--max-marginal", str(max_marginal))
+        assert (code, out, err) == (EXIT_BUDGET, "", (
+            f"error: the built-in domain has {counts}, over the cap of 20000000\n"
+        ))
 
 
 def test_the_builtin_cap_admits_three_agents_at_max_marginal_4(tmp_path):

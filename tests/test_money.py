@@ -46,7 +46,12 @@ def test_as_money_rejects_floats_and_negatives():
         as_money(True)
     with pytest.raises(ValueError):
         as_money(-1)
+    with pytest.raises(ValueError):
+        as_money(Fraction(-1, 2))
     assert as_money(3) == Fraction(3)
+    assert type(as_money(3)) is Fraction
+    half = Fraction(1, 2)
+    assert as_money(half) is half  # a nonnegative Fraction is not rebuilt
 
 
 def test_as_ext_money_admits_only_positive_infinity_among_floats():

@@ -280,6 +280,24 @@ def test_multi_deviation_checks_agree_in_every_order():
                 assert repr(CHECKS[prop](mech, domains, truth)) == alone[prop], (order, prop)
 
 
+def test_bundle_payoff_rows_are_the_payoffs_the_checks_read():
+    """At each profile read, rows value everyone at her report, or at her truth if one is given."""
+    for mech, domains, truth in _multi_order_cases():
+        multiitem._cached_lattice.cache_clear()
+        for check in CHECKS.values():
+            check(mech, domains, truth)
+        at = None if truth is None else tuple(d.index(v) for d, v in zip(domains, truth))
+        lattice = multiitem._cached_lattice(mech, domains, at)
+        strides = multiitem.domain_strides(domains)
+        assert lattice.rows
+        for flat, row in lattice.rows.items():
+            profile = tuple(d[flat // s % len(d)] for d, s in zip(domains, strides))
+            values = profile if truth is None else truth
+            out = mech(profile)
+            expected = tuple(multi_utility(out, j, v) for j, v in enumerate(values))
+            assert tuple(F(u, lattice.denominator) for u in row) == expected
+
+
 # --- allocator calls per run -----------------------------------------------
 
 

@@ -468,6 +468,57 @@ def test_deviation_checks_agree_in_every_order():
     assert all(failed.values()) and all(earlier.values()), (failed, earlier)
 
 
+def _checked_by_definition(prop, mechanism, grid):
+    """Cases up to `_first_violation`'s, or all: (truth, agent) for IR, else (truth, agent, bid)."""
+    first = _first_violation(prop, mechanism, grid)
+    checked = 0
+    for truth in enumerate_profiles(grid, mechanism.n):
+        for i in range(mechanism.n):
+            for bid in [None] if prop is Property.IR else [b for b in grid.levels if b != truth[i]]:
+                checked += 1
+                if (truth, i, bid) == first:
+                    return checked
+    return checked
+
+
+def _unsold_unless_agent_1_bids_2(profile):
+    """Agent 2 wins at price 1 while agent 1 bids 2: IR first fails at (2, 0)."""
+    return (2, (F(0), F(1))) if profile[0] == 2 else (0, (F(0), F(0)))
+
+
+def test_checked_counts_match_the_definitions():
+    ir_fails = tuple(
+        (p, Outcome(*_unsold_unless_agent_1_bids_2(p))) for p in enumerate_profiles(GRID012, 2)
+    )
+    for mechanism, grid in [*_order_cases(), (_Lookup(2, ir_fails), GRID012)]:
+        for prop, check in ((Property.IR, check_ir), *_DEVIATION_CHECKS):
+            verifier._cached_tabulation.cache_clear()
+            report = check(mechanism, grid)
+            assert report.checked_count == _checked_by_definition(prop, mechanism, grid), (
+                prop, mechanism
+            )
+    assert check_ir(_Lookup(2, ir_fails), GRID012).checked_count == 6 * 2 + 2
+
+
+def test_payoff_rows_are_the_payoffs_at_each_profile():
+    """A grid lattice's rows value everyone at her bid; the sweep's key rows at the winner's bid."""
+    for mechanism, grid in _order_cases():
+        lattice = verifier._tabulation(mechanism, grid)
+        d = lattice.denominator
+        for flat, profile in enumerate(enumerate_profiles(grid, mechanism.n)):
+            out = mechanism.outcome(profile)
+            expected = tuple(utility(out, j, profile[j]) for j in range(mechanism.n))
+            assert tuple(F(u, d) for u in lattice.rows[flat]) == expected
+    for n in (1, 2, 3):
+        keyed = verifier._key_lattice(GRID012, n)
+        d = keyed.denominator
+        for key, out in enumerate(keyed.originals):
+            for b, bid in enumerate(GRID012.levels):
+                # only the winner's payoff depends on her value
+                expected = tuple(utility(out, j, bid) for j in range(n))
+                assert tuple(F(u, d) for u in keyed.rows[key][b]) == expected
+
+
 def test_ic_sic_and_esic_share_one_walk(monkeypatch):
     walks = []
     deviation_findings = verifier._deviation_findings
