@@ -27,7 +27,7 @@ def is_infinite(value: ExtMoney) -> bool:
 
 
 def as_money(value: int | Fraction) -> Fraction:
-    """Coerce to a nonnegative exact amount; floats are rejected, a `Fraction` is returned as is."""
+    """Coerce to a nonnegative exact amount; floats are rejected, and a `Fraction` is kept as is."""
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"money must be an int or Fraction, got {value!r}")
     amount = value if type(value) is Fraction else Fraction(value)

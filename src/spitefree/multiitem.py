@@ -14,7 +14,8 @@ No verdict and no classification compares two `Fraction`s.  The checks
 run `verifier`'s IR and deviation kernel on its `_Lattice`, built here
 from bundle domains (`_bundle_lattice`): each distinct valuation becomes
 an int, and bundle values and payments are multiplied by one common
-denominator, so utilities are ints.  Checks of one (mechanism, domains,
+denominator, so utilities are ints; each profile's payoff row is built
+once, when a check first reads it.  Checks of one (mechanism, domains,
 truth) share that lattice, which calls the allocator once per profile
 they read, and `_Lattice.report` names a failure by the domain's own
 valuations at the positions the check visited, with `Fraction`
@@ -418,7 +419,8 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     every payment and of the value of each valuation an agent may truly
     hold at each bundle she is dealt.  Equal outcomes share one
     `MultiOutcome`, the first the allocator returned, and one scaled
-    outcome.
+    outcome.  Payoff rows (see `verifier._Lattice`) value each agent at
+    her report, or, with a truth, everyone at her truth.
     """
     kind_of: dict = {}
     kinds = tuple(tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains)

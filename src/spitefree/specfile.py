@@ -318,8 +318,8 @@ def _bundle_list(item_count: int, pairs) -> str:
 
 def _build_threshold(lines: _FileLines) -> LoadedSpec:
     # a finite threshold puts 0 and a level above it in the closure
-    thresholds = lines.fields.get("thresholds", (0, ""))[1]
-    lines.size_by_ranking(1 if all(parse_amounts(thresholds, names_infinity)) else 2)
+    text = lines.fields.get("thresholds", (0, ""))[1]
+    lines.size_by_ranking(1 if all(parse_amounts(text, names_infinity)) else 2)
     ranking = lines.field("ranking", _integers)
     thresholds = lines.field("thresholds", partial(_amount_list, parse_amount=parse_ext_money))
     rule = lines.field("boundary_rule", _boundary_rule, BoundaryRule.HIGHEST_RANK_AT_THRESHOLD)

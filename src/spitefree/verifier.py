@@ -193,7 +193,7 @@ class _Lattice:
 
     def ir(self) -> _Finding:
         """The finding of IR, read off the truthful profiles' rows."""
-        return _ir_findings(self.domains, self.rows, self.truth)
+        return _ir_finding(self.domains, self.rows, self.truth)
 
     def report(self, found: _Finding, domains) -> PropertyReport:
         """``found`` as a report, its witness named in ``domains``.
@@ -360,10 +360,10 @@ def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
     per-agent domain indices, makes one profile the truth; by default
     every profile takes its turn.
     """
-    return _ir_findings(domains, _Rows(domains, outcomes, utility), truth)
+    return _ir_finding(domains, _Rows(domains, outcomes, utility), truth)
 
 
-def _ir_findings(domains, rows, truth) -> _Finding:
+def _ir_finding(domains, rows, truth) -> _Finding:
     """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent."""
     checked = 0
     for flat, _, _ in _truthful_points(domains, domain_strides(domains), truth):

@@ -501,14 +501,21 @@ def test_checked_counts_match_the_definitions():
 
 
 def test_payoff_rows_are_the_payoffs_at_each_profile():
-    """A grid lattice's rows value everyone at her bid; the sweep's key rows at the winner's bid."""
+    """A grid lattice's rows value everyone at her bid; the sweep's key rows at the winner's bid.
+
+    A grid lattice shares one row among the profiles with one outcome and
+    one winner's bid, so it holds no more rows than such pairs.
+    """
     for mechanism, grid in _order_cases():
         lattice = verifier._tabulation(mechanism, grid)
         d = lattice.denominator
+        pairs = set()
         for flat, profile in enumerate(enumerate_profiles(grid, mechanism.n)):
             out = mechanism.outcome(profile)
             expected = tuple(utility(out, j, profile[j]) for j in range(mechanism.n))
             assert tuple(F(u, d) for u in lattice.rows[flat]) == expected
+            pairs.add((out, profile[out.winner - 1] if out.winner else None))
+        assert len({id(row) for row in lattice.rows}) == len(pairs)
     for n in (1, 2, 3):
         keyed = verifier._key_lattice(GRID012, n)
         d = keyed.denominator
