@@ -11,7 +11,8 @@ assertion tripped, 2 bad input (an empty ``--props`` list among it, or
 a `regions` price list that leaves a bundle out), 3 the input's size,
 estimated or counted before any work, is over a cap: for `verify` the
 L^n x n x (1 + n(L - 1)) payoff reads of the deviation checks on L
-levels against `MAX_PAYOFF_READS`, with ``anonymous`` the
+levels against `MAX_PAYOFF_READS` when ic, sic or esic is asked for,
+with ``anonymous`` the
 L^n x (n! - 1) relabeled profiles against the sweep's million, and the
 L^n x n tabulated amounts against `MAX_TABULATED_AMOUNTS`, for
 `enumerate` a grid of more than 512 profiles, anonymity checks of more
@@ -247,9 +248,12 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
         # the file's own error
         if n >= 1 and kind in SINGLE_ITEM_KINDS:
             grid = grid_for(kind, domain if isinstance(domain, Grid) else None)
-            anonymous = "anonymous" in parsed_props()
+            props = parsed_props()
             width = domain if grid is None else len(grid)
-            _check_verify_size(n, width, anonymous, at_least=grid is None)
+            deviations = _asks_for_deviations(props)
+            _check_verify_size(
+                n, width, "anonymous" in props, at_least=grid is None, deviations=deviations
+            )
 
     loaded = load_spec(args.spec, check_agents)
     if loaded.kind in MULTI_ITEM_KINDS:
@@ -261,7 +265,8 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     if grid is None:
         grid = closure_for_thresholds(mechanism.thresholds)
     props = parsed_props()
-    _check_verify_size(mechanism.n, len(grid), "anonymous" in props)
+    deviations = _asks_for_deviations(props)
+    _check_verify_size(mechanism.n, len(grid), "anonymous" in props, deviations=deviations)
     reports = []
     for name in props:
         if name == "payments":
@@ -272,23 +277,31 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     return _check_report(args, loaded, settings, {}, reports)
 
 
-def _check_verify_size(n: int, width: int, anonymous: bool, at_least: bool = False) -> None:
+def _asks_for_deviations(props) -> bool:
+    """Whether ``props`` asks for a deviation check: ic, sic or esic."""
+    return not {"ic", "sic", "esic"}.isdisjoint(props)
+
+
+def _check_verify_size(
+    n: int, width: int, anonymous: bool, at_least: bool = False, deviations: bool = True
+) -> None:
     """Refuse, before any tabulation, a `verify` run over its caps.
 
-    The deviation checks read `_payoff_reads` payoffs, as `multi`
-    counts them; anonymity reads each profile under all n! - 1
-    relabelings, as the sweep counts them (`verifier._relabeling_reads`);
-    and the tabulation holds n bids and n payments at each of the
-    width^n profiles.  On a one-level grid the payoff reads are only n,
-    so there the tabulated amounts are the cap that binds.  With
-    ``at_least``, the grid has L >= width levels, L not yet known, and
-    each count is the lower bound that width gives, so named.
+    With ``deviations``, the deviation checks read `_payoff_reads`
+    payoffs, as `multi` counts them; anonymity reads each profile under
+    all n! - 1 relabelings, as the sweep counts them
+    (`verifier._relabeling_reads`); and the tabulation holds n bids and n
+    payments at each of the width^n profiles.  On a one-level grid the
+    payoff reads are only n, so there the tabulated amounts are the cap
+    that binds.  With ``at_least``, the grid has L >= width levels, L not
+    yet known, and each count is the lower bound that width gives, so
+    named.
     """
     w, step, equals = ("L", "(L - 1)", ">=") if at_least else (width, width - 1, "=")
     levels = f"a grid of L >= {width} levels" if at_least else f"a {width}-level grid"
     size = f"{levels} at n={_count_text(n)}"
     reads = _payoff_reads(width, n)
-    if reads is None or reads > MAX_PAYOFF_READS:
+    if deviations and (reads is None or reads > MAX_PAYOFF_READS):
         count = "" if reads is None else f" {equals} {_count_text(reads)}"
         raise _over_cap(
             f"the deviation checks on {size} read {w}^n x n x (1 + n x {step}){count} "
@@ -303,12 +316,14 @@ def _check_verify_size(n: int, width: int, anonymous: bool, at_least: bool = Fal
                 f"an anonymity check on {size} reads {w}^n x (n! - 1){count} "
                 "relabeled profiles", cap
             )
-    # past the payoff check, width is 1 or n is below 25
-    amounts = width**n * n
-    if amounts > MAX_TABULATED_AMOUNTS:
+    # two levels at n = 21 hold over the cap already, so width^n is taken below that
+    over = width > 1 and n >= MAX_TABULATED_AMOUNTS.bit_length()
+    amounts = None if over else width**n * n
+    if amounts is None or amounts > MAX_TABULATED_AMOUNTS:
+        count = "" if amounts is None else f" {equals} {_count_text(amounts)}"
         raise _over_cap(
-            f"the tabulation on {size} holds {w}^n x n {equals} {_count_text(amounts)} "
-            "profile amounts", MAX_TABULATED_AMOUNTS
+            f"the tabulation on {size} holds {w}^n x n{count} profile amounts",
+            MAX_TABULATED_AMOUNTS,
         )
 
 

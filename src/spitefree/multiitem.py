@@ -45,7 +45,6 @@ from .verifier import (
     _lcm_of_denominators,
     _Rows,
     _scaled,
-    _steps,
     domain_strides,
 )
 
@@ -430,9 +429,9 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     else:
         strides = domain_strides(domains)
         flat = sum(k * s for k, s in zip(truth, strides))
-        flats = [flat]
-        for steps, k in zip(_steps(kinds), truth):
-            flats += [flat + step for step in steps[k]]
+        flats = [flat]  # and each agent's line through it, less her entries equal to her truth
+        for ints, k, stride in zip(kinds, truth, strides):
+            flats += [flat + (d - k) * stride for d, kind in enumerate(ints) if kind != ints[k]]
         profiles = [
             (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
             for f in flats

@@ -8,15 +8,20 @@ classic witnesses (bid exactly at a threshold, bid just above) exist.
 The IC, SIC and ESIC clauses are stated once, as one classification of
 a deviation that `deviation_clause` reads.  They are nested: ESIC fails
 wherever SIC does, and SIC wherever IC does.  `deviation_check` walks
-any product of per-agent domains and classifies each deviation once, so
-the single-item checks, the multi-item checks and witness replay share
-the clauses.  The walk keeps the first failure of each of the three that
-it meets, and a lattice keeps what its walks found
+any product of per-agent domains line by line: a line lets one agent's
+report run over her domain while the others' stay fixed, its outcomes
+are read once and split into runs of equal outcomes, and each truthful
+position is classified once against each other run.  The single-item
+checks, the multi-item checks, the sweep's line verdicts and witness
+replay share the clauses.  A property's first failure, and its count, are
+those of the deviation-by-deviation order: profiles, then agents, then
+deviations.  The walk keeps the first failure of each of the three that
+it finds, and a lattice keeps what its walks found
 (`_Lattice.deviations`): IC, SIC and ESIC asked for in that order, as
 `verify` asks by default, take one walk of one lattice.  A walk stops at
-its own check's first failure, so a check whose first failure may lie
-further on walks again: SIC or IC asked for after ESIC failed, IC after
-SIC failed.
+the first line that starts after its own check's first failure, so a
+check whose first failure may lie further on walks again: SIC or IC
+asked for after ESIC failed, IC after SIC failed.
 
 Every check compares Python ints on a `_Lattice`: each agent's domain
 as ints and the outcomes with every amount times a common denominator
@@ -27,10 +32,11 @@ D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 everyone's payoff times D there (`_Lattice.rows`): at each agent's bid
 on a grid, where one tuple is shared by every profile with the same
 outcome and winner's bid, and on a bundle lattice at each agent's bid
-or, given a truth, at everyone's truth.  IR reads the truthful rows,
-and the deviation walk the truthful row and the others' entries of the
-moved profile's row, so a deviation that changes the outcome costs one
-`utility` call, the deviator's payoff at her truth.  The public
+or, given a truth, at everyone's truth.  IR judges each distinct
+truthful row once, and the deviation walk reads the truthful row and
+the others' entries of the row at a run's first position, so each pair
+of a truthful position and another run costs one `utility` call, the
+deviator's payoff at her truth.  The public
 `ir_check` and `deviation_check` build rows from ``utility`` for the
 profiles they read.  Ints compare exactly as the fractions do, so
 verdicts, checked counts and first witnesses are those of the
@@ -51,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import methodcaller
+from operator import methodcaller, ne
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -178,10 +184,13 @@ class _Lattice:
     def deviations(self, prop: Property) -> _Finding:
         """The finding of ``prop`` (IC, SIC or ESIC), walking only if it is not known.
 
-        A walk keeps every finding it reaches (see `_deviation_findings`),
-        so IC, SIC and ESIC share one walk when IC is asked for first.  A
-        walk that stopped at an earlier failure leaves the later ones
-        unknown: SIC or IC after ESIC failed, IC after SIC failed.
+        The walk reads the lattice line by line, or with a ``truth`` only
+        the n lines through it, and keeps every finding it reaches (see
+        `_deviation_findings`), so IC, SIC and ESIC share one walk when IC
+        is asked for first.  A walk stops at the first line that starts
+        after ``prop``'s first failure, which leaves the later properties
+        unknown unless the same deviation broke them: SIC or IC after ESIC
+        failed, IC after SIC failed.
         """
         if prop not in self._found:
             self._found.update(
@@ -364,14 +373,25 @@ def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
 
 
 def _ir_finding(domains, rows, truth) -> _Finding:
-    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent."""
-    checked = 0
-    for flat, _, _ in _truthful_points(domains, domain_strides(domains), truth):
-        for i, u in enumerate(rows[flat]):
-            checked += 1
-            if u < 0:
-                return _Finding(Property.IR, checked, flat, i, note="truthful payoff is negative")
-    return _Finding(Property.IR, checked)
+    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent.
+
+    A row object shared by many profiles (a grid lattice interns them) is
+    judged once; the witness is the first negative entry of the first
+    truthful profile whose row has one.
+    """
+    n = len(domains)
+    if truth is None:
+        flats = range(math.prod(map(len, domains)))
+    else:
+        flats = [sum(k * s for k, s in zip(truth, domain_strides(domains)))]
+    read = list(map(rows.__getitem__, flats))
+    keys = list(map(id, read))
+    negative = {key for key, row in dict(zip(keys, read)).items() if min(row) < 0}
+    if not negative:
+        return _Finding(Property.IR, n * len(flats))
+    k = next(k for k, key in enumerate(keys) if key in negative)
+    i = next(j for j, u in enumerate(read[k]) if u < 0)
+    return _Finding(Property.IR, n * k + i + 1, flats[k], i, note="truthful payoff is negative")
 
 
 class _Rows(dict):
@@ -409,81 +429,180 @@ class _Seen:
         return out
 
 
-def _steps(domains) -> list[list[list[int]]]:
-    """``[i][v]``: flat-index steps from agent i's v-th value to her reports of other values."""
-    steps = []
-    for dom, stride in zip(domains, domain_strides(domains)):
-        first: dict = {}
-        kinds = [first.setdefault(value, k) for k, value in enumerate(dom)]
-        steps.append([
-            [(d - v) * stride for d, kind in enumerate(kinds) if kind != truth]
-            for v, truth in enumerate(kinds)
-        ])
-    return steps
-
-
 def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _Finding:
     """First deviation that breaks ``prop`` (IC, SIC or ESIC), over truthful profiles.
 
-    Inputs are those of `ir_check`.  Every agent may report any value of
-    her domain that differs from her truth; profiles, then agents, then
-    deviations are taken in order, and the walk stops at the first one
-    that breaks ``prop`` (see `_deviation_findings`).  Each outcome is
-    read once per visit, and payoff rows are built only for the
-    profiles the walk compares.
+    Inputs are those of `ir_check`; equal entries of a domain must give
+    equal outcomes.  Every agent may report any value of her domain that
+    differs from her truth; the first failure is the first in the order
+    of profiles, then agents, then deviations, and its count is the
+    number of deviations up to it in that order (see
+    `_deviation_findings`).  Outcomes are read line by line, and payoff
+    rows are built only for the profiles the walk compares.
     """
     seen = _Seen(outcomes)
     rows = _Rows(domains, seen.kept, utility)
     return _deviation_findings(prop, domains, seen, rows, utility, truth)[prop]
 
 
-def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None, steps=None) -> dict:
+def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> dict:
     """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
 
-    ``rows`` are the payoff rows of ``outcomes`` (see `_Lattice`).  Each
-    deviation that changes the outcome without lowering the deviator's
-    payoff is classified once (`_broken`), from her payoff at her truth
-    and the rows of the two profiles, and the first to break each
-    property is kept with the count of deviations so far.  The failures
-    are nested, so they come in the order ESIC, SIC, IC, and the walk
-    stops once ``stop`` has failed; a property it did not reach is
-    missing.  If the walk ends, every property still standing passes
-    with the total count.  ``steps`` is `_steps` of ``domains``.
+    ``rows`` are the payoff rows of ``outcomes`` (see `_Lattice`).  The
+    walk reads the lattice line by line (see `_line_starts`), lines in
+    order of their first profile, or with a ``truth`` the n lines through
+    it; each line's outcomes are read once, and `_line_breaks` classifies
+    its deviations run by run.  A property's first failure is the least
+    of the deviations found to break it in the order of profiles, then
+    agents, then deviations, and its count is the number of deviations up
+    to it in that order, taken in closed form (`_deviations_up_to`).  The
+    failures are nested, so they come in the order ESIC, SIC, IC.  No
+    line that starts after ``stop``'s first failure holds an earlier
+    one, so the walk stops at the first such line; the findings are then
+    those of the properties that fail no later than ``stop`` does, and a
+    later property is missing.  If ``stop`` never fails, every property
+    still standing passes with the total count.
     """
-    n = len(domains)
     strides = domain_strides(domains)
-    if steps is None:
-        steps = _steps(domains)
     goal = _NESTED.index(stop) + 1
-    failed = 0  # the first ``failed`` of `_NESTED` have failed
+    # per property of `_NESTED`: (flat, agent, position, moved, broken) of its first failure so far
+    best = [None, None, None]
+    if truth is None:
+        lines = _lines_in_order(tuple(map(len, domains)))
+    else:
+        at = sum(k * s for k, s in zip(truth, strides))
+        out_truth = outcomes[at]
+        lines = [(at - k * s, i) for i, (k, s) in enumerate(zip(truth, strides))]
+    # per agent: her domain, stride, a line's span of flat indices, and her truthful positions
+    shapes = [
+        (dom, s, len(dom) * s, range(len(dom)) if truth is None else range(truth[j], truth[j] + 1))
+        for j, (dom, s) in enumerate(zip(domains, strides))
+    ]
+    sliced = type(outcomes) is tuple
+    for start, i in lines:
+        dom, stride, span, truths = shapes[i]
+        floor = 0  # properties whose first failure so far comes before the line's
+        if best[0] is not None:
+            lead = (start + truths.start * stride, i)  # the line's first truthful profile
+            while floor < 3 and best[floor] is not None and best[floor][:2] < lead:
+                floor += 1
+            if floor >= goal:
+                if truth is None and start > best[goal - 1][0]:
+                    break
+                continue
+        flats = range(start, start + span, stride)
+        if truth is not None:
+            # an entry equal to her truth's is not tabulated, and gives the truth's outcome
+            own = dom[truths.start]
+            outs = [out_truth if v == own else outcomes[f] for v, f in zip(dom, flats)]
+        elif sliced:
+            outs = outcomes[start : start + span : stride]
+        else:
+            outs = [outcomes[f] for f in flats]
+        if outs.count(outs[0]) == len(outs):
+            continue  # one run: no deviation on the line changes the outcome
+        for t, r, broken in _line_breaks(i, outs, flats, rows, dom, utility, truths, floor, goal):
+            key = (flats[t], i, r)
+            for p in range(floor, broken):
+                if best[p] is None or key < best[p][:3]:
+                    best[p] = (*key, flats[r], broken)
+            floor = broken
     found = {}
-    checked = 0
-    for flat, digits, values in _truthful_points(domains, strides, truth):
-        out_v = outcomes[flat]
-        before = None  # the truthful row, read once some deviation changes the outcome
-        for i in range(n):
-            for step in steps[i][digits[i]]:
-                checked += 1
-                moved = flat + step
-                out_b = outcomes[moved]
-                if out_b is out_v or out_b == out_v:
-                    continue
-                if before is None:
-                    before = rows[flat]
-                own = utility(out_b, i, values[i])
-                if own < before[i] or (failed >= 2 and own == before[i]):
-                    continue  # it breaks nothing still standing
-                broken = _broken(i, before, own, rows[moved])
-                if broken > failed:
-                    for prop in _NESTED[failed:broken]:
-                        note = _clause(prop, broken)
-                        found[prop] = _Finding(prop, checked, flat, i, moved, note=note)
-                    failed = broken
-                    if failed >= goal:
-                        return found
-    for prop in _NESTED[failed:]:
-        found[prop] = _Finding(prop, checked)
+    stopped = best[goal - 1]
+    total = _deviations_up_to(domains, truth) if stopped is None else None
+    for p, prop in enumerate(_NESTED):
+        hit = best[p]
+        if hit is None:
+            if stopped is None:
+                found[prop] = _Finding(prop, total)
+        elif p < goal or hit == stopped:
+            flat, agent, position, moved, broken = hit
+            checked = _deviations_up_to(domains, truth, flat, agent, position)
+            found[prop] = _Finding(prop, checked, flat, agent, moved, note=_clause(prop, broken))
     return found
+
+
+def _line_breaks(i, outs, flats, rows, values, utility, truths: range, floor, goal) -> list:
+    """The first deviations on one line of agent ``i`` to break each of `_NESTED` past ``floor``.
+
+    At the line's k-th position, profile ``flats[k]``, agent i reports
+    ``values[k]`` and the outcome is ``outs[k]``; ``rows`` holds the payoff
+    rows by flat index.  The line's outcomes split into runs of equal
+    outcomes, two or more (a caller skips a line of one run, where no
+    deviation changes the outcome).  Each position in
+    ``truths`` is classified (`_broken`) once against each run whose
+    outcome differs from its own, at the run's first position: only agent
+    i's report moves, so the others' payoffs after the move and her own at
+    her truth depend on the moved outcome alone.  Positions, then runs,
+    are taken in order, which is the order of deviations on the line.
+    Returns (truthful position, moved position, broken) for each
+    classification that breaks more of `_NESTED` than any before it on
+    the line and more than ``floor``, stopping at the first that breaks
+    ``goal`` of them.
+    """
+    width = len(outs)
+    starts = [0, *itertools.compress(range(1, width), map(ne, outs[1:], outs))]
+    runs = list(zip(starts, map(outs.__getitem__, starts)))
+    found = []
+    for t in truths:
+        out_t, before = outs[t], rows[flats[t]]
+        value, mine = values[t], before[i]
+        for r, out_r in runs:
+            if out_r is not out_t and out_r != out_t:
+                own = utility(out_r, i, value)
+                if own < mine:
+                    continue
+                if own > mine:
+                    broken = 3
+                elif floor >= 2:
+                    continue  # a payoff-neutral move breaks nothing past SIC
+                else:
+                    broken = _broken(i, before, own, rows[flats[r]])
+                if broken > floor:
+                    found.append((t, r, broken))
+                    floor = broken
+                    if broken >= goal:
+                        return found
+    return found
+
+
+def _deviations_up_to(domains, truth, flat=None, agent=None, position=None) -> int:
+    """How many deviations come up to ``agent``'s report of ``position`` at profile ``flat``.
+
+    Profiles, then agents, then deviations: every deviation at each
+    truthful profile before ``flat``, every one of each agent before
+    ``agent`` at ``flat``, and hers up to ``position`` in her domain.  With
+    ``flat`` None, every deviation.  An agent deviates to each entry that
+    differs from her truth, so the count subtracts each entry's repeats.
+    """
+    end = math.prod(map(len, domains)) if flat is None else flat
+    count = 0
+    for j, (dom, stride) in enumerate(zip(domains, domain_strides(domains))):
+        width = len(dom)
+        tally = None if len(set(dom)) == width else Counter(dom)
+        repeats = [1] * width if tally is None else list(map(tally.__getitem__, dom))
+        if truth is None:
+            # the profiles before ``end``: whole cycles of her domain, whole entries, and a part
+            cycles, rest = divmod(end, stride * width)
+            whole, part = divmod(rest, stride)
+            same = stride * (cycles * sum(repeats) + sum(repeats[:whole])) + part * repeats[whole]
+            count += end * width - same
+        if flat is None:
+            if truth is not None:
+                count += width - repeats[truth[j]]
+        elif j < agent:
+            count += width - repeats[flat // stride % width]
+        elif j == agent:
+            own = dom[flat // stride % width]
+            count += sum(1 for v in dom[: position + 1] if v != own)
+    return count
+
+
+# one entry per lattice shape; a posted-price pass checks about a dozen
+@lru_cache(maxsize=32)
+def _lines_in_order(widths: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(first flat index, agent) of every line of a lattice of these widths, in that order."""
+    return tuple(sorted((start, i) for i, start, _ in _line_starts(widths)))
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
@@ -602,7 +721,7 @@ def _payment_checks(domains, outcomes) -> tuple[_Finding, _Finding, _Finding]:
             checked1 += 1
             if out.winner != i + 1 and out.payments[i] != 0 and part1 is None:
                 part1 = (flat, i)
-    for i, start, stride in _line_starts(len(levels), n):
+    for i, start, stride in _line_starts((len(levels),) * n):
         column = outcomes[start : start + len(levels) * stride : stride]
         for d1, d2 in itertools.combinations(range(len(levels)), 2):
             o1, o2 = column[d1], column[d2]
@@ -886,36 +1005,20 @@ def enumerate_ir_ic_mechanisms(grid: Grid, n: int, max_tables: int = 1_000_000):
     yield from _Walk(grid, n, max_tables).every_table()
 
 
-def _line_starts(width: int, n: int):
-    """(agent, first flat index, stride) of every line of a ``width^n`` lattice.
+def _line_starts(widths):
+    """(agent, first flat index, stride) of every line of a lattice with these per-agent widths.
 
-    A line lets one agent's bid run over the ``width`` levels while the
-    others' bids stay fixed; it starts where her level index is 0.  Lines
-    come agent by agent, the others' levels in flat order.  The
-    payment-structure checks read each agent's payments along them, at
-    one step per line, so a one-level grid costs n steps, not n^2.
+    A line lets one agent's report run over her domain while the others'
+    stay fixed; it starts where her domain index is 0.  Lines come agent
+    by agent, the others' indices in flat order.  The payment-structure
+    checks read each agent's payments along them, at one step per line,
+    so a one-level grid costs n steps, not n^2.
     """
-    total = width**n
-    for i, stride in enumerate(domain_strides((range(width),) * n)):
-        for block in range(0, total, stride * width):
+    total = math.prod(widths)
+    for i, stride in enumerate(domain_strides([range(w) for w in widths])):
+        for block in range(0, total, stride * widths[i]):
             for start in range(block, block + stride):
                 yield i, start, stride
-
-
-def _agent_lines(levels, n: int):
-    """(agent, first flat index, stride, domains) of every line of ``levels^n``.
-
-    The lines of `_line_starts`, each with domains that give the others
-    their fixed level alone.  The sweep judges SIC on them.
-    """
-    width = len(levels)
-    strides = domain_strides((levels,) * n)
-    return [
-        (i, start, stride, tuple(
-            levels if j == i else (levels[start // s % width],) for j, s in enumerate(strides)
-        ))
-        for i, start, stride in _line_starts(width, n)
-    ]
 
 
 class _Sweep(_Walk):
@@ -923,11 +1026,8 @@ class _Sweep(_Walk):
 
     def __init__(self, grid: Grid, n: int, max_tables: int) -> None:
         super().__init__(grid, n, max_tables)
-        lines = _agent_lines(self.keyed.domains[0], n)
-        # agent i's lines share one domain, hers and the others' singletons; her first starts at 0
-        self.steps = {i: _steps(domains) for i, start, _, domains in lines if start == 0}
         self.lines_at = [[] for _ in range(self.total)]  # by the line's last profile
-        for line in lines:
+        for line in _line_starts((self.width,) * n):
             self.lines_at[line[1] + (self.width - 1) * line[2]].append(line)
         self.line_verdicts: dict[tuple, bool] = {}
         # the SIC tables per recognized spec: tables that differ only at boundary profiles share one
@@ -957,8 +1057,8 @@ class _Sweep(_Walk):
                 self.walk(flat + 1, passes, now)
 
     def line_passes(self, line) -> bool:
-        """Whether the finished line passes SIC, judged once per distinct line."""
-        i, start, stride, domains = line
+        """Whether the finished line passes SIC, judged once per distinct line (`_line_breaks`)."""
+        i, start, stride = line
         keys = tuple(self.keys[self.pad + start : self.pad + start + self.width * stride : stride])
         verdict = self.line_verdicts.get((i, start, keys))
         if verdict is None:
@@ -967,10 +1067,11 @@ class _Sweep(_Walk):
             flats = range(start, start + self.width * stride, stride)
             table, base = self.keyed.rows, self.base
             rows = [table[key][self.digits[f][key % base - 1]] for f, key in zip(flats, keys)]
-            found = _deviation_findings(
-                Property.SIC, domains, outcomes, rows, payoff, None, self.steps[i]
+            positions = range(self.width)
+            bids = self.keyed.domains[0]
+            verdict = outcomes.count(outcomes[0]) == self.width or not _line_breaks(
+                i, outcomes, positions, rows, bids, payoff, positions, 1, 2
             )
-            verdict = found[Property.SIC].flat is None
             self.line_verdicts[i, start, keys] = verdict
         return verdict
 
@@ -1004,13 +1105,13 @@ def characterization_experiment(
     once per distinct form.
 
     The sweep walks the IR + IC tables in encoding order and decides, as
-    it goes, whether every finished line (see `_agent_lines`) passes SIC
+    it goes, whether every finished line (see `_line_starts`) passes SIC
     and whether every winner pays one price.  A deviation changes one
     agent's bid, so a table is SIC exactly when each of its lines is; each
-    distinct line is judged by `deviation_check` once per sweep, on the
-    grid's integer lattice.  A table that charges some agent two prices is
-    not threshold form, so the walk prunes a node that has failed SIC and
-    has such an agent.  Every walked table that charges each winner one
+    distinct line is judged by the deviation kernel's line classifier
+    (`_line_breaks`) once per sweep, on the grid's integer lattice.  A
+    table that charges some agent two prices is not threshold form, so
+    the walk prunes a node that has failed SIC and has such an agent.  Every walked table that charges each winner one
     price is recognized from level indices by `recognize_on_signs`; a
     walked SIC table that does not is a mismatch at once.  A
     `MechanismTable` is built only to report a mismatch.  It raises

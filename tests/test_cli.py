@@ -232,15 +232,20 @@ def test_single_item_files_of_2_to_the_20_agents_exit_3_before_their_lists_are_r
         "the deviation checks on a grid of L >= 2 levels at n=1048576 read "
         "L^n x n x (1 + n x (L - 1)) payoffs, over the cap of 20000000"
     )
+    # without ic, sic or esic no payoff-read cap applies, and anonymity's binds
+    anonymity_at_least_two = (
+        "an anonymity check on a grid of L >= 2 levels at n=1048576 reads L^n x (n! - 1) "
+        "relabeled profiles, over the cap of 1000000"
+    )
     for k, (text, options, message) in enumerate((
         (threshold, ["--grid", "5", "--props", "anonymous"], anonymity),
         (table, ["--grid", "5", "--props", "anonymous"], anonymity),
         (malformed, ["--grid", "5", "--props", "anonymous"], anonymity),
-        (threshold, ["--props", "anonymous"], at_least_two),
+        (threshold, ["--props", "anonymous"], anonymity_at_least_two),
         (threshold, [], at_least_two),
         (infinite, ["--props", "anonymous"], at_least_one),
         (table, ["--props", "anonymous"], anonymity),
-        (malformed, ["--props", "anonymous"], at_least_two),
+        (malformed, ["--props", "anonymous"], anonymity_at_least_two),
     )):
         spec = write(tmp_path, f"big{k}.spec", text)
         code, out, err = run_cli("verify", "--spec", spec, *options)
@@ -266,6 +271,25 @@ def test_a_sequential_file_of_2_to_the_20_agents_exits_3_before_its_lists_are_re
     assert err == (
         "error: the built-in domain has C(3 + 2, 2) = 10 valuations per agent, so 10^n profiles "
         "and 10^n x n x (1 + n x 9) payoff reads at n=1048576, over the cap of 20000000\n"
+    )
+
+
+def test_the_payoff_read_cap_binds_only_on_deviation_checks(tmp_path):
+    # 10^5 x 5 x (1 + 5 x 9) = 23 million payoff reads, over the cap; efficiency reads none
+    spec = write(tmp_path, "second5.spec", "kind: second_price\nn: 5\n")
+    grid = ",".join(map(str, range(10)))
+    code, out, _ = run_cli("verify", "--spec", spec, "--grid", grid, "--props", "efficient")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["reports"][0]["checked_count"] == 10**5
+    code, out, err = run_cli("verify", "--spec", spec, "--grid", grid, "--props", "efficient,sic")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "= 23000000 payoffs, over the cap of 20000000" in err
+    # without the payoff check, an n too large to raise two levels to is refused all the same
+    with pytest.raises(BudgetExceededError) as caught:
+        cli._check_verify_size(10**9, 2, False, deviations=False)
+    assert str(caught.value) == (
+        "the tabulation on a 2-level grid at n=1000000000 holds 2^n x n profile amounts, "
+        "over the cap of 1048576"
     )
 
 
@@ -373,7 +397,7 @@ def test_enumerate_at_the_walk_cap_runs_to_its_budget():
 )
 def test_an_oversized_enumerate_grid_exits_3_before_any_work(grid, n, count, monkeypatch):
     monkeypatch.setattr(verifier._Walk, "__init__", _never)
-    monkeypatch.setattr(verifier, "_agent_lines", _never)
+    monkeypatch.setattr(verifier, "_line_starts", _never)
     code, out, err = run_cli("enumerate", "--grid", grid, "--n", n, "--budget", "5")
     assert (code, out) == (EXIT_BUDGET, "")
     assert f"at n={n} has {count} profiles, over the IR+IC walk's cap of 512" in err
@@ -381,7 +405,7 @@ def test_an_oversized_enumerate_grid_exits_3_before_any_work(grid, n, count, mon
 
 def test_an_enumerate_sweep_over_the_relabeling_cap_exits_3_before_any_work(monkeypatch):
     monkeypatch.setattr(verifier._Walk, "__init__", _never)
-    for name in ("_agent_lines", "_anonymity_check"):
+    for name in ("_line_starts", "_anonymity_check"):
         monkeypatch.setattr(verifier, name, _never)
     code, out, err = run_cli("enumerate", "--grid", "0,1", "--n", "9", "--budget", "5")
     assert (code, out) == (EXIT_BUDGET, "")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spitefree import verifier
+from spitefree import multiitem, verifier
 from spitefree.core import (
     DomainMismatchError,
     Grid,
@@ -190,9 +191,8 @@ def _reference_lines(levels, n):
 @pytest.mark.parametrize("width, n", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3), (4, 2), (5, 3)])
 def test_line_starts_are_the_agent_lines_without_their_domains(width, n):
     levels = tuple(F(k, 2) for k in range(width))
-    lines = verifier._agent_lines(levels, n)
-    assert lines == list(_reference_lines(levels, n))
-    assert list(verifier._line_starts(width, n)) == [line[:3] for line in lines]
+    lines = list(_reference_lines(levels, n))
+    assert list(verifier._line_starts((width,) * n)) == [line[:3] for line in lines]
 
 
 def test_payment_checks_on_one_level_hold_amounts_linear_in_the_agents():
@@ -565,19 +565,155 @@ class _ReadRecording:
 
 @pytest.mark.parametrize("prop", [Property.SIC, Property.ESIC])
 def test_a_lone_check_stops_at_its_witness(prop):
-    """Each truthful profile is read, then each of its deviations; nothing after the witness."""
+    """Each line is read once, in order of its first profile; none starts after the witness."""
     lattice = verifier._tabulation(SecondPriceMechanism(2), GRID012)
     outcomes = _ReadRecording(lattice.outcomes)
     found = verifier.deviation_check(prop, lattice.domains, outcomes, verifier.payoff)
-    assert found.flat is not None
-    walk = []  # (truth, agent, read) in the order of the definitions
-    for flat, (d0, d1) in enumerate(itertools.product(range(3), repeat=2)):
-        walk.append((flat, None, flat))
-        walk += [(flat, 0, flat + (d - d0) * 3) for d in range(3) if d != d0]
-        walk += [(flat, 1, flat + d - d1) for d in range(3) if d != d1]
-    stop = walk.index((found.flat, found.agent, found.other)) + 1
-    assert outcomes.reads == [read for *_, read in walk[:stop]]
-    assert len(outcomes.reads) < len(walk)
+    assert (found.flat, found.agent, found.other) == (2, 0, 5)
+    # agent 1's lines step the flat index by 3, agent 2's by 1; they start at profiles
+    # 0, 0 (agent 2), 1, 2, 3 (agent 2) and 6 (agent 2), and the last two start after 2
+    assert outcomes.reads == [0, 3, 6, 0, 1, 2, 1, 4, 7, 2, 5, 8]
+
+
+def _walked_findings(stop, domains, outcomes, rows, utility, truth=None):
+    """The slow reference path of `verifier._deviation_findings`: profile -> agent -> deviation.
+
+    Every deviation to an entry that differs from the deviator's truth is
+    classified in turn, whether or not it changes the outcome, and the
+    first to break each of ESIC, SIC and IC is kept with the count so
+    far; the walk stops once ``stop`` has failed.
+    """
+    nested = (Property.ESIC, Property.SIC, Property.IC)
+    strides = verifier.domain_strides(domains)
+    goal = nested.index(stop) + 1
+    failed, found, checked = 0, {}, 0
+    points = [truth] if truth is not None else itertools.product(*map(range, map(len, domains)))
+    for digits in points:
+        flat = sum(k * s for k, s in zip(digits, strides))
+        for i, (dom, k) in enumerate(zip(domains, digits)):
+            for d, value in enumerate(dom):
+                if value == dom[k]:
+                    continue
+                checked += 1
+                moved = flat + (d - k) * strides[i]
+                own = utility(outcomes[moved], i, dom[k])
+                broken = verifier._broken(i, rows[flat], own, rows[moved])
+                for prop in nested[failed:broken]:
+                    note = verifier._clause(prop, broken)
+                    found[prop] = verifier._Finding(prop, checked, flat, i, moved, note=note)
+                failed = max(failed, broken)
+                if failed >= goal:
+                    return found
+    for prop in nested[failed:]:
+        found[prop] = verifier._Finding(prop, checked)
+    return found
+
+
+def _assert_line_walk_is_the_reference(lattice):
+    """The kernel's findings equal the slow walk's for each stop property; returns the failures."""
+    failures = 0
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility, lattice.truth)
+    for stop in (Property.ESIC, Property.SIC, Property.IC):
+        found = verifier._deviation_findings(stop, *args)
+        assert found == _walked_findings(stop, *args), (stop, lattice.originals)
+        failures += found[stop].flat is not None
+    return failures
+
+
+def _table_of_fresh_outcomes(grid, n, rng):
+    """A seeded table whose equal outcomes are distinct objects: few winners and prices."""
+    outcomes = []
+    for profile in enumerate_profiles(grid, n):
+        winner = rng.randrange(n + 1)
+        payments = [F(0)] * n
+        if winner:
+            payments[winner - 1] = rng.choice(grid.levels[:2])
+        outcomes.append(Outcome(winner, tuple(payments)))
+    return MechanismTable(grid, n, tuple(outcomes))
+
+
+def _bundle_cases(seed):
+    """(allocator, domains) on two items; one agent's domain repeats an equal valuation."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 2, 3))
+    def amount():
+        return F(rng.randint(0, 6), rng.randint(1, 3))
+
+    def valuation():
+        return multiitem.BundleValuation.from_map(2, {m: amount() for m in (1, 2, 3)})
+
+    domains = [[valuation() for _ in range(rng.randint(1, 3))] for _ in range(n)]
+    repeated = domains[rng.randrange(n)]
+    original = rng.choice(repeated)
+    repeated.insert(rng.randint(0, len(repeated)), multiitem.BundleValuation(2, original.values))
+    ranking = tuple(rng.sample(range(1, n + 1), n))
+    sequential = multiitem.SequentialSpec(ranking, tuple(amount() for _ in range(n)))
+    cluster = multiitem.ClusterSpec(
+        2, ranking, tuple((0, amount(), amount(), amount()) for _ in range(n))
+    )
+    allocators = (
+        functools.partial(multiitem.sequential_allocate_general, sequential),
+        functools.partial(multiitem.cluster_allocate, cluster),
+    )
+    return allocators, tuple(map(tuple, domains))
+
+
+def _free_item_at_two(bids):
+    """Agent 1 takes the one item for nothing when she reports it worth 2 or more."""
+    return multiitem.MultiOutcome((int(bids[0].of_bundle(1) >= 2), 0), (F(0), F(0)))
+
+
+def test_the_line_walk_matches_the_profile_walk():
+    """Findings dicts, keys and values, equal the slow walk's for every stop property."""
+    rng = random.Random(23)
+    failures = 0
+    for n in (2, 3, 4):
+        for _ in range(4 if n < 4 else 2):
+            ranking = tuple(rng.sample(range(1, n + 1), n))
+            pool = [F(0), F(1, 2), F(1), F(3, 2), F(2), INFINITY]
+            thresholds = tuple(rng.choice(pool) for _ in range(n))
+            spec = ThresholdSpec(ranking, thresholds, rng.choice(list(BoundaryRule)))
+            grid = closure_for_thresholds(spec.thresholds, base=GRID012.levels)
+            failures += _assert_line_walk_is_the_reference(verifier._tabulation(spec, grid))
+    grids = (GRID012, Grid.from_text("0,1/2,1,3"))
+    price_rules = (FirstPriceMechanism, SecondPriceMechanism)
+    for factory, n, grid in itertools.product(price_rules, (2, 3), grids):
+        failures += _assert_line_walk_is_the_reference(verifier._tabulation(factory(n), grid))
+    for table in enumerate_ir_ic_mechanisms(GRID012, 2):
+        failures += _assert_line_walk_is_the_reference(verifier._tabulation(table, GRID012))
+    for k in range(60):
+        table = _table_of_fresh_outcomes(GRID012, 2 + k % 2, rng)
+        failures += _assert_line_walk_is_the_reference(verifier._tabulation(table, GRID012))
+    for seed in range(12):
+        allocators, domains = _bundle_cases(seed)
+        for allocate in allocators:
+            truths = [None, *itertools.product(*map(range, map(len, domains)))]
+            for truth in truths:
+                lattice = multiitem._bundle_lattice(allocate, domains, truth)
+                failures += _assert_line_walk_is_the_reference(lattice)
+    # agent 1 gains by reporting ``high``, past a copy of her truth when it is ``low``
+    low, high = (multiitem.BundleValuation.from_map(1, {1: v}) for v in (1, 2))
+    domains = ((low, multiitem.BundleValuation(1, low.values), high), (low, high))
+    for truth in [None, *itertools.product(range(3), range(2))]:
+        lattice = multiitem._bundle_lattice(_free_item_at_two, domains, truth)
+        failures += _assert_line_walk_is_the_reference(lattice)
+    assert failures > 500
+
+
+def test_a_one_agent_walk_holds_memory_linear_in_the_levels():
+    # listing each position's W - 1 deviations at once held W x (W - 1) flat-index
+    # steps: 155 MB of process memory at 2 000 levels, and four times that at 4 000
+    levels = 4_000
+    lattice = verifier._tabulation(ThresholdSpec((1,), (F(1),)), Grid(tuple(range(levels))))
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+    tracemalloc.start()
+    try:
+        found = verifier._deviation_findings(Property.IC, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found[Property.IC] == verifier._Finding(Property.IC, levels * (levels - 1))
+    assert peak < 100 * levels
 
 
 @settings(max_examples=200)
@@ -1002,7 +1138,7 @@ def test_enumeration_refuses_an_oversized_walk_before_any_work(monkeypatch):
         raise AssertionError("an oversized walk started")
 
     monkeypatch.setattr(verifier._Walk, "__init__", never)
-    monkeypatch.setattr(verifier, "_agent_lines", never)
+    monkeypatch.setattr(verifier, "_line_starts", never)
     # a one-level grid counts as two: 2^10 profiles; an n of 10^9 is not raised to
     for grid, n in ((Grid.from_text("0,1,2"), 6), (Grid.from_text("0"), 10), (Grid.from_text("0,1"), 10**9)):
         with pytest.raises(BudgetExceededError, match="over the IR[+]IC walk's cap of 512"):
@@ -1018,7 +1154,7 @@ def test_the_sweep_refuses_unbounded_anonymity_work_before_any_work(monkeypatch)
         raise AssertionError("a sweep over the relabeling cap started")
 
     monkeypatch.setattr(verifier._Walk, "__init__", never)
-    for name in ("_agent_lines", "_anonymity_check"):
+    for name in ("_line_starts", "_anonymity_check"):
         monkeypatch.setattr(verifier, name, never)
     # each grid is under the walk cap; a closure adds the level 0 to the grid
     for grid, n, reads in (
