@@ -12,7 +12,8 @@ a `regions` price list that leaves a bundle out), 3 the input's size,
 estimated or counted before any work, is over a cap: for `verify` the
 L^n x n x (1 + n(L - 1)) payoff reads of the deviation checks on L
 levels against `MAX_PAYOFF_READS` when ic, sic or esic is asked for,
-with ``anonymous`` the
+with ``payments`` the L^n x n x (L - 1) / 2 bid pairs the payment checks
+compare against the same cap, with ``anonymous`` the
 L^n x (n! - 1) relabeled profiles against the sweep's million, and the
 L^n x n tabulated amounts against `MAX_TABULATED_AMOUNTS`, for
 `enumerate` a grid of more than 512 profiles, anonymity checks of more
@@ -250,10 +251,7 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
             grid = grid_for(kind, domain if isinstance(domain, Grid) else None)
             props = parsed_props()
             width = domain if grid is None else len(grid)
-            deviations = _asks_for_deviations(props)
-            _check_verify_size(
-                n, width, "anonymous" in props, at_least=grid is None, deviations=deviations
-            )
+            _check_verify_size(n, width, props, at_least=grid is None)
 
     loaded = load_spec(args.spec, check_agents)
     if loaded.kind in MULTI_ITEM_KINDS:
@@ -265,8 +263,7 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     if grid is None:
         grid = closure_for_thresholds(mechanism.thresholds)
     props = parsed_props()
-    deviations = _asks_for_deviations(props)
-    _check_verify_size(mechanism.n, len(grid), "anonymous" in props, deviations=deviations)
+    _check_verify_size(mechanism.n, len(grid), props)
     reports = []
     for name in props:
         if name == "payments":
@@ -277,29 +274,25 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     return _check_report(args, loaded, settings, {}, reports)
 
 
-def _asks_for_deviations(props) -> bool:
-    """Whether ``props`` asks for a deviation check: ic, sic or esic."""
-    return not {"ic", "sic", "esic"}.isdisjoint(props)
+def _check_verify_size(n: int, width: int, props, at_least: bool = False) -> None:
+    """Refuse, before any tabulation, a `verify` run of ``props`` over its caps.
 
-
-def _check_verify_size(
-    n: int, width: int, anonymous: bool, at_least: bool = False, deviations: bool = True
-) -> None:
-    """Refuse, before any tabulation, a `verify` run over its caps.
-
-    With ``deviations``, the deviation checks read `_payoff_reads`
-    payoffs, as `multi` counts them; anonymity reads each profile under
-    all n! - 1 relabelings, as the sweep counts them
-    (`verifier._relabeling_reads`); and the tabulation holds n bids and n
-    payments at each of the width^n profiles.  On a one-level grid the
-    payoff reads are only n, so there the tabulated amounts are the cap
-    that binds.  With ``at_least``, the grid has L >= width levels, L not
-    yet known, and each count is the lower bound that width gives, so
-    named.
+    The deviation checks (ic, sic or esic) read `_payoff_reads` payoffs,
+    as `multi` counts them; the payment checks compare `_bid_pairs` pairs
+    of one agent's bids, at one Python step each like a payoff read, so
+    under the same cap; anonymity reads each profile under all n! - 1
+    relabelings, as the sweep counts them (`verifier._relabeling_reads`);
+    and the tabulation holds n bids and n payments at each of the width^n
+    profiles, whatever is asked for.  On a one-level grid the payoff reads
+    are only n and the bid pairs none, so there the tabulated amounts are
+    the cap that binds.  With ``at_least``, the grid has L >= width
+    levels, L not yet known, and each count is the lower bound that width
+    gives, so named.
     """
     w, step, equals = ("L", "(L - 1)", ">=") if at_least else (width, width - 1, "=")
     levels = f"a grid of L >= {width} levels" if at_least else f"a {width}-level grid"
     size = f"{levels} at n={_count_text(n)}"
+    deviations = not {"ic", "sic", "esic"}.isdisjoint(props)
     reads = _payoff_reads(width, n)
     if deviations and (reads is None or reads > MAX_PAYOFF_READS):
         count = "" if reads is None else f" {equals} {_count_text(reads)}"
@@ -307,7 +300,14 @@ def _check_verify_size(
             f"the deviation checks on {size} read {w}^n x n x (1 + n x {step}){count} "
             "payoffs", MAX_PAYOFF_READS
         )
-    if anonymous:
+    pairs = _bid_pairs(width, n)
+    if "payments" in props and (pairs is None or pairs > MAX_PAYOFF_READS):
+        count = "" if pairs is None else f" {equals} {_count_text(pairs)}"
+        raise _over_cap(
+            f"the payment checks on {size} compare {w}^n x n x {step} / 2{count} "
+            "bid pairs", MAX_PAYOFF_READS
+        )
+    if "anonymous" in props:
         cap = verifier._MAX_RELABELING_READS
         reads = verifier._relabeling_reads(width, n)
         if reads is None or reads > cap:
@@ -338,6 +338,18 @@ def _payoff_reads(width: int, n: int) -> int | None:
     if width > 1 and n >= MAX_PAYOFF_READS.bit_length():
         return None
     return width**n * n * (1 + n * (width - 1))
+
+
+def _bid_pairs(width: int, n: int) -> int | None:
+    """The pairs of one agent's bids the payment checks compare on ``width`` levels.
+
+    Each pair of her levels on each line, the others' bids fixed:
+    n x width^(n-1) x C(width, 2) = width^n x n x (width - 1) / 2.  None
+    where `_payoff_reads` is, the count being over `MAX_PAYOFF_READS`.
+    """
+    if width > 1 and n >= MAX_PAYOFF_READS.bit_length():
+        return None
+    return width**n * n * (width - 1) // 2
 
 
 def cmd_enumerate(args) -> tuple[dict, dict, int]:

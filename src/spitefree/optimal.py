@@ -194,8 +194,7 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     with the line's prices tiled once per call, so numpy runs one inner
     loop per batch rather than one per n-long row.  A line of at most
     `_TABLE_AGENTS` agents reads each row's comparisons as a code whose
-    k-th agent in line has weight 2^(n-1-k), built by shifting in one
-    agent's column of comparisons at a time; the buyer is the code's
+    k-th agent in line has weight 2^(n-1-k); the buyer is the code's
     highest set bit, so code c sells at the price of agent
     n - c.bit_length() and code 0 sells nothing.  The code is read
     through a table of those 2^n revenues.  Longer lines take the first
@@ -218,7 +217,7 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
     draws = np.empty(batch * n, dtype=np.float64)
     meets = np.empty(batch * n, dtype=np.bool_)
     if n <= _TABLE_AGENTS:
-        codes = np.empty(batch, dtype=np.uint8)
+        weights = np.array([1 << (n - 1 - k) for k in range(n)], dtype=np.uint8)
         table = np.array(
             [0.0] + [prices[n - code.bit_length()] for code in range(1, 1 << n)]
         )
@@ -230,15 +229,9 @@ def monte_carlo_revenue(thresholds, samples: int, seed: int) -> RevenueEstimate:
         np.greater_equal(draws[:flat], tiled[:flat], out=meets[:flat])
         by_row = meets[:flat].reshape(rows, n)
         if n <= _TABLE_AGENTS:
-            # the code, first in line highest: shift in one agent's column at a time
-            bits, code = by_row.view(np.uint8), codes[:rows]
-            np.copyto(code, bits[:, 0])
-            for k in range(1, n):
-                np.left_shift(code, 1, out=code)
-                np.bitwise_or(code, bits[:, k], out=code)
             # every code is in range; mode "clip" writes straight into
             # sold_at, where "raise" would buffer the output
-            np.take(table, code, out=sold_at, mode="clip")
+            np.take(table, by_row.view(np.uint8) @ weights, out=sold_at, mode="clip")
         else:
             first = by_row.argmax(axis=1)
             # argmax is 0 both when the first in line buys and when nobody

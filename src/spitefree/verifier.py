@@ -32,8 +32,8 @@ D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 everyone's payoff times D there (`_Lattice.rows`): at each agent's bid
 on a grid, where one tuple is shared by every profile with the same
 outcome and winner's bid, and on a bundle lattice at each agent's bid
-or, given a truth, at everyone's truth.  IR judges each distinct
-truthful row once, and the deviation walk reads the truthful row and
+or, given a truth, at everyone's truth.  IR reads each truthful row
+once, and the deviation walk reads the truthful row and
 the others' entries of the row at a run's first position, so each pair
 of a truthful position and another run costs one `utility` call, the
 deviator's payoff at her truth.  The public
@@ -373,25 +373,17 @@ def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
 
 
 def _ir_finding(domains, rows, truth) -> _Finding:
-    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent.
-
-    A row object shared by many profiles (a grid lattice interns them) is
-    judged once; the witness is the first negative entry of the first
-    truthful profile whose row has one.
-    """
+    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent."""
     n = len(domains)
     if truth is None:
         flats = range(math.prod(map(len, domains)))
     else:
         flats = [sum(k * s for k, s in zip(truth, domain_strides(domains)))]
-    read = list(map(rows.__getitem__, flats))
-    keys = list(map(id, read))
-    negative = {key for key, row in dict(zip(keys, read)).items() if min(row) < 0}
-    if not negative:
-        return _Finding(Property.IR, n * len(flats))
-    k = next(k for k, key in enumerate(keys) if key in negative)
-    i = next(j for j, u in enumerate(read[k]) if u < 0)
-    return _Finding(Property.IR, n * k + i + 1, flats[k], i, note="truthful payoff is negative")
+    for k, row in enumerate(map(rows.__getitem__, flats)):
+        if row and min(row) < 0:
+            i = next(j for j, u in enumerate(row) if u < 0)
+            return _Finding(Property.IR, n * k + i + 1, flats[k], i, note="truthful payoff is negative")
+    return _Finding(Property.IR, n * len(flats))
 
 
 class _Rows(dict):
@@ -449,8 +441,8 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
     """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
 
     ``rows`` are the payoff rows of ``outcomes`` (see `_Lattice`).  The
-    walk reads the lattice line by line (see `_line_starts`), lines in
-    order of their first profile, or with a ``truth`` the n lines through
+    walk reads the lattice line by line, lines in order of their first
+    profile (`_lines_in_order`), or with a ``truth`` the n lines through
     it; each line's outcomes are read once, and `_line_breaks` classifies
     its deviations run by run.  A property's first failure is the least
     of the deviations found to break it in the order of profiles, then
@@ -480,16 +472,9 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
     ]
     sliced = type(outcomes) is tuple
     for start, i in lines:
+        if truth is None and best[goal - 1] is not None and start > best[goal - 1][0]:
+            break  # no line from here on holds an earlier failure of ``stop``
         dom, stride, span, truths = shapes[i]
-        floor = 0  # properties whose first failure so far comes before the line's
-        if best[0] is not None:
-            lead = (start + truths.start * stride, i)  # the line's first truthful profile
-            while floor < 3 and best[floor] is not None and best[floor][:2] < lead:
-                floor += 1
-            if floor >= goal:
-                if truth is None and start > best[goal - 1][0]:
-                    break
-                continue
         flats = range(start, start + span, stride)
         if truth is not None:
             # an entry equal to her truth's is not tabulated, and gives the truth's outcome
@@ -501,7 +486,8 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
             outs = [outcomes[f] for f in flats]
         if outs.count(outs[0]) == len(outs):
             continue  # one run: no deviation on the line changes the outcome
-        for t, r, broken in _line_breaks(i, outs, flats, rows, dom, utility, truths, floor, goal):
+        floor = 0  # the properties of `_NESTED` that the line has broken so far
+        for t, r, broken in _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal):
             key = (flats[t], i, r)
             for p in range(floor, broken):
                 if best[p] is None or key < best[p][:3]:
@@ -528,8 +514,7 @@ def _line_breaks(i, outs, flats, rows, values, utility, truths: range, floor, go
     At the line's k-th position, profile ``flats[k]``, agent i reports
     ``values[k]`` and the outcome is ``outs[k]``; ``rows`` holds the payoff
     rows by flat index.  The line's outcomes split into runs of equal
-    outcomes, two or more (a caller skips a line of one run, where no
-    deviation changes the outcome).  Each position in
+    outcomes; a line of one run breaks nothing.  Each position in
     ``truths`` is classified (`_broken`) once against each run whose
     outcome differs from its own, at the run's first position: only agent
     i's report moves, so the others' payoffs after the move and her own at
@@ -579,8 +564,8 @@ def _deviations_up_to(domains, truth, flat=None, agent=None, position=None) -> i
     count = 0
     for j, (dom, stride) in enumerate(zip(domains, domain_strides(domains))):
         width = len(dom)
-        tally = None if len(set(dom)) == width else Counter(dom)
-        repeats = [1] * width if tally is None else list(map(tally.__getitem__, dom))
+        tally = Counter(dom)
+        repeats = list(map(tally.__getitem__, dom))
         if truth is None:
             # the profiles before ``end``: whole cycles of her domain, whole entries, and a part
             cycles, rest = divmod(end, stride * width)
@@ -598,11 +583,30 @@ def _deviations_up_to(domains, truth, flat=None, agent=None, position=None) -> i
     return count
 
 
-# one entry per lattice shape; a posted-price pass checks about a dozen
-@lru_cache(maxsize=32)
-def _lines_in_order(widths: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(first flat index, agent) of every line of a lattice of these widths, in that order."""
-    return tuple(sorted((start, i) for i, start, _ in _line_starts(widths)))
+def _lines_in_order(widths):
+    """(first flat index, agent) of every line of a lattice of these widths, in that order.
+
+    A profile starts the line of each agent whose domain index there is 0.
+    The profiles are taken a row at a time, a row letting the last agent's
+    index run while the others' stay fixed: the row's first profile starts
+    her line, and each of its profiles a line of every other agent whose
+    index is 0.  Lines are made as they are taken, so none is held.
+    """
+    if not widths or 0 in widths:
+        return  # no agent, or no profile: no line
+    *others, width = widths
+    last = len(others)
+    for row, digits in enumerate(itertools.product(*map(range, others))):
+        base = row * width
+        if 0 not in digits:
+            yield base, last
+            continue
+        zeros = [j for j, d in enumerate(digits) if d == 0]
+        for flat in range(base, base + width):
+            for j in zeros:
+                yield flat, j
+            if flat == base:
+                yield flat, last
 
 
 def _on_lattice(check, mechanism, grid: Grid) -> PropertyReport:
@@ -1067,10 +1071,11 @@ class _Sweep(_Walk):
             flats = range(start, start + self.width * stride, stride)
             table, base = self.keyed.rows, self.base
             rows = [table[key][self.digits[f][key % base - 1]] for f, key in zip(flats, keys)]
-            positions = range(self.width)
-            bids = self.keyed.domains[0]
-            verdict = outcomes.count(outcomes[0]) == self.width or not _line_breaks(
-                i, outcomes, positions, rows, bids, payoff, positions, 1, 2
+            positions, bids = range(self.width), self.keyed.domains[0]
+            # only a break of SIC or IC counts, and the first ends the line
+            sic = _NESTED.index(Property.SIC)
+            verdict = not _line_breaks(
+                i, outcomes, positions, rows, bids, payoff, positions, floor=sic, goal=sic + 1
             )
             self.line_verdicts[i, start, keys] = verdict
         return verdict

@@ -155,7 +155,7 @@ def test_verify_is_sized_by_the_amounts_it_tabulates():
     # MAX_PAYOFF_READS passes that cap; two levels at n = 16 sit at this one
     assert 16 * 2**16 == cap < cli.MAX_PAYOFF_READS
     for n, width in ((cap, 1), (16, 2), (10, 3), (2, 150)):
-        cli._check_verify_size(n, width, False)
+        cli._check_verify_size(n, width, ("ic",))
     for n, width, anonymous, message in (
         (cap + 1, 1, False, "the tabulation on a 1-level grid at n=1048577 holds "
          "1^n x n = 1048577 profile amounts, over the cap of 1048576"),
@@ -169,10 +169,10 @@ def test_verify_is_sized_by_the_amounts_it_tabulates():
          "2^n x (n! - 1) = 3715890176 relabeled profiles, over the cap of 1000000"),
     ):
         with pytest.raises(BudgetExceededError) as caught:
-            cli._check_verify_size(n, width, anonymous)
+            cli._check_verify_size(n, width, ("ic", "anonymous") if anonymous else ("ic",))
         assert str(caught.value) == message
     # on L >= 1 levels, L not yet known, the counts are lower bounds and say so
-    cli._check_verify_size(9, 1, True, at_least=True)
+    cli._check_verify_size(9, 1, ("ic", "anonymous"), at_least=True)
     for n, anonymous, message in (
         (cap + 1, False, "the tabulation on a grid of L >= 1 levels at n=1048577 holds "
          "L^n x n >= 1048577 profile amounts, over the cap of 1048576"),
@@ -182,7 +182,8 @@ def test_verify_is_sized_by_the_amounts_it_tabulates():
          "L^n x (n! - 1) >= 3628799 relabeled profiles, over the cap of 1000000"),
     ):
         with pytest.raises(BudgetExceededError) as caught:
-            cli._check_verify_size(n, 1, anonymous, at_least=True)
+            props = ("ic", "anonymous") if anonymous else ("ic",)
+            cli._check_verify_size(n, 1, props, at_least=True)
         assert str(caught.value) == message
 
 
@@ -286,11 +287,35 @@ def test_the_payoff_read_cap_binds_only_on_deviation_checks(tmp_path):
     assert "= 23000000 payoffs, over the cap of 20000000" in err
     # without the payoff check, an n too large to raise two levels to is refused all the same
     with pytest.raises(BudgetExceededError) as caught:
-        cli._check_verify_size(10**9, 2, False, deviations=False)
+        cli._check_verify_size(10**9, 2, ("efficient",))
     assert str(caught.value) == (
         "the tabulation on a 2-level grid at n=1000000000 holds 2^n x n profile amounts, "
         "over the cap of 1048576"
     )
+
+
+def test_payment_checks_over_the_cap_exit_3_before_any_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(verifier, "_payment_checks", _never)
+    monkeypatch.setattr(verifier, "_tabulation", _never)
+    # 724^2 x 2 = 1048352 amounts pass the tabulation cap; 724^2 x 2 x 723 / 2 pairs do not
+    spec = write(tmp_path, "second2.spec", "kind: second_price\nn: 2\n")
+    grid = ",".join(map(str, range(724)))
+    for props in ("payments", "ir,efficient,winner_price,payments"):
+        code, out, err = run_cli("verify", "--spec", spec, "--grid", grid, "--props", props)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.strip().endswith(
+            "the payment checks on a 724-level grid at n=2 compare 724^n x n x 723 / 2 = "
+            "378979248 bid pairs, over the cap of 20000000"
+        )
+    spec = write(tmp_path, "threshold1.spec", "kind: threshold\nranking: 1\nthresholds: 1\n")
+    grid = ",".join(map(str, range(20_000)))
+    code, out, err = run_cli("verify", "--spec", spec, "--grid", grid, "--props", "payments")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "= 199990000 bid pairs, over the cap of 20000000" in err
+    # 271^2 x 2 x 270 / 2 = 19829070 pairs sit under the cap, 272 levels over it
+    cli._check_verify_size(2, 271, ("payments",))
+    with pytest.raises(BudgetExceededError):
+        cli._check_verify_size(2, 272, ("payments",))
 
 
 def test_the_verify_caps_admit_the_null_spec_at_ten_agents(tmp_path):

@@ -716,6 +716,28 @@ def test_a_one_agent_walk_holds_memory_linear_in_the_levels():
     assert peak < 100 * levels
 
 
+@pytest.mark.parametrize(
+    "widths", [(), (3,), (1, 1), (1, 4, 1), (2, 3, 4), (4, 3, 2), (5, 5, 5), (2,) * 6, (3, 0, 2)]
+)
+def test_lines_come_in_order_of_their_first_profile(widths):
+    lines = [] if 0 in widths else verifier._line_starts(widths)
+    assert list(verifier._lines_in_order(widths)) == sorted((start, i) for i, start, _ in lines)
+
+
+def test_a_walk_holds_no_list_of_its_lines():
+    # two levels at n = 16 have 2^15 x 16 lines; a list of them would take about 50 MB
+    lattice = verifier._tabulation(null_spec(16), Grid.from_text("0,1"))
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+    tracemalloc.start()
+    try:
+        found = verifier._deviation_findings(Property.IC, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found[Property.IC] == verifier._Finding(Property.IC, 2**16 * 16)
+    assert peak < 100_000
+
+
 @settings(max_examples=200)
 @given(
     st.lists(st.integers(-2, 2), min_size=2, max_size=4).flatmap(
