@@ -43,6 +43,11 @@ class Grid:
         if not normalized:
             raise ValueError("a grid needs at least one level")
         object.__setattr__(self, "levels", normalized)
+        # the dataclass's own hash, taken once: each tabulation cache lookup hashes the grid
+        object.__setattr__(self, "_hash", hash((normalized,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":

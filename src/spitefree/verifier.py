@@ -11,12 +11,15 @@ wherever SIC does, and SIC wherever IC does.  `deviation_check` walks
 any product of per-agent domains line by line: a line lets one agent's
 report run over her domain while the others' stay fixed, its outcomes
 are read once and split into runs of equal outcomes, and each truthful
-position is classified once against each other run.  The single-item
-checks, the multi-item checks, the sweep's line verdicts and witness
-replay share the clauses.  A property's first failure, and its count, are
-those of the deviation-by-deviation order: profiles, then agents, then
-deviations.  The walk keeps the first failure of each of the three that
-it finds, and a lattice keeps what its walks found
+position is classified once against each other run.  On a grid a line
+that repeats its agent's last judged line, the same outcomes and payoff
+rows, takes that line's classifications, and a grid of one outcome walks
+no line at all.  The single-item checks, the multi-item checks, the
+sweep's line verdicts and witness replay share the clauses.  A
+property's first failure, and its count, are those of the
+deviation-by-deviation order: profiles, then agents, then deviations.
+The walk keeps the first failure of each of the three that it finds,
+and a lattice keeps what its walks found
 (`_Lattice.deviations`): IC, SIC and ESIC asked for in that order, as
 `verify` asks by default, take one walk of one lattice.  A walk stops at
 the first line that starts after its own check's first failure, so a
@@ -444,22 +447,35 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
     walk reads the lattice line by line, lines in order of their first
     profile (`_lines_in_order`), or with a ``truth`` the n lines through
     it; each line's outcomes are read once, and `_line_breaks` classifies
-    its deviations run by run.  A property's first failure is the least
-    of the deviations found to break it in the order of profiles, then
-    agents, then deviations, and its count is the number of deviations up
-    to it in that order, taken in closed form (`_deviations_up_to`).  The
-    failures are nested, so they come in the order ESIC, SIC, IC.  No
-    line that starts after ``stop``'s first failure holds an earlier
-    one, so the walk stops at the first such line; the findings are then
-    those of the properties that fail no later than ``stop`` does, and a
-    later property is missing.  If ``stop`` never fails, every property
-    still standing passes with the total count.
+    its deviations run by run.  On a grid (a tuple lattice) each agent's
+    last line of more than one run is kept with its rows and what
+    `_line_breaks` found on it, and her next such line with equal outcomes
+    and rows takes that, mapped through its own flat indices: nothing else
+    that `_line_breaks` reads differs between two lines of one agent.  A
+    grid's outcomes and rows are interned, so the comparison is mostly an
+    identity check.  Elsewhere rows are built as they are first read
+    (`_Rows`), and comparing a line's rows would build rows that the walk
+    past a failure need not read, so every line is judged.  A grid whose
+    outcomes are all equal walks no line.  A property's first failure is
+    the least of the deviations found to break it in the order of
+    profiles, then agents, then deviations, and its count is the number
+    of deviations up to it in that order, taken in closed form
+    (`_deviations_up_to`).  The failures are nested, so they come in the
+    order ESIC, SIC, IC.  No line that starts after ``stop``'s first
+    failure holds an earlier one, so the walk stops at the first such
+    line; the findings are then those of the properties that fail no
+    later than ``stop`` does, and a later property is missing.  If
+    ``stop`` never fails, every property still standing passes with the
+    total count.
     """
     strides = domain_strides(domains)
     goal = _NESTED.index(stop) + 1
     # per property of `_NESTED`: (flat, agent, position, moved, broken) of its first failure so far
     best = [None, None, None]
-    if truth is None:
+    sliced = type(outcomes) is tuple
+    if sliced and outcomes.count(outcomes[0]) == len(outcomes):
+        lines = ()  # one outcome: no deviation changes it
+    elif truth is None:
         lines = _lines_in_order(tuple(map(len, domains)))
     else:
         at = sum(k * s for k, s in zip(truth, strides))
@@ -470,7 +486,8 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
         (dom, s, len(dom) * s, range(len(dom)) if truth is None else range(truth[j], truth[j] + 1))
         for j, (dom, s) in enumerate(zip(domains, strides))
     ]
-    sliced = type(outcomes) is tuple
+    # per agent on a grid: outcomes, rows and breaks of her last line of more than one run
+    last = [(None, None, None)] * len(domains)
     for start, i in lines:
         if truth is None and best[goal - 1] is not None and start > best[goal - 1][0]:
             break  # no line from here on holds an earlier failure of ``stop``
@@ -486,8 +503,13 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
             outs = [outcomes[f] for f in flats]
         if outs.count(outs[0]) == len(outs):
             continue  # one run: no deviation on the line changes the outcome
+        line_rows = rows[start : start + span : stride] if type(rows) is tuple else None
+        seen_outs, seen_rows, breaks = last[i]
+        if line_rows is None or seen_outs != outs or seen_rows != line_rows:
+            breaks = _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal)
+            last[i] = outs, line_rows, breaks
         floor = 0  # the properties of `_NESTED` that the line has broken so far
-        for t, r, broken in _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal):
+        for t, r, broken in breaks:
             key = (flats[t], i, r)
             for p in range(floor, broken):
                 if best[p] is None or key < best[p][:3]:

@@ -632,6 +632,27 @@ def _table_of_fresh_outcomes(grid, n, rng):
     return MechanismTable(grid, n, tuple(outcomes))
 
 
+def _table_of_coarse_outcomes(grid, n, rng):
+    """A seeded table that reads only agent 1's bid in full, from one pool of outcome objects.
+
+    The others' bids are read as zero or not, so agent 1's lines at two
+    nonzero bids of another agent hold the same outcome objects; their
+    payoff rows differ where that agent wins, at her own bid.
+    """
+    zeros = (F(0),) * n
+    pool = [Outcome(0, zeros)] + [
+        Outcome(w, zeros[: w - 1] + (price,) + zeros[w:])
+        for w in range(1, n + 1)
+        for price in grid.levels[:2]
+    ]
+    picked = {}
+    outcomes = tuple(
+        picked.setdefault((bids[0], *(b > 0 for b in bids[1:])), rng.choice(pool))
+        for bids in enumerate_profiles(grid, n)
+    )
+    return MechanismTable(grid, n, outcomes)
+
+
 def _bundle_cases(seed):
     """(allocator, domains) on two items; one agent's domain repeats an equal valuation."""
     rng = random.Random(seed)
@@ -684,6 +705,9 @@ def test_the_line_walk_matches_the_profile_walk():
     for k in range(60):
         table = _table_of_fresh_outcomes(GRID012, 2 + k % 2, rng)
         failures += _assert_line_walk_is_the_reference(verifier._tabulation(table, GRID012))
+    for k in range(60):
+        table = _table_of_coarse_outcomes(GRID012, 2 + k % 2, rng)
+        failures += _assert_line_walk_is_the_reference(verifier._tabulation(table, GRID012))
     for seed in range(12):
         allocators, domains = _bundle_cases(seed)
         for allocate in allocators:
@@ -725,8 +749,10 @@ def test_lines_come_in_order_of_their_first_profile(widths):
 
 
 def test_a_walk_holds_no_list_of_its_lines():
-    # two levels at n = 16 have 2^15 x 16 lines; a list of them would take about 50 MB
-    lattice = verifier._tabulation(null_spec(16), Grid.from_text("0,1"))
+    # two levels at n = 16 have 2^15 x 16 lines; a list of them would take about 50 MB.
+    # Agent 1 alone wins, at 1, so her 2^15 lines are walked and the others' are one run
+    spec = ThresholdSpec(tuple(range(1, 17)), (F(1), *[INFINITY] * 15))
+    lattice = verifier._tabulation(spec, Grid.from_text("0,1"))
     args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
     tracemalloc.start()
     try:
@@ -736,6 +762,55 @@ def test_a_walk_holds_no_list_of_its_lines():
         tracemalloc.stop()
     assert found[Property.IC] == verifier._Finding(Property.IC, 2**16 * 16)
     assert peak < 100_000
+
+
+def test_a_repeated_line_is_judged_once(monkeypatch):
+    """`_line_breaks` runs once per block of consecutive equal lines of one agent."""
+    spec = ThresholdSpec((2, 1, 3), (F(1), F(1, 2), F(2)))
+    grid = closure_for_thresholds(spec.thresholds, base=GRID012.levels)
+    lattice = verifier._tabulation(spec, grid)
+    strides = verifier.domain_strides(lattice.domains)
+    width, blocks, judged = len(grid), 0, 0
+    for i, stride in enumerate(strides):
+        last = None
+        # agent i's lines in order of their first profile: the others' indices in flat order
+        others = strides[:i] + strides[i + 1 :]
+        for digits in itertools.product(range(width), repeat=len(others)):
+            start = sum(k * s for k, s in zip(digits, others))
+            flats = range(start, start + width * stride, stride)
+            line = tuple((lattice.outcomes[f], lattice.rows[f]) for f in flats)
+            if len({out for out, _ in line}) > 1:
+                judged += 1
+                blocks += line != last
+                last = line
+    calls = []
+    line_breaks = verifier._line_breaks
+    monkeypatch.setattr(
+        verifier, "_line_breaks", lambda *args: calls.append(args[0]) or line_breaks(*args)
+    )
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+    found = verifier._deviation_findings(Property.IC, *args)
+    assert found[Property.IC].flat is None  # IC holds, so every line was walked
+    assert len(calls) == blocks < judged
+
+
+def test_a_lattice_of_one_outcome_walks_no_line(monkeypatch):
+    def no_lines(widths):
+        raise AssertionError("a lattice of one outcome walked its lines")
+
+    monkeypatch.setattr(verifier, "_lines_in_order", no_lines)
+    cases = [(null_spec(16), Grid.from_text("0,1")), (null_spec(3), GRID012)]
+    # equal outcomes that are distinct objects
+    n, zeros = 2, (F(0), F(0))
+    table = MechanismTable(GRID012, n, tuple(Outcome(0, zeros) for _ in range(3**n)))
+    cases.append((table, GRID012))
+    for mechanism, grid in cases:
+        lattice = verifier._tabulation(mechanism, grid)
+        args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+        total = len(lattice.outcomes) * mechanism.n * (len(grid) - 1)
+        for stop in (Property.ESIC, Property.SIC, Property.IC):
+            found = verifier._deviation_findings(stop, *args)
+            assert found == {p: verifier._Finding(p, total) for p in verifier._NESTED}
 
 
 @settings(max_examples=200)
