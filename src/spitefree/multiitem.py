@@ -14,15 +14,16 @@ No verdict and no classification compares two `Fraction`s.  The checks
 run `verifier`'s IR and deviation kernel on its `_Lattice`, built here
 from bundle domains (`_bundle_lattice`): each distinct valuation becomes
 an int, and bundle values and payments are multiplied by one common
-denominator, so utilities are ints; each profile's payoff row is built
-once, when a check first reads it.  Checks of one (mechanism, domains,
-truth) share that lattice, which calls the allocator once per profile
-they read, and `_Lattice.report` names a failure by the domain's own
-valuations at the positions the check visited, with `Fraction`
-utilities and the allocator's own outcomes.  Best-bundle
-classification likewise scales the item values and prices to ints and
-takes the argmax of value minus price (`_best_buys`), which is exactly
-the set of bundles whose region inequalities all hold weakly.
+denominator, so utilities are ints.  The lattice holds every outcome
+and payoff row its checks read before any check runs, one tuple per
+distinct row.  Checks of one (mechanism, domains, truth) share that
+lattice, which calls the allocator at most once per profile they read,
+and `_Lattice.report` names a failure by the domain's own valuations at
+the positions the check visited, with `Fraction` utilities and the
+allocator's own outcomes.  Best-bundle classification likewise scales
+the item values and prices to ints and takes the argmax of value minus
+price (`_best_buys`), which is exactly the set of bundles whose region
+inequalities all hold weakly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .verifier import (
     BudgetExceededError,
     _Lattice,
     _lcm_of_denominators,
-    _Rows,
     _scaled,
     domain_strides,
 )
@@ -409,39 +409,43 @@ class _ScaledMultiOutcome(NamedTuple):
 
 
 def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
-    """A mechanism's outcomes at the profiles the checks read, on one lattice.
+    """A mechanism's outcomes and payoff rows at the profiles the checks read, on one lattice.
 
     Each distinct valuation becomes an int.  With ``truth=None`` every
-    profile of the domain product is allocated; a given truth (per-agent
-    domain indices) allocates that profile and each profile where one
-    agent reports another value.  D is the least common denominator of
+    profile of the domain product is allocated, and outcomes and rows
+    are tuples in flat order.  A given truth (per-agent domain indices)
+    makes them dicts over the star, each agent's line through the truth:
+    an entry equal to her truth's takes the truth's outcome, and every
+    other entry is allocated.  D is the least common denominator of
     every payment and of the value of each valuation an agent may truly
     hold at each bundle she is dealt.  Equal outcomes share one
     `MultiOutcome`, the first the allocator returned, and one scaled
     outcome.  Payoff rows (see `verifier._Lattice`) value each agent at
-    her report, or, with a truth, everyone at her truth.
+    her report, or, with a truth, everyone at her truth; equal rows are
+    one tuple.
     """
     kind_of: dict = {}
     kinds = tuple(tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains)
+    distinct: dict[MultiOutcome, MultiOutcome] = {}
+
+    def allocate(profile):
+        out = mechanism(profile)
+        return distinct.setdefault(out, out)
+
     if truth is None:
-        profiles = enumerate(itertools.product(*domains))
+        originals = tuple([allocate(profile) for profile in itertools.product(*domains)])
         held = [set(ints) for ints in kinds]
     else:
         strides = domain_strides(domains)
-        flat = sum(k * s for k, s in zip(truth, strides))
-        flats = [flat]  # and each agent's line through it, less her entries equal to her truth
-        for ints, k, stride in zip(kinds, truth, strides):
-            flats += [flat + (d - k) * stride for d, kind in enumerate(ints) if kind != ints[k]]
-        profiles = [
-            (f, tuple(domain[f // s % len(domain)] for domain, s in zip(domains, strides)))
-            for f in flats
-        ]
+        center = sum(k * s for k, s in zip(truth, strides))
+        profile = tuple(domain[k] for domain, k in zip(domains, truth))
+        originals = {center: allocate(profile)}
+        for i, (domain, ints, k, s) in enumerate(zip(domains, kinds, truth, strides)):
+            for d, kind in enumerate(ints):
+                moved = (*profile[:i], domain[d], *profile[i + 1 :])
+                same = kind == ints[k]
+                originals[center + (d - k) * s] = originals[center] if same else allocate(moved)
         held = [{ints[k]} for ints, k in zip(kinds, truth)]
-    distinct: dict[MultiOutcome, MultiOutcome] = {}
-    originals = {}
-    for f, profile in profiles:
-        out = mechanism(profile)
-        originals[f] = distinct.setdefault(out, out)
 
     valuations = tuple(kind_of)
     amounts = {}  # (kind, bundle) -> value, for each kind an agent may hold
@@ -457,14 +461,25 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     scaled = {
         id(out): _ScaledMultiOutcome(out.bundles, _scaled(out.payments, d)) for out in distinct
     }
-    outcomes = {f: scaled[id(out)] for f, out in originals.items()}
 
     def utility(out, i, kind):
         return values[kind][out.bundles[i]] - out.payments[i]
 
-    # a deviator's kind has no values with a truth, so every row is at the truth
-    at = kinds if truth is None else tuple((ints[k],) * len(ints) for ints, k in zip(kinds, truth))
-    return _Lattice(d, kinds, outcomes, originals, _Rows(at, outcomes, utility), utility, truth)
+    interned: dict[tuple, tuple] = {}
+
+    def row(out, valued_at):
+        payoffs = tuple([utility(out, j, kind) for j, kind in enumerate(valued_at)])
+        return interned.setdefault(payoffs, payoffs)
+
+    if truth is None:
+        outcomes = tuple([scaled[id(out)] for out in originals])
+        rows = tuple([row(out, bids) for out, bids in zip(outcomes, itertools.product(*kinds))])
+    else:
+        # a deviator's kind has no values with a truth, so every row is at the truth
+        outcomes = {f: scaled[id(out)] for f, out in originals.items()}
+        truths = tuple(ints[k] for ints, k in zip(kinds, truth))
+        rows = {f: row(out, truths) for f, out in outcomes.items()}
+    return _Lattice(d, kinds, outcomes, originals, rows, utility, truth)
 
 
 # One `multi` run checks one (mechanism, domains, truth) up to four times,

@@ -7,15 +7,15 @@ classic witnesses (bid exactly at a threshold, bid just above) exist.
 
 The IC, SIC and ESIC clauses are stated once, as one classification of
 a deviation that `deviation_clause` reads.  They are nested: ESIC fails
-wherever SIC does, and SIC wherever IC does.  `deviation_check` walks
-any product of per-agent domains line by line: a line lets one agent's
-report run over her domain while the others' stay fixed, its outcomes
-are read once and split into runs of equal outcomes, and each truthful
-position is classified once against each other run.  On a grid a line
+wherever SIC does, and SIC wherever IC does.  `_Lattice.deviations`
+walks any product of per-agent domains line by line: a line lets one
+agent's report run over her domain while the others' stay fixed, its
+outcomes are read once and split into runs of equal outcomes, and each
+truthful position is classified once against each other run.  A line
 that repeats its agent's last judged line, the same outcomes and payoff
-rows, takes that line's classifications, and a grid of one outcome walks
-no line at all.  The single-item checks, the multi-item checks, the
-sweep's line verdicts and witness replay share the clauses.  A
+rows, takes that line's classifications, and a lattice of one outcome
+walks no line at all.  The single-item checks, the multi-item checks,
+the sweep's line verdicts and witness replay share the clauses.  A
 property's first failure, and its count, are those of the
 deviation-by-deviation order: profiles, then agents, then deviations.
 The walk keeps the first failure of each of the three that it finds,
@@ -32,17 +32,17 @@ D, tabulated once per grid (`_grid_lattice`) or from bundle domains
 (see `multiitem`).  The checks read the outcomes by flat index (see
 `domain_strides`), profile by profile or line by line (see
 `_line_starts`).  A lattice also holds each profile's payoff row,
-everyone's payoff times D there (`_Lattice.rows`): at each agent's bid
-on a grid, where one tuple is shared by every profile with the same
-outcome and winner's bid, and on a bundle lattice at each agent's bid
-or, given a truth, at everyone's truth.  IR reads each truthful row
-once, and the deviation walk reads the truthful row and
-the others' entries of the row at a run's first position, so each pair
-of a truthful position and another run costs one `utility` call, the
-deviator's payoff at her truth.  The public
-`ir_check` and `deviation_check` build rows from ``utility`` for the
-profiles they read.  Ints compare exactly as the fractions do, so
-verdicts, checked counts and first witnesses are those of the
+everyone's payoff times D there (`_Lattice.rows`), built with its
+outcomes before any check runs: at each agent's bid on a grid, where
+one tuple is shared by every profile with the same outcome and winner's
+bid, and on a bundle lattice at each agent's bid or, given a truth, at
+everyone's truth on the n lines through it, one tuple per distinct row.
+IR reads each truthful
+row once, and the deviation walk reads the truthful row and the others'
+entries of the row at a run's first position, so each pair of a
+truthful position and another run costs one `utility` call, the
+deviator's payoff at her truth.  Ints compare exactly as the fractions
+do, so verdicts, checked counts and first witnesses are those of the
 fractions.  A check returns only where it failed, as flat indices (a
 `_Finding`); `_Lattice.report` names each profile by the positions the
 check visited in the caller's domains, which are the first equal
@@ -165,13 +165,14 @@ class _Lattice:
     (`_grid_lattice`) holds each level times D, every profile in a tuple,
     uses `payoff` and values each agent at her bid; its rows are interned,
     one tuple per distinct outcome and winner's bid.  A bundle lattice
-    (see `multiitem`) holds one int per distinct valuation and, in a dict,
-    the profiles its checks read: those of every truthful profile, or of
-    ``truth`` alone, as per-agent domain indices.  Its rows are filled as
-    the checks first read them (`_Rows`), at each agent's bid, or, with a
-    ``truth``, at everyone's truth.  The two readings agree on what the
+    (see `multiitem`) holds one int per distinct valuation.  Without a
+    ``truth`` its outcomes and rows are tuples over every profile, each
+    agent valued at her bid; with a ``truth`` (per-agent domain indices)
+    they are dicts over the n lines through it, everyone valued at her
+    truth.  Equal rows are one tuple.  The two readings agree on what the
     walks read: the truthful profile's row, and the others' entries where
-    one agent deviates.
+    one agent deviates.  Every lattice is built in full before any check
+    reads it.
     """
 
     denominator: int
@@ -336,7 +337,7 @@ def deviation_clause(prop: Property, agent: int, before, after) -> str | None:
     a payoff-neutral deviation that harms someone while helping nobody;
     ESIC also forbids one that harms someone at all.  So ESIC fails
     wherever SIC does, and SIC wherever IC does: the verdict is read off
-    one classification of the deviation, the one `deviation_check` makes.
+    one classification of the deviation, the one `_Lattice.deviations` makes.
     """
     broken = _broken(agent, before, after[agent], after)
     return _clause(prop, broken) if broken > _NESTED.index(prop) else None
@@ -363,20 +364,13 @@ def _truthful_points(domains, strides, truth):
     return [(sum(k * s for k, s in zip(truth, strides)), tuple(truth), values)]
 
 
-def ir_check(domains, outcomes, utility, truth=None) -> _Finding:
-    """Truthful reporting never yields a negative payoff.
-
-    ``domains[i]`` lists agent i's values, ``outcomes[flat]`` is the
-    outcome at the profile with that flat index (see `domain_strides`)
-    and ``utility(outcome, i, value)`` is agent i's payoff.  ``truth``,
-    per-agent domain indices, makes one profile the truth; by default
-    every profile takes its turn.
-    """
-    return _ir_finding(domains, _Rows(domains, outcomes, utility), truth)
-
-
 def _ir_finding(domains, rows, truth) -> _Finding:
-    """`ir_check` on payoff rows (see `_Lattice`), profile by profile, then agent by agent."""
+    """Truthful reporting never yields a negative payoff, read off payoff rows (see `_Lattice`).
+
+    ``truth``, per-agent domain indices, makes one profile the truth; by
+    default every profile takes its turn, profile by profile, then agent
+    by agent.
+    """
     n = len(domains)
     if truth is None:
         flats = range(math.prod(map(len, domains)))
@@ -389,57 +383,6 @@ def _ir_finding(domains, rows, truth) -> _Finding:
     return _Finding(Property.IR, n * len(flats))
 
 
-class _Rows(dict):
-    """Payoff rows (see `_Lattice`), each built with ``utility`` when a check first reads it.
-
-    Row ``flat`` values each agent at her entry of ``domains`` at that
-    profile, and reads its outcome from ``outcomes``.
-    """
-
-    def __init__(self, domains, outcomes, utility) -> None:
-        super().__init__()
-        self.domains, self.outcomes, self.utility = domains, outcomes, utility
-        self.strides = domain_strides(domains)
-
-    def __missing__(self, flat: int) -> tuple:
-        out, places = self.outcomes[flat], zip(self.domains, self.strides)
-        row = self[flat] = tuple([
-            self.utility(out, j, dom[flat // s % len(dom)]) for j, (dom, s) in enumerate(places)
-        ])
-        return row
-
-
-class _Seen:
-    """``outcomes``, read through at every read, each outcome read kept in ``kept``.
-
-    `deviation_check` builds its rows from ``kept``, so they read no
-    outcome the walk did not.
-    """
-
-    def __init__(self, outcomes) -> None:
-        self.outcomes, self.kept = outcomes, {}
-
-    def __getitem__(self, flat: int):
-        self.kept[flat] = out = self.outcomes[flat]
-        return out
-
-
-def deviation_check(prop: Property, domains, outcomes, utility, truth=None) -> _Finding:
-    """First deviation that breaks ``prop`` (IC, SIC or ESIC), over truthful profiles.
-
-    Inputs are those of `ir_check`; equal entries of a domain must give
-    equal outcomes.  Every agent may report any value of her domain that
-    differs from her truth; the first failure is the first in the order
-    of profiles, then agents, then deviations, and its count is the
-    number of deviations up to it in that order (see
-    `_deviation_findings`).  Outcomes are read line by line, and payoff
-    rows are built only for the profiles the walk compares.
-    """
-    seen = _Seen(outcomes)
-    rows = _Rows(domains, seen.kept, utility)
-    return _deviation_findings(prop, domains, seen, rows, utility, truth)[prop]
-
-
 def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> dict:
     """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
 
@@ -447,16 +390,14 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
     walk reads the lattice line by line, lines in order of their first
     profile (`_lines_in_order`), or with a ``truth`` the n lines through
     it; each line's outcomes are read once, and `_line_breaks` classifies
-    its deviations run by run.  On a grid (a tuple lattice) each agent's
-    last line of more than one run is kept with its rows and what
-    `_line_breaks` found on it, and her next such line with equal outcomes
-    and rows takes that, mapped through its own flat indices: nothing else
-    that `_line_breaks` reads differs between two lines of one agent.  A
-    grid's outcomes and rows are interned, so the comparison is mostly an
-    identity check.  Elsewhere rows are built as they are first read
-    (`_Rows`), and comparing a line's rows would build rows that the walk
-    past a failure need not read, so every line is judged.  A grid whose
-    outcomes are all equal walks no line.  A property's first failure is
+    its deviations run by run.  Each agent's last line of more than one
+    run is kept with its rows and what `_line_breaks` found on it, and her
+    next such line with equal outcomes and rows takes that, mapped through
+    its own flat indices: nothing else that `_line_breaks` reads differs
+    between two lines of one agent.  A lattice's outcomes and rows are
+    interned, so the comparison is mostly an identity check.  Without a
+    ``truth``, a lattice whose outcomes are all equal walks no line.  A
+    property's first failure is
     the least of the deviations found to break it in the order of
     profiles, then agents, then deviations, and its count is the number
     of deviations up to it in that order, taken in closed form
@@ -472,40 +413,37 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
     goal = _NESTED.index(stop) + 1
     # per property of `_NESTED`: (flat, agent, position, moved, broken) of its first failure so far
     best = [None, None, None]
-    sliced = type(outcomes) is tuple
-    if sliced and outcomes.count(outcomes[0]) == len(outcomes):
-        lines = ()  # one outcome: no deviation changes it
-    elif truth is None:
-        lines = _lines_in_order(tuple(map(len, domains)))
-    else:
+    if truth is not None:
         at = sum(k * s for k, s in zip(truth, strides))
-        out_truth = outcomes[at]
         lines = [(at - k * s, i) for i, (k, s) in enumerate(zip(truth, strides))]
+    elif outcomes.count(outcomes[0]) == len(outcomes):
+        lines = ()  # one outcome: no deviation changes it
+    else:
+        lines = _lines_in_order(tuple(map(len, domains)))
     # per agent: her domain, stride, a line's span of flat indices, and her truthful positions
     shapes = [
         (dom, s, len(dom) * s, range(len(dom)) if truth is None else range(truth[j], truth[j] + 1))
         for j, (dom, s) in enumerate(zip(domains, strides))
     ]
-    # per agent on a grid: outcomes, rows and breaks of her last line of more than one run
+    # per agent: outcomes, rows and breaks of her last line of more than one run
     last = [(None, None, None)] * len(domains)
     for start, i in lines:
         if truth is None and best[goal - 1] is not None and start > best[goal - 1][0]:
             break  # no line from here on holds an earlier failure of ``stop``
         dom, stride, span, truths = shapes[i]
         flats = range(start, start + span, stride)
-        if truth is not None:
-            # an entry equal to her truth's is not tabulated, and gives the truth's outcome
-            own = dom[truths.start]
-            outs = [out_truth if v == own else outcomes[f] for v, f in zip(dom, flats)]
-        elif sliced:
+        if truth is None:
             outs = outcomes[start : start + span : stride]
         else:
             outs = [outcomes[f] for f in flats]
         if outs.count(outs[0]) == len(outs):
             continue  # one run: no deviation on the line changes the outcome
-        line_rows = rows[start : start + span : stride] if type(rows) is tuple else None
+        if truth is None:
+            line_rows = rows[start : start + span : stride]
+        else:
+            line_rows = [rows[f] for f in flats]
         seen_outs, seen_rows, breaks = last[i]
-        if line_rows is None or seen_outs != outs or seen_rows != line_rows:
+        if seen_outs != outs or seen_rows != line_rows:
             breaks = _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal)
             last[i] = outs, line_rows, breaks
         floor = 0  # the properties of `_NESTED` that the line has broken so far

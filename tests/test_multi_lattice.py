@@ -281,21 +281,35 @@ def test_multi_deviation_checks_agree_in_every_order():
 
 
 def test_bundle_payoff_rows_are_the_payoffs_the_checks_read():
-    """At each profile read, rows value everyone at her report, or at her truth if one is given."""
+    """Rows value everyone at her report, or at her truth if one is given; equal rows are one tuple.
+
+    Without a truth the rows are a tuple over every profile; with one, a
+    dict over each agent's line through the truth.
+    """
     for mech, domains, truth in _multi_order_cases():
-        multiitem._cached_lattice.cache_clear()
-        for check in CHECKS.values():
-            check(mech, domains, truth)
         at = None if truth is None else tuple(d.index(v) for d, v in zip(domains, truth))
-        lattice = multiitem._cached_lattice(mech, domains, at)
+        lattice = multiitem._bundle_lattice(mech, domains, at)
         strides = multiitem.domain_strides(domains)
-        assert lattice.rows
-        for flat, row in lattice.rows.items():
+        if truth is None:
+            assert type(lattice.rows) is tuple
+            rows = dict(enumerate(lattice.rows))
+            assert len(rows) == len(list(itertools.product(*domains)))
+        else:
+            rows = lattice.rows
+            center = sum(k * s for k, s in zip(at, strides))
+            star = {
+                center + (d - k) * s
+                for dom, k, s in zip(domains, at, strides)
+                for d in range(len(dom))
+            }
+            assert set(rows) == star
+        for flat, row in rows.items():
             profile = tuple(d[flat // s % len(d)] for d, s in zip(domains, strides))
             values = profile if truth is None else truth
             out = mech(profile)
             expected = tuple(multi_utility(out, j, v) for j, v in enumerate(values))
             assert tuple(F(u, lattice.denominator) for u in row) == expected
+        assert len({id(row) for row in rows.values()}) == len(set(rows.values()))
 
 
 # --- allocator calls per run -----------------------------------------------

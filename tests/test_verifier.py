@@ -552,27 +552,25 @@ def test_ic_sic_and_esic_share_one_walk(monkeypatch):
         assert walks == expected, order
 
 
-class _ReadRecording:
-    """A sequence of outcomes that records the flat index of every read."""
-
-    def __init__(self, outcomes):
-        self.outcomes, self.reads = outcomes, []
-
-    def __getitem__(self, flat):
-        self.reads.append(flat)
-        return self.outcomes[flat]
-
-
 @pytest.mark.parametrize("prop", [Property.SIC, Property.ESIC])
-def test_a_lone_check_stops_at_its_witness(prop):
-    """Each line is read once, in order of its first profile; none starts after the witness."""
+def test_a_lone_check_stops_at_its_witness(prop, monkeypatch):
+    """Lines are drawn in order of their first profile, up to the first that starts past the witness."""
     lattice = verifier._tabulation(SecondPriceMechanism(2), GRID012)
-    outcomes = _ReadRecording(lattice.outcomes)
-    found = verifier.deviation_check(prop, lattice.domains, outcomes, verifier.payoff)
+    drawn = []
+    lines_in_order = verifier._lines_in_order
+
+    def recorded(widths):
+        for line in lines_in_order(widths):
+            drawn.append(line)
+            yield line
+
+    monkeypatch.setattr(verifier, "_lines_in_order", recorded)
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+    found = verifier._deviation_findings(prop, *args)[prop]
     assert (found.flat, found.agent, found.other) == (2, 0, 5)
     # agent 1's lines step the flat index by 3, agent 2's by 1; they start at profiles
-    # 0, 0 (agent 2), 1, 2, 3 (agent 2) and 6 (agent 2), and the last two start after 2
-    assert outcomes.reads == [0, 3, 6, 0, 1, 2, 1, 4, 7, 2, 5, 8]
+    # 0, 0 (agent 2), 1, 2, 3 (agent 2) and 6 (agent 2), and the walk stops at the line at 3
+    assert drawn == [(0, 0), (0, 1), (1, 0), (2, 0), (3, 1)]
 
 
 def _walked_findings(stop, domains, outcomes, rows, utility, truth=None):
@@ -764,34 +762,45 @@ def test_a_walk_holds_no_list_of_its_lines():
     assert peak < 100_000
 
 
+def _builtin_sequential_lattice(thresholds):
+    """The bundle lattice of a sequential sale at n=2 on 3 items, every marginal up to 2."""
+    builtin = tuple(multiitem.nonincreasing_marginal_vectors(3, 2))
+    spec = multiitem.SequentialSpec((2, 1), thresholds)
+    allocate = functools.partial(multiitem.sequential_allocate_general, spec)
+    return multiitem._bundle_lattice(allocate, (builtin, builtin), None)
+
+
 def test_a_repeated_line_is_judged_once(monkeypatch):
     """`_line_breaks` runs once per block of consecutive equal lines of one agent."""
     spec = ThresholdSpec((2, 1, 3), (F(1), F(1, 2), F(2)))
     grid = closure_for_thresholds(spec.thresholds, base=GRID012.levels)
-    lattice = verifier._tabulation(spec, grid)
-    strides = verifier.domain_strides(lattice.domains)
-    width, blocks, judged = len(grid), 0, 0
-    for i, stride in enumerate(strides):
-        last = None
-        # agent i's lines in order of their first profile: the others' indices in flat order
-        others = strides[:i] + strides[i + 1 :]
-        for digits in itertools.product(range(width), repeat=len(others)):
-            start = sum(k * s for k, s in zip(digits, others))
-            flats = range(start, start + width * stride, stride)
-            line = tuple((lattice.outcomes[f], lattice.rows[f]) for f in flats)
-            if len({out for out, _ in line}) > 1:
-                judged += 1
-                blocks += line != last
-                last = line
+    lattices = [verifier._tabulation(spec, grid), _builtin_sequential_lattice((F(2), F(1)))]
     calls = []
     line_breaks = verifier._line_breaks
     monkeypatch.setattr(
         verifier, "_line_breaks", lambda *args: calls.append(args[0]) or line_breaks(*args)
     )
-    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
-    found = verifier._deviation_findings(Property.IC, *args)
-    assert found[Property.IC].flat is None  # IC holds, so every line was walked
-    assert len(calls) == blocks < judged
+    for lattice in lattices:
+        strides = verifier.domain_strides(lattice.domains)
+        widths = list(map(len, lattice.domains))
+        blocks, judged = 0, 0
+        for i, stride in enumerate(strides):
+            last = None
+            # agent i's lines in order of their first profile: the others' indices in flat order
+            others = [(w, s) for j, (w, s) in enumerate(zip(widths, strides)) if j != i]
+            for digits in itertools.product(*(range(w) for w, _ in others)):
+                start = sum(k * s for k, (_, s) in zip(digits, others))
+                flats = range(start, start + widths[i] * stride, stride)
+                line = tuple((lattice.outcomes[f], lattice.rows[f]) for f in flats)
+                if len({out for out, _ in line}) > 1:
+                    judged += 1
+                    blocks += line != last
+                    last = line
+        calls.clear()
+        args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+        found = verifier._deviation_findings(Property.IC, *args)
+        assert found[Property.IC].flat is None  # IC holds, so every line was walked
+        assert len(calls) == blocks < judged
 
 
 def test_a_lattice_of_one_outcome_walks_no_line(monkeypatch):
@@ -804,10 +813,13 @@ def test_a_lattice_of_one_outcome_walks_no_line(monkeypatch):
     n, zeros = 2, (F(0), F(0))
     table = MechanismTable(GRID012, n, tuple(Outcome(0, zeros) for _ in range(3**n)))
     cases.append((table, GRID012))
-    for mechanism, grid in cases:
-        lattice = verifier._tabulation(mechanism, grid)
+    lattices = [verifier._tabulation(mechanism, grid) for mechanism, grid in cases]
+    # a sequential sale whose prices are above every marginal never sells
+    lattices.append(_builtin_sequential_lattice((F(3), F(3))))
+    for lattice in lattices:
         args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
-        total = len(lattice.outcomes) * mechanism.n * (len(grid) - 1)
+        widths = list(map(len, lattice.domains))
+        total = len(lattice.outcomes) * sum(w - 1 for w in widths)
         for stop in (Property.ESIC, Property.SIC, Property.IC):
             found = verifier._deviation_findings(stop, *args)
             assert found == {p: verifier._Finding(p, total) for p in verifier._NESTED}
