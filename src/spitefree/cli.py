@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -585,6 +586,8 @@ def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
+# built once per process: a run only reads the parser
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spitefree",

@@ -15,7 +15,9 @@ Conventions used throughout the package:
   belongs to the profile whose grid level indices, read as a number in
   base ``len(grid)`` with the last agent fastest, give ``flat``.  That is
   the order of `enumerate_profiles`, and a `MechanismTable` is a grid, an
-  agent count and such a tuple.
+  agent count and such a tuple.  It is read off a coded tabulation
+  (`mechanisms.tabulate_codes`): one small int code per profile, in the
+  same order, and one outcome per code.
 """
 
 from __future__ import annotations

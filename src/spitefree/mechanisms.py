@@ -10,29 +10,38 @@ The null mechanism (never allocate, never charge) is the all-infinite special
 case.
 
 The rule reads only each bid's sign against its own threshold (below, at or
-above), so it is stated once, in `_threshold_winner`, on those signs.
-`threshold_outcome` applies it to one profile; `tabulate_outcomes` compares
-each threshold with each grid level once and applies it to every profile of
-``grid^n``, with one shared `Outcome` per winner code.
+above), so it is stated once, in `_threshold_winner`, on those signs, and
+`threshold_outcome` applies it to one profile.
 `recognize_threshold_form` reads a table's outcomes against the same sign
 columns to recover a spec, without tabulating one; its second pass,
 `recognize_on_signs`, reads only signs and winner codes.
 
 First and second price are one order rule, `_price_rule`: the first
-highest bid wins and pays the ``rank``-th highest bid (rank 1 and 2).  It
-reads bids only by their order, and a grid's levels are strictly
-increasing, so `tabulate_outcomes` applies it to level indices and builds
-one shared `Outcome` per (winner, price level).
+highest bid wins and pays the ``rank``-th highest bid (rank 1 and 2).
+
+`tabulate_codes` tabulates a mechanism on ``grid^n`` as one small int
+code per profile (a `CodedTabulation`), each code standing for one
+outcome and one bid of its winner, and `tabulate_outcomes` reads the
+outcomes off it.  A threshold spec and the price rules are coded without
+evaluating a profile: each agent has one int key per level, and a
+profile's code is its highest key (`_max_codes`).  A threshold spec's
+keys come from bisecting each threshold into the levels once; the price
+rules' from level indices, which they may read for bids because they
+read bids only by order.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar
+from functools import lru_cache
+from operator import add, itemgetter, mul
+from typing import ClassVar, NamedTuple, Sequence
 
 from .core import DomainMismatchError, Grid, MechanismTable, Outcome, RankedSpec, enumerate_profiles
 from .money import ExtMoney, INFINITY, as_ext_money
@@ -67,6 +76,12 @@ class ThresholdSpec(RankedSpec):
         object.__setattr__(self, "ranking", self.check_ranking(self.ranking, n))
         if not isinstance(self.boundary_rule, BoundaryRule):
             object.__setattr__(self, "boundary_rule", BoundaryRule(self.boundary_rule))
+        # the dataclass's own hash, taken once: each tabulation cache lookup hashes the spec
+        fields = (self.ranking, self.thresholds, self.boundary_rule)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -104,9 +119,12 @@ def _threshold_result(spec: ThresholdSpec, winner: int) -> Outcome:
     return _sale(spec.n, winner, price)
 
 
+_ZERO = Fraction(0)
+
+
 def _sale(n: int, winner: int, price: Fraction) -> Outcome:
     """The outcome in which ``winner`` (a code, 0 = unsold) pays ``price`` and nobody else pays."""
-    payments = [Fraction(0)] * n
+    payments = [_ZERO] * n
     if winner:
         payments[winner - 1] = price
     return Outcome(winner, tuple(payments))
@@ -175,50 +193,178 @@ class FirstPriceMechanism(_PriceMechanism):
         return first_price_outcome(bids)
 
 
+class CodedTabulation(NamedTuple):
+    """A tabulation on ``grid^n`` as one small int code per profile.
+
+    ``codes[flat]`` is the code of the profile with that flat index (see
+    `core`), and ``decoded[code]``, for each code that occurs, is the
+    outcome there and the level index its winner bids (0 when unsold).
+    No two codes stand for the same pair, and equal outcomes are one
+    object.  The codes are a `bytes` object when they fit in a byte, else
+    an `array`.
+    """
+
+    codes: Sequence[int]
+    decoded: dict[int, tuple[Outcome, int]]
+
+
+def tabulate_codes(mechanism, grid: Grid) -> CodedTabulation:
+    """The mechanism's tabulation on ``grid^n``, coded (see `CodedTabulation`).
+
+    A `ThresholdSpec` (`_threshold_codes`) and first and second price
+    (`_price_codes`) are coded without evaluating any profile.  A
+    `MechanismTable` on its own grid is coded by its outcome objects, and
+    any other mechanism is evaluated profile by profile and coded by equal
+    outcomes (`_interned_codes`).
+    """
+    n, levels = mechanism.n, grid.levels
+    if isinstance(mechanism, ThresholdSpec):
+        return _threshold_codes(mechanism, levels)
+    if isinstance(mechanism, _PriceMechanism):
+        return _price_codes(mechanism, levels)
+    if isinstance(mechanism, MechanismTable) and mechanism.grid == grid:
+        return _interned_codes(mechanism.outcomes, n, len(levels), by_value=False)
+    return _interned_codes(map(mechanism.outcome, enumerate_profiles(grid, n)), n, len(levels))
+
+
+def gather(codes: Sequence[int], table) -> tuple:
+    """``table[code]`` for each of the codes, as a tuple.
+
+    The tuple is built from a list, as the lattice's other tuples are
+    (see `verifier._scaled`): built from the iterator, it would be resized
+    as it grew, which held about 0.35 MB more peak RSS over 600 in-process
+    posted-price passes.
+    """
+    return tuple(list(map(table.__getitem__, codes)))
+
+
+def _threshold_codes(spec: ThresholdSpec, levels) -> CodedTabulation:
+    """Code each profile by its winner's priority and bid level.
+
+    Agent i's key at level k is 0 below her threshold and otherwise
+    ``(n - ranking[i]) * L + k + 1``, so a profile's highest key names the
+    highest-priority agent who meets her threshold, and her bid: the
+    winner wherever some bid exceeds its threshold, or the boundary rule
+    allows a sale.  Under `NO_ALLOCATION` a profile where nobody exceeds
+    is unsold, code 0.  Each threshold is bisected into the levels once.
+    """
+    n, width = spec.n, len(levels)
+    meets, exceeds = [], []
+    for threshold, rank in zip(spec.thresholds, spec.ranking):
+        at = bisect_left(levels, threshold)
+        above = at + (at < width and levels[at] == threshold)
+        key = (n - rank) * width + 1
+        meets.append([0] * at + list(range(key + at, key + width)))
+        exceeds.append([0] * above + [1] * (width - above))
+    codes = _max_codes(meets)
+    if spec.boundary_rule is BoundaryRule.NO_ALLOCATION:
+        codes = _gated(codes, _max_codes(exceeds))
+    order = spec.priority_order()
+    sales: dict[int, Outcome] = {}
+    decoded = {}
+    for code in set(codes):
+        # code 0 is unsold; else code - 1 is (n - ranking[winner]) * L + her bid level
+        rank, bid = (n - (code - 1) // width, (code - 1) % width) if code else (0, 0)
+        winner = order[rank - 1] + 1 if code else 0
+        out = sales.get(winner) or sales.setdefault(winner, _threshold_result(spec, winner))
+        decoded[code] = out, bid
+    return CodedTabulation(codes, decoded)
+
+
+def _price_codes(mechanism: _PriceMechanism, levels) -> CodedTabulation:
+    """Code each profile by its winner, her bid level and the price level.
+
+    Agent j's key at level k is ``k * n + n - 1 - j``, so a profile's
+    highest key names its first highest bid and that bid.  Under first
+    price she pays her bid, and the key is the code; under second price
+    she pays the second highest level, read off each level-index profile
+    sorted, and the code is ``key * L + price``.
+    """
+    n, width = mechanism.n, len(levels)
+    tops = _max_codes([range(n - 1 - j, n * width, n) for j in range(n)])
+    if mechanism.rank == 1:
+        codes = tops
+    else:
+        profiles = itertools.product(range(width), repeat=n)
+        prices = map(itemgetter(-mechanism.rank), map(sorted, profiles))
+        codes = map(add, map(mul, tops, itertools.repeat(width)), prices)
+        codes = _code_array(codes, n * width * width - 1)
+    sales: dict[tuple[int, int], Outcome] = {}
+    decoded = {}
+    for code in set(codes):
+        top, price = (code, code // n) if mechanism.rank == 1 else divmod(code, width)
+        winner, bid = n - top % n, top // n
+        sale = winner, price
+        out = sales.get(sale) or sales.setdefault(sale, _sale(n, winner, levels[price]))
+        decoded[code] = out, bid
+    return CodedTabulation(codes, decoded)
+
+
+def _interned_codes(outcomes, n: int, width: int, by_value: bool = True) -> CodedTabulation:
+    """Code outcomes given in flat order by outcome object and winner's bid level.
+
+    With ``by_value`` equal outcomes are first made one object, the first
+    of them; a table's outcomes are coded by the objects it holds.
+    """
+    interned: dict[Outcome, Outcome] = {}
+    code_of: dict[tuple[int, int], int] = {}
+    decoded = {}
+    codes = []
+    for out, bids in zip(outcomes, itertools.product(range(width), repeat=n)):
+        if by_value:
+            out = interned.setdefault(out, out)
+        bid = bids[out.winner - 1] if out.winner else 0
+        code = code_of.get((id(out), bid))
+        if code is None:
+            code = code_of[id(out), bid] = len(code_of)
+            decoded[code] = out, bid
+        codes.append(code)
+    return CodedTabulation(_code_array(codes, len(code_of) - 1), decoded)
+
+
+def _max_codes(columns) -> Sequence[int]:
+    """``max(profile)`` for each profile of ``product(*columns)``, in flat order.
+
+    ``columns[i]`` lists agent i's nonnegative int keys, one per level.
+    When every key fits in a byte the agents are folded in from the last:
+    the block of agents i to n - 1 is, for each of agent i's keys, the
+    block of agents i + 1 to n - 1 raised to at least that key by one
+    `bytes.translate`, and no profile is visited in Python.
+    """
+    top = max(map(max, columns))
+    if top > 255:
+        return _code_array(map(max, itertools.product(*columns)), top)
+    codes = b"\0"
+    for column in reversed(columns):
+        codes = b"".join([codes.translate(_at_least(key)) if key else codes for key in column])
+    return codes
+
+
+@lru_cache(maxsize=256)
+def _at_least(key: int) -> bytes:
+    """The `bytes.translate` table that raises each byte to at least ``key``."""
+    return bytes([key]) * key + bytes(range(key, 256))
+
+
+def _gated(codes, gates) -> Sequence[int]:
+    """``codes`` where ``gates``, of 0s and 1s, is 1, and 0 elsewhere."""
+    gated = map(mul, codes, gates)
+    return bytes(gated) if isinstance(codes, bytes) else array(codes.typecode, gated)
+
+
+def _code_array(codes, top: int) -> Sequence[int]:
+    """Codes of at most ``top``, as `bytes` when that fits in a byte, else as an `array`."""
+    return bytes(codes) if top < 256 else array("I", codes)
+
+
 def tabulate_outcomes(mechanism, grid: Grid) -> tuple[Outcome, ...]:
     """The mechanism's outcomes on every profile of ``grid^n``, in flat order.
 
-    Equal outcomes are one shared object.  A `ThresholdSpec` is read off
-    its sign columns: each threshold is compared with each grid level once,
-    and each distinct tuple of signs, and each winner, is resolved once.
-    First and second price read bids only by order, so their rule runs on
-    level indices, and each (winner, price level) is one `Outcome`.  Any
-    other mechanism is evaluated profile by profile.
+    Read off `tabulate_codes`: equal outcomes are one shared object, but a
+    table on its own grid keeps its own objects.
     """
-    if isinstance(mechanism, ThresholdSpec):
-        columns = [[_sign(level, t) for level in grid.levels] for t in mechanism.thresholds]
-        by_signs: dict[tuple[int, ...], Outcome] = {}
-        by_winner: dict[int, Outcome] = {}
-        outcomes = []
-        for signs in itertools.product(*columns):
-            out = by_signs.get(signs)
-            if out is None:
-                winner = _threshold_winner(mechanism, signs)
-                out = by_winner.get(winner)
-                if out is None:
-                    out = by_winner[winner] = _threshold_result(mechanism, winner)
-                by_signs[signs] = out
-            outcomes.append(out)
-        return tuple(outcomes)
-    if isinstance(mechanism, _PriceMechanism):
-        levels = grid.levels
-        by_sale: dict[tuple[int, int], Outcome] = {}
-        outcomes = []
-        for profile in itertools.product(range(len(levels)), repeat=mechanism.n):
-            winner, at = _price_rule(profile, mechanism.rank)
-            sale = (winner, profile[at])
-            out = by_sale.get(sale)
-            if out is None:
-                out = by_sale[sale] = _sale(mechanism.n, winner + 1, levels[sale[1]])
-            outcomes.append(out)
-        return tuple(outcomes)
-    interned: dict[Outcome, Outcome] = {}
-    return tuple(
-        [
-            interned.setdefault(out, out)
-            for out in map(mechanism.outcome, enumerate_profiles(grid, mechanism.n))
-        ]
-    )
+    codes, decoded = tabulate_codes(mechanism, grid)
+    return gather(codes, {code: out for code, (out, _) in decoded.items()})
 
 
 def tabulate(mechanism, grid: Grid) -> MechanismTable:

@@ -28,15 +28,16 @@ asked for after ESIC failed, IC after SIC failed.
 
 Every check compares Python ints on a `_Lattice`: each agent's domain
 as ints and the outcomes with every amount times a common denominator
-D, tabulated once per grid (`_grid_lattice`) or from bundle domains
-(see `multiitem`).  The checks read the outcomes by flat index (see
-`domain_strides`), profile by profile or line by line (see
-`_line_starts`).  A lattice also holds each profile's payoff row,
-everyone's payoff times D there (`_Lattice.rows`), built with its
-outcomes before any check runs: at each agent's bid on a grid, where
-one tuple is shared by every profile with the same outcome and winner's
-bid, and on a bundle lattice at each agent's bid or, given a truth, at
-everyone's truth on the n lines through it, one tuple per distinct row.
+D, gathered once per grid from a coded tabulation (`_grid_lattice`) or
+built from bundle domains (see `multiitem`).  The checks read the
+outcomes by flat index (see `domain_strides`), profile by profile or
+line by line (see `_line_starts`).  A lattice also holds each profile's
+payoff row, everyone's payoff times D there (`_Lattice.rows`), built
+with its outcomes before any check runs: at each agent's bid on a grid,
+where one tuple, built once per code, is shared by every profile with
+the same outcome and winner's bid, and on a bundle lattice at each
+agent's bid or, given a truth, at everyone's truth on the n lines
+through it, one tuple per distinct row.
 IR reads each truthful
 row once, and the deviation walk reads the truthful row and the others'
 entries of the row at a run's first position, so each pair of a
@@ -73,7 +74,7 @@ from .core import (
     render_profile,
     utility_vector,
 )
-from .mechanisms import ThresholdSpec, recognize_on_signs, tabulate_outcomes
+from .mechanisms import CodedTabulation, ThresholdSpec, gather, recognize_on_signs, tabulate_codes
 from .money import INFINITY, render_money
 from .reports import Property, PropertyReport, Witness
 
@@ -163,9 +164,10 @@ class _Lattice:
     the deviation walk read everyone's payoffs there, and call
     ``utility`` only for a deviator's payoff at her truth.  A grid lattice
     (`_grid_lattice`) holds each level times D, every profile in a tuple,
-    uses `payoff` and values each agent at her bid; its rows are interned,
-    one tuple per distinct outcome and winner's bid.  A bundle lattice
-    (see `multiitem`) holds one int per distinct valuation.  Without a
+    uses `payoff` and values each agent at her bid; its outcomes,
+    originals and rows are gathered from a coded tabulation, one row
+    tuple per code, that is per distinct outcome and winner's bid.  A
+    bundle lattice (see `multiitem`) holds one int per distinct valuation.  Without a
     ``truth`` its outcomes and rows are tuples over every profile, each
     agent valued at her bid; with a ``truth`` (per-agent domain indices)
     they are dicts over the n lines through it, everyone valued at her
@@ -249,26 +251,28 @@ class _Lattice:
         return PropertyReport(prop, False, witness, found.checked)
 
 
-def _grid_lattice(levels, originals: tuple[Outcome, ...], n: int) -> _Lattice:
-    """The lattice of ``originals``, in flat order over ``levels`` to the n-th power.
+def _grid_lattice(levels, n: int, coded: CodedTabulation) -> _Lattice:
+    """The lattice of a coded tabulation (see `CodedTabulation`) on ``levels`` to the n-th power.
 
     D is the least common denominator of the levels and of every payment.
-    Each outcome object is scaled once; equal outcomes that are one object
-    (interned, or shared by a table) share one scaled outcome, and each
-    scaled outcome one row per bid of its winner.
+    Each outcome object is scaled once, and each code, which stands for
+    one outcome and one bid of its winner, gets one payoff row; the
+    lattice's outcomes, originals and rows are then gathered from the
+    codes, with no loop over the profiles.
     """
-    distinct = {id(out): out for out in originals}
+    codes, decoded = coded
+    distinct = {id(out): out for out, _ in decoded.values()}
     d = _lcm_of_denominators([*levels, *(p for out in distinct.values() for p in out.payments)])
     scaled = {
         key: _ScaledOutcome(out.winner, _scaled(out.payments, d)) for key, out in distinct.items()
     }
-    outcomes = tuple([scaled[id(out)] for out in originals])
     ints = _scaled(levels, d)
-    strides, width, interned, rows = domain_strides((ints,) * n), len(ints), {}, []
-    for flat, out in enumerate(outcomes):
-        key = id(out), (ints[flat // strides[out.winner - 1] % width] if out.winner else 0)
-        rows.append(interned.get(key) or interned.setdefault(key, _payoff_row(out, key[1])))
-    return _Lattice(d, (ints,) * n, outcomes, originals, tuple(rows))
+    originals = {code: out for code, (out, _) in decoded.items()}
+    outcomes = {code: scaled[id(out)] for code, out in originals.items()}
+    rows = {code: _payoff_row(outcomes[code], ints[bid]) for code, (_, bid) in decoded.items()}
+    return _Lattice(
+        d, (ints,) * n, gather(codes, outcomes), gather(codes, originals), gather(codes, rows)
+    )
 
 
 def _payoff_row(out, bid: int) -> tuple[int, ...]:
@@ -280,14 +284,14 @@ def _payoff_row(out, bid: int) -> tuple[int, ...]:
 # sweep checks one recognized spec twice; a few entries serve both.
 @lru_cache(maxsize=4)
 def _cached_tabulation(mechanism, grid: Grid) -> _Lattice:
-    return _grid_lattice(grid.levels, tabulate_outcomes(mechanism, grid), mechanism.n)
+    return _grid_lattice(grid.levels, mechanism.n, tabulate_codes(mechanism, grid))
 
 
 def _tabulation(mechanism, grid: Grid) -> _Lattice:
     if isinstance(mechanism, MechanismTable):
         if mechanism.grid != grid:
             raise DomainMismatchError("tables can only be checked on their own grid")
-        return _grid_lattice(grid.levels, mechanism.outcomes, mechanism.n)
+        return _grid_lattice(grid.levels, mechanism.n, tabulate_codes(mechanism, grid))
     return _cached_tabulation(mechanism, grid)
 
 
@@ -826,7 +830,9 @@ def _key_lattice(grid: Grid, n: int) -> _Lattice:
         for level in grid.levels
         for code in range(n + 1)
     ]
-    lattice = _grid_lattice(grid.levels, tuple(originals), n)
+    keys = range(len(originals))
+    coded = CodedTabulation(keys, {key: (originals[key], 0) for key in keys})
+    lattice = _grid_lattice(grid.levels, n, coded)
     bids = lattice.domains[0]
     rows = tuple([tuple([_payoff_row(out, bid) for bid in bids]) for out in lattice.outcomes])
     return replace(lattice, rows=rows)

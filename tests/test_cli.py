@@ -76,6 +76,30 @@ def test_verify_passing_threshold_spec(tmp_path):
     assert "kind: threshold" in report["config"]["mechanism"]
 
 
+def test_a_bad_run_after_a_good_one_fails_as_it_does_first(tmp_path):
+    # the parser is built once per process and reused
+    spec = write(tmp_path, "t.spec", THRESHOLD_SPEC)
+    bad_props = ("verify", "--spec", spec, "--props", "ir,bogus")
+    cli.build_parser.cache_clear()
+    first = run_cli(*bad_props)
+    assert first[:2] == (EXIT_INPUT_ERROR, "")
+    assert "unknown property 'bogus'" in first[2]
+    assert run_cli("verify", "--spec", spec)[0] == EXIT_OK
+    assert run_cli(*bad_props) == first
+    assert cli.build_parser() is cli.build_parser()
+    # an argparse error exits 2 with the same usage line
+    usage = []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            main(["verify", "--grid", "0,1"])
+        usage.append((exited.value.code, err.getvalue()))
+        assert run_cli("verify", "--spec", spec)[0] == EXIT_OK
+    assert usage[0] == usage[1]
+    assert usage[0][0] == EXIT_INPUT_ERROR
+    assert "the following arguments are required: --spec" in usage[0][1]
+
+
 def test_verify_reports_a_witness_on_failure(tmp_path):
     spec = write(tmp_path, "sp.spec", SECOND_PRICE_SPEC)
     code, out, _ = run_cli("verify", "--spec", spec, "--grid", "0,1,2", "--props", "sic")

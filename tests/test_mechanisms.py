@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -32,6 +33,18 @@ def test_spec_validation():
         ThresholdSpec((), ())
     with pytest.raises(TypeError):
         ThresholdSpec((1, 2), (0.5, F(1)))
+
+
+def test_a_spec_hashes_as_its_fields():
+    # the hash is taken once, as the spec is made
+    spec = ThresholdSpec((2, 1), (F(1), INFINITY), BoundaryRule.NO_ALLOCATION)
+    same = ThresholdSpec([2, 1], (1, INFINITY), "no_allocation")
+    assert same == spec and hash(same) == hash(spec)
+    assert hash(spec) == hash((spec.ranking, spec.thresholds, spec.boundary_rule))
+    moved = dataclasses.replace(spec, thresholds=(F(1), F(3, 2)))
+    assert hash(moved) == hash(ThresholdSpec((2, 1), (F(1), F(3, 2)), BoundaryRule.NO_ALLOCATION))
+    assert hash(moved) == hash((moved.ranking, moved.thresholds, moved.boundary_rule))
+    assert {spec: 1, moved: 2}[same] == 1
 
 
 def test_priority_order():

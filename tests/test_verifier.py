@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -524,6 +525,129 @@ def test_payoff_rows_are_the_payoffs_at_each_profile():
                 # only the winner's payoff depends on her value
                 expected = tuple(utility(out, j, bid) for j in range(n))
                 assert tuple(F(u, d) for u in keyed.rows[key][b]) == expected
+
+
+def _reference_lattice(mechanism, grid):
+    """A grid lattice's fields, built profile by profile without the coded builder.
+
+    Returns D, the domains, the scaled outcomes, the mechanism's own
+    outcomes, the payoff rows, and the (outcome, winner's bid) pairs.
+    """
+    n, levels = mechanism.n, grid.levels
+    originals = tuple(mechanism.outcome(p) for p in enumerate_profiles(grid, n))
+    amounts = [*levels, *(p for out in originals for p in out.payments)]
+    d = math.lcm(*{a.denominator for a in amounts})
+    ints = tuple(int(level * d) for level in levels)
+    scaled, outcomes, rows, pairs = {}, [], [], set()
+    for digits, out in zip(itertools.product(range(len(levels)), repeat=n), originals):
+        scaled_out = scaled.setdefault(out, (out.winner, tuple(int(p * d) for p in out.payments)))
+        bid = digits[out.winner - 1] if out.winner else None
+        winner_pays = ints[bid] if out.winner else 0
+        rows.append(tuple(
+            (winner_pays if j == out.winner - 1 else 0) - p for j, p in enumerate(scaled_out[1])
+        ))
+        outcomes.append(scaled_out)
+        pairs.add((out, bid))
+    return d, (ints,) * n, tuple(outcomes), originals, tuple(rows), pairs
+
+
+def _coded_tabulation_cases():
+    """Threshold specs, price rules, tables and lookups on grids of 1 to 7 levels.
+
+    The threshold pool of each grid has amounts below, at, between and
+    above its levels, and INFINITY.  The last cases hold more codes than
+    fit in a byte.
+    """
+    rng = random.Random(26)
+    grids = [
+        Grid.from_text("1"),
+        Grid.from_text("0,1"),
+        Grid.from_text("1/2,1,2"),
+        Grid.from_text("1,3/2,2,5/2"),
+        Grid.from_text("0,1/3,1,7/4,3"),
+        Grid.from_text("1/4,1/2,1,2,3,9/2"),
+        Grid.from_text("0,1/5,1/2,1,4/3,2,7"),
+    ]
+    cases = []
+    for grid in grids:
+        levels = grid.levels
+        pool = {levels[0] / 2, levels[len(levels) // 2], levels[-1] + 1, INFINITY}
+        pool |= {(a + b) / 2 for a, b in zip(levels, levels[1:2])}
+        pool = sorted(pool)
+        for n in (1, 2, 3, 4):
+            specs = [
+                ThresholdSpec(ranking, thresholds, rule)
+                for thresholds in itertools.product(pool, repeat=n)
+                for ranking in itertools.permutations(range(1, n + 1))
+                for rule in BoundaryRule
+            ]
+            sample = min(len(specs), (60, 40, 12, 3)[n - 1])
+            cases += [(spec, grid) for spec in rng.sample(specs, sample)]
+        cases += [(factory(n), grid) for factory in (FirstPriceMechanism, SecondPriceMechanism)
+                  for n in (2, 3, 4) if len(grid) ** n <= 2_500]
+    # every ranking and both rules, on one grid
+    for n in (1, 2, 3, 4):
+        rankings = itertools.permutations(range(1, n + 1))
+        for ranking, rule in itertools.product(rankings, BoundaryRule):
+            cases.append((ThresholdSpec(ranking, (F(1),) * n, rule), grids[3]))
+    cases += [(tabulate(spec, grid), grid) for spec, grid in cases[:: 25]]
+    cases += [(mechanism, GRID012) for mechanism in _random_lookups(4, seed=26)]
+    wide = Grid(range(130))
+    cases += [(ThresholdSpec((2, 1), (F(7), F(129)), rule), wide) for rule in BoundaryRule]
+    cases += [(FirstPriceMechanism(2), wide), (SecondPriceMechanism(3), Grid(range(11)))]
+    return cases
+
+
+def test_the_coded_tabulation_equals_the_profile_by_profile_lattice():
+    """Every field of a lattice equals one built from the outcomes of each profile.
+
+    Each distinct outcome has one object and one scaled outcome, and each
+    (outcome, winner's bid) pair one payoff row.
+    """
+    for mechanism, grid in _coded_tabulation_cases():
+        verifier._cached_tabulation.cache_clear()
+        lattice = verifier._tabulation(mechanism, grid)
+        d, domains, outcomes, originals, rows, pairs = _reference_lattice(mechanism, grid)
+        assert lattice.denominator == d, mechanism
+        assert lattice.domains == domains
+        assert lattice.outcomes == outcomes, mechanism
+        assert lattice.originals == originals, mechanism
+        assert lattice.rows == rows, mechanism
+        assert len({id(row) for row in lattice.rows}) == len(pairs)
+        distinct = len(set(originals))
+        if isinstance(mechanism, MechanismTable):
+            distinct = len({id(out) for out in mechanism.outcomes})
+        assert len({id(out) for out in lattice.originals}) == distinct
+        assert len({id(out) for out in lattice.outcomes}) == distinct
+
+
+# The tracemalloc peak of one tabulation, per profile, before coded
+# tabulation: threshold specs and first price at n=5 on 11 levels, and
+# second price and a threshold spec at n=16 on {0,1}.  The last was high
+# because every distinct tuple of signs was kept.
+_TABULATION_PEAKS = [
+    (ThresholdSpec((3, 1, 5, 2, 4), (F(1), F(5, 2), F(4), F(15, 2), INFINITY)), 11, 33.1),
+    (FirstPriceMechanism(5), 11, 33.1),
+    (SecondPriceMechanism(16), 2, 33.0),
+    (ThresholdSpec(tuple(range(1, 17)), (F(1),) * 16), 2, 224.4),
+]
+
+
+@pytest.mark.parametrize("mechanism, width, before", _TABULATION_PEAKS)
+def test_a_tabulation_holds_no_more_memory_per_profile_than_before(mechanism, width, before):
+    grid = Grid(range(width))
+    verifier._tabulation(mechanism, grid)  # warms the module's own caches
+    verifier._cached_tabulation.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lattice = verifier._tabulation(mechanism, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        verifier._cached_tabulation.cache_clear()
+    assert len(lattice.rows) == width**mechanism.n
+    assert peak / width**mechanism.n <= 1.1 * before
 
 
 def test_ic_sic_and_esic_share_one_walk(monkeypatch):
