@@ -16,7 +16,8 @@ from bundle domains (`_bundle_lattice`): each distinct valuation becomes
 an int, and bundle values and payments are multiplied by one common
 denominator, so utilities are ints.  The lattice holds every outcome
 and payoff row its checks read before any check runs, one tuple per
-distinct row.  Checks of one (mechanism, domains, truth) share that
+distinct row, and without a truth one code per profile for each
+distinct pair of outcome and row.  Checks of one (mechanism, domains, truth) share that
 lattice, which calls the allocator at most once per profile they read,
 and `_Lattice.report` names a failure by the domain's own valuations at
 the positions the check visited, with `Fraction` utilities and the
@@ -38,6 +39,7 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .core import RankedSpec
+from .mechanisms import _code_array
 from .money import ExtMoney, Money, as_ext_money, as_money, is_infinite, parse_amounts
 from .reports import Property, PropertyReport
 from .verifier import (
@@ -422,7 +424,8 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
     `MultiOutcome`, the first the allocator returned, and one scaled
     outcome.  Payoff rows (see `verifier._Lattice`) value each agent at
     her report, or, with a truth, everyone at her truth; equal rows are
-    one tuple.
+    one tuple.  Without a truth each profile is coded by its pair of
+    outcome and row, as they are built.
     """
     kind_of: dict = {}
     kinds = tuple(tuple(kind_of.setdefault(v, len(kind_of)) for v in domain) for domain in domains)
@@ -473,13 +476,20 @@ def _bundle_lattice(mechanism, domains, truth) -> _Lattice:
 
     if truth is None:
         outcomes = tuple([scaled[id(out)] for out in originals])
-        rows = tuple([row(out, bids) for out, bids in zip(outcomes, itertools.product(*kinds))])
+        rows, codes = [], []
+        code_of: dict[tuple[int, int], int] = {}  # per interned (outcome, row) pair
+        for out, bids in zip(outcomes, itertools.product(*kinds)):
+            payoffs = row(out, bids)
+            rows.append(payoffs)
+            codes.append(code_of.setdefault((id(out), id(payoffs)), len(code_of)))
+        rows, codes = tuple(rows), _code_array(codes, len(code_of) - 1)
     else:
         # a deviator's kind has no values with a truth, so every row is at the truth
         outcomes = {f: scaled[id(out)] for f, out in originals.items()}
         truths = tuple(ints[k] for ints, k in zip(kinds, truth))
         rows = {f: row(out, truths) for f, out in outcomes.items()}
-    return _Lattice(d, kinds, outcomes, originals, rows, utility, truth)
+        codes = None
+    return _Lattice(d, kinds, outcomes, originals, rows, utility, truth, codes)
 
 
 # One `multi` run checks one (mechanism, domains, truth) up to four times,

@@ -12,14 +12,14 @@ walks any product of per-agent domains line by line: a line lets one
 agent's report run over her domain while the others' stay fixed, its
 outcomes are read once and split into runs of equal outcomes, and each
 truthful position is classified once against each other run.  A line
-that repeats its agent's last judged line, the same outcomes and payoff
-rows, takes that line's classifications, and a lattice of one outcome
-walks no line at all.  The single-item checks, the multi-item checks,
-the sweep's line verdicts and witness replay share the clauses.  A
-property's first failure, and its count, are those of the
-deviation-by-deviation order: profiles, then agents, then deviations.
-The walk keeps the first failure of each of the three that it finds,
-and a lattice keeps what its walks found
+is keyed by its profiles' codes (`_Lattice.codes`), and one whose key
+its agent has met before is skipped, so each distinct line of an agent
+is judged once; a lattice of one outcome walks no line at all.  The
+single-item checks, the multi-item checks, the sweep's line verdicts
+and witness replay share the clauses.  A property's first failure, and
+its count, are those of the deviation-by-deviation order: profiles,
+then agents, then deviations.  The walk keeps the first failure of each
+of the three that it finds, and a lattice keeps what its walks found
 (`_Lattice.deviations`): IC, SIC and ESIC asked for in that order, as
 `verify` asks by default, take one walk of one lattice.  A walk stops at
 the first line that starts after its own check's first failure, so a
@@ -37,9 +37,8 @@ with its outcomes before any check runs: at each agent's bid on a grid,
 where one tuple, built once per code, is shared by every profile with
 the same outcome and winner's bid, and on a bundle lattice at each
 agent's bid or, given a truth, at everyone's truth on the n lines
-through it, one tuple per distinct row.
-IR reads each truthful
-row once, and the deviation walk reads the truthful row and the others'
+through it, one tuple per distinct row.  IR reads each code's row
+once, and the deviation walk reads the truthful row and the others'
 entries of the row at a run's first position, so each pair of a
 truthful position and another run costs one `utility` call, the
 deviator's payoff at her truth.  Ints compare exactly as the fractions
@@ -57,12 +56,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import methodcaller, ne
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DomainMismatchError,
@@ -173,8 +173,13 @@ class _Lattice:
     they are dicts over the n lines through it, everyone valued at her
     truth.  Equal rows are one tuple.  The two readings agree on what the
     walks read: the truthful profile's row, and the others' entries where
-    one agent deviates.  Every lattice is built in full before any check
-    reads it.
+    one agent deviates.  Without a ``truth``, ``codes[flat]`` is a small
+    int per profile, `bytes` or an `array`, and two profiles with one code
+    have one outcome and one row: a grid lattice keeps its tabulation's
+    codes as they are, and a bundle lattice codes each distinct pair of
+    outcome and row.  IR judges each code's row once, and the deviation
+    walk each distinct line of codes of an agent once.  Every lattice is
+    built in full before any check reads it.
     """
 
     denominator: int
@@ -184,6 +189,7 @@ class _Lattice:
     rows: tuple | dict
     utility: Callable = payoff
     truth: tuple[int, ...] | None = None
+    codes: Sequence[int] | None = None
     # the findings of ESIC, SIC and IC known so far (see `deviations`)
     _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -201,14 +207,15 @@ class _Lattice:
         if prop not in self._found:
             self._found.update(
                 _deviation_findings(
-                    prop, self.domains, self.outcomes, self.rows, self.utility, self.truth
+                    prop, self.domains, self.outcomes, self.rows, self.utility, self.truth,
+                    self.codes,
                 )
             )
         return self._found[prop]
 
     def ir(self) -> _Finding:
         """The finding of IR, read off the truthful profiles' rows."""
-        return _ir_finding(self.domains, self.rows, self.truth)
+        return _ir_finding(self.domains, self.rows, self.truth, self.codes)
 
     def report(self, found: _Finding, domains) -> PropertyReport:
         """``found`` as a report, its witness named in ``domains``.
@@ -258,7 +265,8 @@ def _grid_lattice(levels, n: int, coded: CodedTabulation) -> _Lattice:
     Each outcome object is scaled once, and each code, which stands for
     one outcome and one bid of its winner, gets one payoff row; the
     lattice's outcomes, originals and rows are then gathered from the
-    codes, with no loop over the profiles.
+    codes, with no loop over the profiles, and the lattice keeps the
+    codes themselves, not copied.
     """
     codes, decoded = coded
     distinct = {id(out): out for out, _ in decoded.values()}
@@ -271,7 +279,8 @@ def _grid_lattice(levels, n: int, coded: CodedTabulation) -> _Lattice:
     outcomes = {code: scaled[id(out)] for code, out in originals.items()}
     rows = {code: _payoff_row(outcomes[code], ints[bid]) for code, (_, bid) in decoded.items()}
     return _Lattice(
-        d, (ints,) * n, gather(codes, outcomes), gather(codes, originals), gather(codes, rows)
+        d, (ints,) * n, gather(codes, outcomes), gather(codes, originals), gather(codes, rows),
+        codes=codes,
     )
 
 
@@ -368,38 +377,45 @@ def _truthful_points(domains, strides, truth):
     return [(sum(k * s for k, s in zip(truth, strides)), tuple(truth), values)]
 
 
-def _ir_finding(domains, rows, truth) -> _Finding:
+def _ir_finding(domains, rows, truth, codes) -> _Finding:
     """Truthful reporting never yields a negative payoff, read off payoff rows (see `_Lattice`).
 
     ``truth``, per-agent domain indices, makes one profile the truth; by
     default every profile takes its turn, profile by profile, then agent
-    by agent.
+    by agent.  Profiles with one code share one row, so each code's row
+    is read once, at its first profile, and the first failing profile is
+    the first among those whose row has a negative entry.
     """
     n = len(domains)
     if truth is None:
-        flats = range(math.prod(map(len, domains)))
+        # each code's first profile, in one pass over the codes from the end
+        flats = sorted(dict(zip(reversed(codes), reversed(range(len(codes))))).values())
+        profiles = len(codes)
     else:
-        flats = [sum(k * s for k, s in zip(truth, domain_strides(domains)))]
-    for k, row in enumerate(map(rows.__getitem__, flats)):
+        flats, profiles = [sum(k * s for k, s in zip(truth, domain_strides(domains)))], 1
+    for flat in flats:
+        row = rows[flat]
         if row and min(row) < 0:
             i = next(j for j, u in enumerate(row) if u < 0)
-            return _Finding(Property.IR, n * k + i + 1, flats[k], i, note="truthful payoff is negative")
-    return _Finding(Property.IR, n * len(flats))
+            k = flat if truth is None else 0  # the profiles before it
+            return _Finding(Property.IR, n * k + i + 1, flat, i, note="truthful payoff is negative")
+    return _Finding(Property.IR, n * profiles)
 
 
-def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> dict:
+def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None, codes=None) -> dict:
     """The findings of ESIC, SIC and IC that one walk reaches before ``stop`` fails.
 
     ``rows`` are the payoff rows of ``outcomes`` (see `_Lattice`).  The
     walk reads the lattice line by line, lines in order of their first
     profile (`_lines_in_order`), or with a ``truth`` the n lines through
     it; each line's outcomes are read once, and `_line_breaks` classifies
-    its deviations run by run.  Each agent's last line of more than one
-    run is kept with its rows and what `_line_breaks` found on it, and her
-    next such line with equal outcomes and rows takes that, mapped through
-    its own flat indices: nothing else that `_line_breaks` reads differs
-    between two lines of one agent.  A lattice's outcomes and rows are
-    interned, so the comparison is mostly an identity check.  Without a
+    its deviations run by run.  Given the lattice's ``codes``, each line
+    is keyed by its codes, and a line whose key its agent has met before
+    is skipped before any outcome or row of it is read: equal codes give
+    equal outcomes and rows, nothing else that `_line_breaks` reads
+    differs between two lines of one agent, and the first line with the
+    key had smaller flat indices for every pair of truthful and moved
+    positions, so a later one holds no earlier failure.  Without a
     ``truth``, a lattice whose outcomes are all equal walks no line.  A
     property's first failure is
     the least of the deviations found to break it in the order of
@@ -429,12 +445,22 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
         (dom, s, len(dom) * s, range(len(dom)) if truth is None else range(truth[j], truth[j] + 1))
         for j, (dom, s) in enumerate(zip(domains, strides))
     ]
-    # per agent: outcomes, rows and breaks of her last line of more than one run
-    last = [(None, None, None)] * len(domains)
+    # per agent: the keys of her lines met so far; an array's slice is keyed by its bytes
+    seen = None if codes is None else [set() for _ in domains]
+    as_bytes = isinstance(codes, array)
+    horizon = math.inf  # the last start of a line that may hold an earlier failure of ``stop``
     for start, i in lines:
-        if truth is None and best[goal - 1] is not None and start > best[goal - 1][0]:
-            break  # no line from here on holds an earlier failure of ``stop``
+        if start > horizon:
+            break
         dom, stride, span, truths = shapes[i]
+        if seen is not None:
+            line = codes[start : start + span : stride]
+            if as_bytes:
+                line = line.tobytes()
+            keys = seen[i]
+            if line in keys:
+                continue  # judged at its first line, which holds every failure it holds first
+            keys.add(line)
         flats = range(start, start + span, stride)
         if truth is None:
             outs = outcomes[start : start + span : stride]
@@ -442,21 +468,15 @@ def _deviation_findings(stop, domains, outcomes, rows, utility, truth=None) -> d
             outs = [outcomes[f] for f in flats]
         if outs.count(outs[0]) == len(outs):
             continue  # one run: no deviation on the line changes the outcome
-        if truth is None:
-            line_rows = rows[start : start + span : stride]
-        else:
-            line_rows = [rows[f] for f in flats]
-        seen_outs, seen_rows, breaks = last[i]
-        if seen_outs != outs or seen_rows != line_rows:
-            breaks = _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal)
-            last[i] = outs, line_rows, breaks
         floor = 0  # the properties of `_NESTED` that the line has broken so far
-        for t, r, broken in breaks:
+        for t, r, broken in _line_breaks(i, outs, flats, rows, dom, utility, truths, 0, goal):
             key = (flats[t], i, r)
             for p in range(floor, broken):
                 if best[p] is None or key < best[p][:3]:
                     best[p] = (*key, flats[r], broken)
             floor = broken
+        if truth is None and best[goal - 1] is not None:
+            horizon = best[goal - 1][0]  # no line that starts later holds an earlier failure
     found = {}
     stopped = best[goal - 1]
     total = _deviations_up_to(domains, truth) if stopped is None else None

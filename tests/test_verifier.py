@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -736,7 +737,7 @@ def _assert_line_walk_is_the_reference(lattice):
     failures = 0
     args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility, lattice.truth)
     for stop in (Property.ESIC, Property.SIC, Property.IC):
-        found = verifier._deviation_findings(stop, *args)
+        found = verifier._deviation_findings(stop, *args, lattice.codes)
         assert found == _walked_findings(stop, *args), (stop, lattice.originals)
         failures += found[stop].flat is not None
     return failures
@@ -806,6 +807,16 @@ def _free_item_at_two(bids):
     return multiitem.MultiOutcome((int(bids[0].of_bundle(1) >= 2), 0), (F(0), F(0)))
 
 
+def _array_coded_cases():
+    """Second price at n=3 on ten levels and n=2 on twelve, and a table of 343 outcomes."""
+    seven = Grid(range(7))
+    return [
+        (SecondPriceMechanism(3), Grid(range(10))),
+        (SecondPriceMechanism(2), Grid(range(12))),
+        (_table_of_fresh_outcomes(seven, 3, random.Random(28)), seven),
+    ]
+
+
 def test_the_line_walk_matches_the_profile_walk():
     """Findings dicts, keys and values, equal the slow walk's for every stop property."""
     rng = random.Random(23)
@@ -822,6 +833,11 @@ def test_the_line_walk_matches_the_profile_walk():
     price_rules = (FirstPriceMechanism, SecondPriceMechanism)
     for factory, n, grid in itertools.product(price_rules, (2, 3), grids):
         failures += _assert_line_walk_is_the_reference(verifier._tabulation(factory(n), grid))
+    # codes past a byte, in an array: second price at n=3 on ten levels has 300 lines, all distinct
+    for mechanism, grid in _array_coded_cases():
+        lattice = verifier._tabulation(mechanism, grid)
+        assert isinstance(lattice.codes, array), mechanism
+        failures += _assert_line_walk_is_the_reference(lattice)
     for table in enumerate_ir_ic_mechanisms(GRID012, 2):
         failures += _assert_line_walk_is_the_reference(verifier._tabulation(table, GRID012))
     for k in range(60):
@@ -895,10 +911,18 @@ def _builtin_sequential_lattice(thresholds):
 
 
 def test_a_repeated_line_is_judged_once(monkeypatch):
-    """`_line_breaks` runs once per block of consecutive equal lines of one agent."""
+    """`_line_breaks` runs once per distinct line of one agent, not per block of equal lines."""
     spec = ThresholdSpec((2, 1, 3), (F(1), F(1, 2), F(2)))
     grid = closure_for_thresholds(spec.thresholds, base=GRID012.levels)
-    lattices = [verifier._tabulation(spec, grid), _builtin_sequential_lattice((F(2), F(1)))]
+    # a sequential sale of two items to three agents, every marginal up to 2
+    two_items = tuple(multiitem.nonincreasing_marginal_vectors(2, 2))
+    sale = multiitem.SequentialSpec((2, 1, 3), (F(3, 2),) * 3)
+    allocate = functools.partial(multiitem.sequential_allocate_general, sale)
+    lattices = [
+        verifier._tabulation(spec, grid),
+        verifier._tabulation(tabulate(spec, grid), grid),
+        multiitem._bundle_lattice(allocate, (two_items,) * 3, None),
+    ]
     calls = []
     line_breaks = verifier._line_breaks
     monkeypatch.setattr(
@@ -907,7 +931,7 @@ def test_a_repeated_line_is_judged_once(monkeypatch):
     for lattice in lattices:
         strides = verifier.domain_strides(lattice.domains)
         widths = list(map(len, lattice.domains))
-        blocks, judged = 0, 0
+        distinct, blocks = set(), 0
         for i, stride in enumerate(strides):
             last = None
             # agent i's lines in order of their first profile: the others' indices in flat order
@@ -917,14 +941,31 @@ def test_a_repeated_line_is_judged_once(monkeypatch):
                 flats = range(start, start + widths[i] * stride, stride)
                 line = tuple((lattice.outcomes[f], lattice.rows[f]) for f in flats)
                 if len({out for out, _ in line}) > 1:
-                    judged += 1
+                    distinct.add((i, line))
                     blocks += line != last
                     last = line
         calls.clear()
         args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
-        found = verifier._deviation_findings(Property.IC, *args)
+        found = verifier._deviation_findings(Property.IC, *args, None, lattice.codes)
         assert found[Property.IC].flat is None  # IC holds, so every line was walked
-        assert len(calls) == blocks < judged
+        assert len(calls) == len(distinct) < blocks
+
+
+def test_the_line_keys_hold_memory_of_the_distinct_lines_only():
+    # second price at n=12 on {0,1} has 2^11 x 12 = 24 576 lines, 264 of them distinct;
+    # a key kept per line would hold about 1 MB
+    lattice = verifier._tabulation(SecondPriceMechanism(12), Grid.from_text("0,1"))
+    args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility, None, lattice.codes)
+    verifier._deviation_findings(Property.IC, *args)  # warms the module's own caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        found = verifier._deviation_findings(Property.IC, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found[Property.IC] == verifier._Finding(Property.IC, 2**12 * 12)
+    assert peak < 100_000
 
 
 def test_a_lattice_of_one_outcome_walks_no_line(monkeypatch):
@@ -941,11 +982,11 @@ def test_a_lattice_of_one_outcome_walks_no_line(monkeypatch):
     # a sequential sale whose prices are above every marginal never sells
     lattices.append(_builtin_sequential_lattice((F(3), F(3))))
     for lattice in lattices:
-        args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility)
+        args = (lattice.domains, lattice.outcomes, lattice.rows, lattice.utility, None)
         widths = list(map(len, lattice.domains))
         total = len(lattice.outcomes) * sum(w - 1 for w in widths)
         for stop in (Property.ESIC, Property.SIC, Property.IC):
-            found = verifier._deviation_findings(stop, *args)
+            found = verifier._deviation_findings(stop, *args, lattice.codes)
             assert found == {p: verifier._Finding(p, total) for p in verifier._NESTED}
 
 
@@ -1108,6 +1149,56 @@ def _random_tables(count, seed):
             outcomes[profile] = Outcome(winner, payments)
         tables.append(MechanismTable.from_outcomes(GRID012, 2, outcomes))
     return tables
+
+
+def _walked_ir(domains, rows, truth):
+    """The slow reference path of `verifier._ir_finding`: each profile's row, then each agent."""
+    n = len(domains)
+    strides = verifier.domain_strides(domains)
+    points = [truth] if truth is not None else itertools.product(*map(range, map(len, domains)))
+    for k, digits in enumerate(points):
+        flat = sum(d * s for d, s in zip(digits, strides))
+        for i, u in enumerate(rows[flat]):
+            if u < 0:
+                note = "truthful payoff is negative"
+                return verifier._Finding(Property.IR, n * k + i + 1, flat, i, note=note)
+    return verifier._Finding(Property.IR, n * k + n)
+
+
+def _tables_from_a_pool(count, seed):
+    """Tables on GRID012 at n=2 and 3 drawn from a few outcome objects, losers charged too."""
+    rng = random.Random(seed)
+    tables = []
+    for k in range(count):
+        n = 2 + k % 2
+        pool = []
+        for _ in range(rng.randint(1, 6)):
+            winner = rng.randrange(n + 1)
+            payments = tuple(
+                rng.choice(GRID012.levels) if j == winner - 1 or rng.random() < 0.2 else F(0)
+                for j in range(n)
+            )
+            pool.append(Outcome(winner, payments))
+        outcomes = tuple(rng.choice(pool) for _ in enumerate_profiles(GRID012, n))
+        tables.append(MechanismTable(GRID012, n, outcomes))
+    return tables
+
+
+def test_ir_judges_each_code_once_as_the_profile_walk_does():
+    """IR's finding, witness and count equal those of reading every profile's row in turn."""
+    lattices = [verifier._tabulation(t, GRID012) for t in _tables_from_a_pool(400, seed=28)]
+    lattices += [verifier._tabulation(m, g) for m, g in _coded_tabulation_cases()[::7]]
+    for seed in range(6):
+        allocators, domains = _bundle_cases(seed)
+        for allocate in allocators:
+            for truth in [None, *itertools.product(*map(range, map(len, domains)))]:
+                lattices.append(multiitem._bundle_lattice(allocate, domains, truth))
+    failures = 0
+    for lattice in lattices:
+        found = lattice.ir()
+        assert found == _walked_ir(lattice.domains, lattice.rows, lattice.truth), lattice.originals
+        failures += found.flat is not None
+    assert 200 < failures < len(lattices) - 100
 
 
 def test_every_failing_witness_has_its_property_shape():
